@@ -256,40 +256,30 @@ let scheduler_configs =
     ("simple", Entangle.Config.simple_runner);
   ]
 
-(* Hand-rolled JSON emission: the harness deliberately has no JSON
-   dependency, and the schema (documented in DESIGN.md) is flat. *)
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module J = Entangle_trace.Jsonw
 
-(* [domains] is the -j job count of the run; [speedup] is the -j 1 wall
-   time of the same workload divided by this run's (1.0 for sequential
-   runs and for rows where no baseline was measured). *)
-let json_record ?name ?(domains = 1) ?(speedup = 1.0) inst config_name secs
-    result =
+(* A fixed-precision number, so the committed document stays readable. *)
+let fixed digits x = J.Raw (Printf.sprintf "%.*f" digits x)
+
+let json_record ?name inst config_name secs result =
   let s = result_stats result in
-  Fmt.str
-    "{\"model\": %S, \"config\": %S, \"time_s\": %.4f, \"verdict\": %S, \
-     \"operators\": %d, \"iterations\": %d, \"matches\": %d, \"unions\": \
-     %d, \"nodes_peak\": %d, \"classes_peak\": %d, \"retries\": %d, \
-     \"budget_trips\": %d, \"cache_hits\": %d, \"cache_misses\": %d, \
-     \"domains\": %d, \"speedup\": %.4f}"
-    (json_escape (Option.value name ~default:inst.Instance.name))
-    (json_escape config_name)
-    secs (verdict_str result)
-    (Instance.operator_count inst)
-    s.Entangle.Refine.saturation_iterations s.Entangle.Refine.matches_examined
-    s.Entangle.Refine.unions_applied s.Entangle.Refine.egraph_nodes_peak
-    s.Entangle.Refine.egraph_classes_peak s.Entangle.Refine.retries
-    s.Entangle.Refine.budget_trips s.Entangle.Refine.cache_hits
-    s.Entangle.Refine.cache_misses domains speedup
+  J.Obj
+    [
+      ("model", J.Str (Option.value name ~default:inst.Instance.name));
+      ("config", J.Str config_name);
+      ("time_s", fixed 4 secs);
+      ("verdict", J.Str (verdict_str result));
+      ("operators", J.Int (Instance.operator_count inst));
+      ("iterations", J.Int s.Entangle.Refine.saturation_iterations);
+      ("matches", J.Int s.Entangle.Refine.matches_examined);
+      ("unions", J.Int s.Entangle.Refine.unions_applied);
+      ("nodes_peak", J.Int s.Entangle.Refine.egraph_nodes_peak);
+      ("classes_peak", J.Int s.Entangle.Refine.egraph_classes_peak);
+      ("retries", J.Int s.Entangle.Refine.retries);
+      ("budget_trips", J.Int s.Entangle.Refine.budget_trips);
+      ("cache_hits", J.Int s.Entangle.Refine.cache_hits);
+      ("cache_misses", J.Int s.Entangle.Refine.cache_misses);
+    ]
 
 let bench_egraph_json = "BENCH_egraph.json"
 let bench_trace_json = "BENCH_trace.json"
@@ -473,57 +463,6 @@ let ablation () =
         ws.Entangle.Refine.saturation_iterations
         (if verdict_str cold = verdict_str warm then "agree" else "DISAGREE"));
 
-  section "Parallel checking: domain scaling on GPT (degree 8)";
-  Fmt.pr "%-12s" "cell";
-  List.iter (fun j -> Fmt.pr "%9s" (Fmt.str "-j %d" j)) [ 1; 2; 4; 8 ];
-  Fmt.pr "%10s %s@." "speedup@8" "agree";
-  let par_agree = ref true in
-  let strip_wall (s : Entangle.Refine.stats) =
-    { s with Entangle.Refine.wall_time_s = 0. }
-  in
-  List.iter
-    (fun layers ->
-      let cell = Fmt.str "gpt-d8l%d" layers in
-      Fmt.pr "%-12s" cell;
-      let baseline = ref None in
-      let agree = ref true in
-      List.iter
-        (fun jobs ->
-          let inst = Gpt.build ~layers ~degree:8 ~heads:8 () in
-          let config =
-            Entangle.Config.default |> Entangle.Config.with_jobs jobs
-          in
-          let secs, result = time_check ~config inst in
-          let speedup =
-            match !baseline with
-            | None -> 1.0
-            | Some (base_secs, _, _) -> base_secs /. Float.max 1e-9 secs
-          in
-          (match !baseline with
-          | None ->
-              baseline :=
-                Some (secs, verdict_str result, strip_wall (result_stats result))
-          | Some (_, v, s) ->
-              if
-                v <> verdict_str result
-                || s <> strip_wall (result_stats result)
-              then agree := false);
-          push
-            (json_record ~name:cell inst
-               (Fmt.str "jobs_%d" jobs)
-               ~domains:jobs ~speedup secs result);
-          Fmt.pr "%8.2fs" secs;
-          if jobs = 8 then Fmt.pr "%9.2fx" speedup)
-        [ 1; 2; 4; 8 ];
-      if not !agree then par_agree := false;
-      Fmt.pr " %s@." (if !agree then "yes" else "NO"))
-    [ 1; 2; 4 ];
-  Fmt.pr
-    "@.(Speedup depends on available cores: with %d recommended domains \
-     on this host, expect ~1.0x on a single-core machine; verdict and \
-     statistics agreement is checked regardless.)@."
-    (Domain.recommended_domain_count ());
-
   section "Certificate exchange: portable bundle vs re-check";
   (* How much cheaper is accepting a bundle with the minimal verifier
      than re-running the full saturation check it certifies? *)
@@ -564,27 +503,25 @@ let ablation () =
   Fmt.pr "%-22s %10.3f %12d %9.0fx@." "cert_verify" cert_verify_s cert_bytes
     cert_speedup;
 
-  let oc = open_out bench_egraph_json in
   let records = List.rev !json_records in
-  Printf.fprintf oc "{\n  \"schema\": \"entangle-bench-egraph/3\",\n";
-  Printf.fprintf oc "  \"cert_recheck_s\": %.6f,\n" cert_recheck_s;
-  Printf.fprintf oc "  \"cert_export_s\": %.6f,\n" cert_export_s;
-  Printf.fprintf oc "  \"cert_verify_s\": %.6f,\n" cert_verify_s;
-  Printf.fprintf oc "  \"cert_bundle_bytes\": %d,\n" cert_bytes;
-  Printf.fprintf oc "  \"cert_verify_speedup\": %.2f,\n" cert_speedup;
-  Printf.fprintf oc "  \"sweep_total_matches_simple\": %d,\n" !total_simple;
-  Printf.fprintf oc "  \"sweep_total_matches_incremental\": %d,\n" !total_incr;
-  Printf.fprintf oc "  \"sweep_match_reduction\": %.4f,\n" ratio;
-  Printf.fprintf oc "  \"parallel_verdicts_agree\": %b,\n" !par_agree;
-  Printf.fprintf oc "  \"all_verdicts_agree\": %b,\n"
-    (!zoo_agree && !sweep_agree && !par_agree);
-  Printf.fprintf oc "  \"runs\": [\n";
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc "    %s%s\n" r
-        (if i = List.length records - 1 then "" else ","))
-    records;
-  Printf.fprintf oc "  ]\n}\n";
+  let oc = open_out bench_egraph_json in
+  output_string oc
+    (J.to_string
+       (J.Obj
+          [
+            ("schema", J.Str "entangle-bench-egraph/4");
+            ("cert_recheck_s", fixed 6 cert_recheck_s);
+            ("cert_export_s", fixed 6 cert_export_s);
+            ("cert_verify_s", fixed 6 cert_verify_s);
+            ("cert_bundle_bytes", J.Int cert_bytes);
+            ("cert_verify_speedup", fixed 2 cert_speedup);
+            ("sweep_total_matches_simple", J.Int !total_simple);
+            ("sweep_total_matches_incremental", J.Int !total_incr);
+            ("sweep_match_reduction", fixed 4 ratio);
+            ("all_verdicts_agree", J.Bool (!zoo_agree && !sweep_agree));
+            ("runs", J.Arr records);
+          ]));
+  output_char oc '\n';
   close_out oc;
   Fmt.pr "wrote %s (%d runs)@." bench_egraph_json (List.length records);
   emit_reference_trace ()
@@ -763,59 +700,6 @@ let cache_smoke () =
     exit 1
   end;
   Fmt.pr "cache behaves deterministically@."
-
-(* --- Par smoke: -j 1 / -j N equality as a build gate --------------------- *)
-
-(* The @par-smoke dune alias: a fast zoo subset checked at -j 1 and
-   -j 4 must produce identical verdicts and identical statistics
-   (modulo wall time). Exits non-zero on any divergence, so
-   `dune build @par-smoke` fails if the parallel scheduler ever stops
-   being observationally equivalent to the sequential loop. *)
-let par_smoke () =
-  section "Par smoke: -j 1 vs -j 4 verdict and statistics equality";
-  let failures = ref 0 in
-  let expect what ok =
-    Fmt.pr "%-58s %s@." what (if ok then "ok" else "FAIL");
-    if not ok then incr failures
-  in
-  let strip (s : Entangle.Refine.stats) =
-    { s with Entangle.Refine.wall_time_s = 0. }
-  in
-  List.iter
-    (fun name ->
-      match Zoo.by_name name with
-      | None -> expect (Fmt.str "%s: found in zoo" name) false
-      | Some _ ->
-          let run jobs =
-            let inst = Option.get (Zoo.by_name name) in
-            let config =
-              Entangle.Config.default |> Entangle.Config.with_jobs jobs
-            in
-            Instance.check ~config inst
-          in
-          let seq = run 1 and par = run 4 in
-          expect
-            (Fmt.str "%s: verdicts agree" name)
-            (verdict_str seq = verdict_str par);
-          expect
-            (Fmt.str "%s: statistics identical modulo wall time" name)
-            (strip (result_stats seq) = strip (result_stats par)))
-    [ "regression"; "gpt"; "qwen2" ];
-  (* One failing lowering too: faults and skips must merge identically. *)
-  (let run jobs =
-     Bugs.run
-       ~config:(Entangle.Config.default |> Entangle.Config.with_jobs jobs)
-       (Bugs.case 7)
-   in
-   expect "bug-7: detected at both job counts"
-     (match (run 1, run 4) with
-     | Bugs.Detected _, Bugs.Detected _ -> true
-     | _ -> false));
-  if !failures > 0 then begin
-    Fmt.epr "par smoke: %d divergence(s)@." !failures;
-    exit 1
-  end;
-  Fmt.pr "parallel checking is observationally sequential@."
 
 (* --- Serve smoke: daemon fidelity / warm cache / version negotiation ----- *)
 
@@ -1683,7 +1567,6 @@ let () =
       ("extensions", extensions);
       ("smoke", smoke);
       ("cache-smoke", cache_smoke);
-      ("par-smoke", par_smoke);
       ("serve-smoke", serve_smoke);
       ("cert-smoke", cert_smoke);
       ("chaos-smoke", chaos_smoke);

@@ -32,7 +32,6 @@ module Output_opts = struct
     cache_verify : bool;
     cache_max_bytes : int option;
     cache_max_age_s : float option;
-    jobs : int;
     remote : string option;
     remote_retries : int;
     remote_timeout_s : float option;
@@ -159,16 +158,6 @@ module Output_opts = struct
         & opt (some float) None
         & info [ "cache-max-age-s" ] ~docv:"SECONDS" ~doc)
     in
-    let jobs =
-      let doc =
-        "Check operators on $(docv) OCaml domains. Only operators with \
-         no dependency between them and disjoint distributed cones run \
-         concurrently, and results merge in topological order, so \
-         verdicts, statistics and cache contents are identical to \
-         $(b,-j 1) (the default, which runs the exact sequential loop)."
-      in
-      Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-    in
     let remote =
       let doc =
         "Run the check on the resident $(b,entangle serve) daemon \
@@ -218,7 +207,7 @@ module Output_opts = struct
     in
     let make verbose json trace profile deadline op_deadline keep_going
         no_retries failpoints cache_dir no_cache cache_verify cache_max_bytes
-        cache_max_age_s jobs remote remote_retries remote_timeout_s namespace =
+        cache_max_age_s remote remote_retries remote_timeout_s namespace =
       {
         verbose;
         json;
@@ -234,7 +223,6 @@ module Output_opts = struct
         cache_verify;
         cache_max_bytes;
         cache_max_age_s;
-        jobs;
         remote;
         remote_retries;
         remote_timeout_s;
@@ -244,7 +232,7 @@ module Output_opts = struct
     Term.(
       const make $ verbose $ json $ trace $ profile $ deadline $ op_deadline
       $ keep_going $ no_retries $ failpoints $ cache_dir $ no_cache
-      $ cache_verify $ cache_max_bytes $ cache_max_age_s $ jobs $ remote
+      $ cache_verify $ cache_max_bytes $ cache_max_age_s $ remote
       $ remote_retries $ remote_timeout_s $ namespace)
 
   (* Set up the sinks the options ask for, run [f] with the combined
@@ -340,7 +328,6 @@ module Output_opts = struct
     |> Entangle.Config.with_cache_verify o.cache_verify
     |> Entangle.Config.with_cache_namespace
          (Option.value o.namespace ~default:"")
-    |> Entangle.Config.with_jobs o.jobs
     |> fun c ->
     if o.no_retries then Entangle.Config.with_escalation [] c else c
 end
@@ -424,7 +411,6 @@ let remote_options (opts : Output_opts.t) ~family =
   {
     Serve.Protocol.family;
     namespace = opts.Output_opts.namespace;
-    jobs = (if opts.Output_opts.jobs > 1 then Some opts.Output_opts.jobs else None);
     keep_going = opts.Output_opts.keep_going;
   }
 
@@ -791,13 +777,12 @@ let lint_cmd =
               print_endline
                 (J.envelope ~name:"lint" ~version:1
                    [
-                     ("diagnostics", J.Raw (A.Diagnostic.report_to_json diags));
+                     ("diagnostics", A.Diagnostic.report_to_json diags);
                      ( "coverage",
                        match verify with
                        | Some (_, report, cover) ->
-                           J.Raw
-                             (A.Lint.coverage_to_json
-                                (report.A.Lemma_verify.rank_bound, cover))
+                           A.Lint.coverage_to_json
+                             (report.A.Lemma_verify.rank_bound, cover)
                        | None -> J.Null );
                    ])
             end

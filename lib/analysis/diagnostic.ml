@@ -67,58 +67,41 @@ let pp_report ppf ds =
   Fmt.pf ppf "%d error(s), %d warning(s)" (count_errors ds)
     (count_warnings ds)
 
-(* --- JSON (hand-rolled; the project carries no JSON dependency) ------- *)
+(* --- JSON ------------------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module J = Entangle_trace.Jsonw
 
-let json_str s = Printf.sprintf "\"%s\"" (json_escape s)
-
-let json_opt_int name = function
-  | None -> ""
-  | Some i -> Printf.sprintf ", \"%s\": %d" name i
-
-let json_opt_str name = function
-  | None -> ""
-  | Some s -> Printf.sprintf ", \"%s\": %s" name (json_str s)
+let opt name f = function None -> [] | Some v -> [ (name, f v) ]
 
 let location_to_json = function
   | Graph { graph; node; tensor } ->
-      Printf.sprintf "{\"kind\": \"graph\", \"graph\": %s%s%s}" (json_str graph)
-        (json_opt_int "node" node)
-        (json_opt_str "tensor" tensor)
+      J.Obj
+        ([ ("kind", J.Str "graph"); ("graph", J.Str graph) ]
+        @ opt "node" (fun i -> J.Int i) node
+        @ opt "tensor" (fun s -> J.Str s) tensor)
   | Lemma { lemma; rule; seed } ->
-      Printf.sprintf "{\"kind\": \"lemma\", \"lemma\": %s%s%s}" (json_str lemma)
-        (json_opt_int "rule" rule)
-        (json_opt_int "seed" seed)
-  | Eclass id -> Printf.sprintf "{\"kind\": \"eclass\", \"id\": %d}" id
-  | Egraph -> "{\"kind\": \"egraph\"}"
-  | Corpus -> "{\"kind\": \"corpus\"}"
+      J.Obj
+        ([ ("kind", J.Str "lemma"); ("lemma", J.Str lemma) ]
+        @ opt "rule" (fun i -> J.Int i) rule
+        @ opt "seed" (fun i -> J.Int i) seed)
+  | Eclass id -> J.Obj [ ("kind", J.Str "eclass"); ("id", J.Int id) ]
+  | Egraph -> J.Obj [ ("kind", J.Str "egraph") ]
+  | Corpus -> J.Obj [ ("kind", J.Str "corpus") ]
 
 let to_json d =
-  Printf.sprintf
-    "{\"severity\": %s, \"code\": %s, \"location\": %s, \"message\": %s}"
-    (json_str (severity_to_string d.severity))
-    (json_str d.code)
-    (location_to_json d.loc)
-    (json_str d.message)
+  J.Obj
+    [
+      ("severity", J.Str (severity_to_string d.severity));
+      ("code", J.Str d.code);
+      ("location", location_to_json d.loc);
+      ("message", J.Str d.message);
+    ]
 
 let report_to_json ds =
   let ds = sort ds in
-  Printf.sprintf
-    "{\"errors\": %d, \"warnings\": %d, \"diagnostics\": [%s]}"
-    (count_errors ds) (count_warnings ds)
-    (String.concat ", " (List.map to_json ds))
+  J.Obj
+    [
+      ("errors", J.Int (count_errors ds));
+      ("warnings", J.Int (count_warnings ds));
+      ("diagnostics", J.Arr (List.map to_json ds));
+    ]

@@ -47,8 +47,8 @@ val pp : t Fmt.t
 val pp_report : t list Fmt.t
 (** One diagnostic per line, sorted, followed by a summary line. *)
 
-val to_json : t -> string
+val to_json : t -> Entangle_trace.Jsonw.t
 (** One diagnostic as a JSON object. *)
 
-val report_to_json : t list -> string
+val report_to_json : t list -> Entangle_trace.Jsonw.t
 (** [{"errors": n, "warnings": n, "diagnostics": [...]}]. *)

@@ -156,23 +156,26 @@ let pp_coverage ppf (rank_bound, c) =
     c.sym_verified (List.length c.rows) rank_bound c.num_exercised c.waived
     c.gaps
 
-let json_str s = Printf.sprintf "%S" s
-
 let coverage_to_json (rank_bound, c) =
+  let module J = Entangle_trace.Jsonw in
   let row r =
-    Printf.sprintf
-      "{\"lemma\": %s, \"klass\": %s, \"symbolic\": %s, \"exercised\": %b, \
-       \"waived\": %s}"
-      (json_str r.lemma)
-      (json_str (Lemma.klass_letter r.klass))
-      (json_str (Lemma_verify.verdict_name r.symbolic))
-      r.exercised
-      (match r.waived with Some reason -> json_str reason | None -> "null")
+    J.Obj
+      [
+        ("lemma", J.Str r.lemma);
+        ("klass", J.Str (Lemma.klass_letter r.klass));
+        ("symbolic", J.Str (Lemma_verify.verdict_name r.symbolic));
+        ("exercised", J.Bool r.exercised);
+        ("waived", match r.waived with Some reason -> J.Str reason | None -> J.Null);
+      ]
   in
-  Printf.sprintf
-    "{\"rank_bound\": %d, \"verified\": %d, \"exercised\": %d, \"waived\": \
-     %d, \"gaps\": %d, \"lemmas\": [%s]}"
-    rank_bound c.sym_verified c.num_exercised c.waived c.gaps
-    (String.concat ", " (List.map row c.rows))
+  J.Obj
+    [
+      ("rank_bound", J.Int rank_bound);
+      ("verified", J.Int c.sym_verified);
+      ("exercised", J.Int c.num_exercised);
+      ("waived", J.Int c.waived);
+      ("gaps", J.Int c.gaps);
+      ("lemmas", J.Arr (List.map row c.rows));
+    ]
 
 let exit_code ds = if Diagnostic.count_errors ds > 0 then 1 else 0

@@ -70,7 +70,7 @@ val coverage :
 val pp_coverage : (int * coverage) Fmt.t
 (** Render the table; the [int] is the verifier's rank bound. *)
 
-val coverage_to_json : int * coverage -> string
+val coverage_to_json : int * coverage -> Entangle_trace.Jsonw.t
 
 val exit_code : Diagnostic.t list -> int
 (** [0] when no diagnostic has error severity, [1] otherwise. *)

@@ -1,4 +1,5 @@
 open Entangle_ir
+module Fingerprint = Entangle_fingerprint.Fingerprint
 
 let ( let* ) = Result.bind
 let err fmt = Fmt.kstr (fun s -> Error s) fmt
@@ -41,7 +42,33 @@ let has_duplicate_names g =
   in
   dup names
 
-let context (t : t) ~config_fp ~whole_graph ~rules ~gs ~gd =
+(* Corpus fingerprint: per rule, its name, left-hand pattern, applier
+   kind (syntactic right-hand patterns are hashed structurally;
+   conditional appliers are closures and contribute only their kind) and
+   the [constrained]/[nonlocal] flags, in corpus order. Renaming, adding,
+   removing or reordering lemmas invalidates. It lives here rather than
+   in [Entangle_fingerprint] because it inspects e-graph patterns. *)
+let rule (r : Entangle_egraph.Rule.t) =
+  let pat p = Fmt.str "%a" Entangle_egraph.Pattern.pp p in
+  let applier =
+    match r.Entangle_egraph.Rule.applier with
+    | Entangle_egraph.Rule.Syntactic rhs -> "syn:" ^ pat rhs
+    | Entangle_egraph.Rule.Conditional _ -> "dyn"
+  in
+  Fingerprint.strings
+    [
+      "rule";
+      r.Entangle_egraph.Rule.name;
+      pat r.Entangle_egraph.Rule.lhs;
+      applier;
+      string_of_bool r.Entangle_egraph.Rule.constrained;
+      string_of_bool r.Entangle_egraph.Rule.nonlocal;
+    ]
+
+let rules rs =
+  Fingerprint.strings ("rules" :: List.map Fingerprint.to_hex (List.map rule rs))
+
+let context (t : t) ~config_fp ~whole_graph ~rules:rs ~gs ~gd =
   if has_duplicate_names gd then None
   else
     let gd_env = Fingerprint.graph_env gd in
@@ -64,7 +91,7 @@ let context (t : t) ~config_fp ~whole_graph ~rules ~gs ~gd =
            [
              "base/1";
              config_fp;
-             Fingerprint.to_hex (Fingerprint.rules rules);
+             Fingerprint.to_hex (rules rs);
              Fingerprint.to_hex
                (Fingerprint.constraints (Graph.constraints gd));
              Fingerprint.to_hex
@@ -95,9 +122,7 @@ let context (t : t) ~config_fp ~whole_graph ~rules ~gs ~gd =
    would load, replayed as a pure tensor-set fixpoint — the loop's
    membership tests never consult the e-graph, so the loaded set is a
    function of the anchor tensors and the distributed graph alone.
-   Exposed on its own because the parallel wavefront scheduler reuses
-   it: two sequential operators whose cones are disjoint load no common
-   distributed node and may be checked concurrently. *)
+   With [whole_graph] (frontier optimization off) it is every node. *)
 let cone ~gd ~whole_graph ~anchors =
   let gd_nodes = Graph.nodes gd in
   if whole_graph then gd_nodes

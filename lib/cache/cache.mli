@@ -77,16 +77,6 @@ val context :
     frontier optimization (the cone is then the whole distributed
     graph). *)
 
-val cone :
-  gd:Graph.t -> whole_graph:bool -> anchors:Tensor.Set.t -> Node.t list
-(** The distributed cone: the node set the frontier loop (paper
-    Listing 3) loads when T_rel starts from [anchors] — a pure
-    tensor-set fixpoint over [gd], no e-graph involved. With
-    [whole_graph] (frontier optimization off) the cone is every node.
-    Shared by the cache key (the cone fingerprint) and the parallel
-    wavefront scheduler (two operators whose cones are disjoint load no
-    common distributed node and may be checked concurrently). *)
-
 val key :
   ctx -> seeds:(Tensor.t * Expr.t list) list -> Node.t -> string
 (** The content key for checking operator [v] with the given seeded

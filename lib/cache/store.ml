@@ -31,7 +31,7 @@ let env_budget () =
 
 (* [lock] serializes get/put and the eviction sweeps: entries are one
    file each and writes are atomic renames, so concurrent access would
-   not corrupt the store, but the parallel checker's domains share one
+   not corrupt the store, but the daemon's handler threads share one
    handle and the lock keeps the read-then-quarantine/stale-removal
    and accounting paths free of same-file races. A {e second process}
    (a resident daemon and a CLI run sharing one directory) is safe by

@@ -29,7 +29,6 @@ type t = {
   cache : Entangle_cache.Cache.t option;
   cache_verify : bool;
   cache_namespace : string;
-  jobs : int;
 }
 
 let default =
@@ -50,7 +49,6 @@ let default =
     cache = None;
     cache_verify = false;
     cache_namespace = "";
-    jobs = 1;
   }
 
 let no_frontier = { default with frontier_optimization = false }
@@ -74,7 +72,6 @@ let with_keep_going keep_going t = { t with keep_going }
 let with_cache cache t = { t with cache }
 let with_cache_verify cache_verify t = { t with cache_verify }
 let with_cache_namespace cache_namespace t = { t with cache_namespace }
-let with_jobs jobs t = { t with jobs = max 1 jobs }
 
 (* What the certificate cache must key on: every configuration field
    that can change which mappings the per-operator search finds or
@@ -84,10 +81,7 @@ let with_jobs jobs t = { t with jobs = max 1 jobs }
    outcome. [lint_graphs], [keep_going], [trace] and
    [check_egraph_invariants] do not influence the search either (the
    invariant audit can only raise, which is an uncacheable [Internal]
-   verdict). [jobs] is likewise excluded: parallel scheduling changes
-   only execution order, and every per-operator search sees the same
-   seeds and cone regardless of job count — cache keys must not churn
-   when users flip [-j]. *)
+   verdict). *)
 let search_fingerprint t =
   let scheduler_name = function
     | Runner.Simple -> "simple"

@@ -113,18 +113,6 @@ type t = {
           pre-namespace entry lives in. Not a search knob: it is
           deliberately excluded from {!search_fingerprint} and keyed
           in by [Refine.check] itself. *)
-  jobs : int;
-      (** Domains checking operators concurrently. [1] (the default)
-          runs the exact sequential loop — bit-identical traces, stats
-          and cache activity to every pre-parallelism release. [n > 1]
-          schedules the topological wavefront over a pool of [n]
-          domains ([n - 1] spawned workers plus the calling domain),
-          co-scheduling only operators with no sequential-graph
-          dependency {e and} disjoint distributed cones, and merges
-          results back in topological order — verdicts, relations,
-          stats and cache contents are identical to [jobs = 1] (wall
-          time and trace-event timestamps/interleaving excepted).
-          Excluded from {!search_fingerprint}. *)
 }
 
 val default : t
@@ -154,9 +142,6 @@ val with_cache_verify : bool -> t -> t
 
 val with_cache_namespace : string -> t -> t
 (** See {!t.cache_namespace}; [""] restores the shared namespace. *)
-
-val with_jobs : int -> t -> t
-(** Clamped below at 1. *)
 
 val search_fingerprint : t -> string
 (** A stable rendering of every field that can change what the

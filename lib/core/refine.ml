@@ -5,7 +5,6 @@ module Event = Trace.Event
 module Runner = Entangle_egraph.Runner
 module Failpoint = Entangle_failpoint.Failpoint
 module Cache = Entangle_cache.Cache
-module Pool = Entangle_par.Pool
 
 type stats = {
   operators_processed : int;
@@ -66,16 +65,6 @@ type failure = {
   stats : stats;
 }
 
-(* Everything one speculative parallel operator check produced, parked
-   until the wavefront join commits it in topological order (or
-   discards it, if an earlier operator's fault halts the check). *)
-type op_computed = {
-  c_result : (Node_rel.outcome * int, verdict) result;
-  c_prov : Cache.provenance option;
-  c_puts : (unit -> unit) list;  (* deferred certificate-store writes *)
-  c_events : Event.t list;  (* the operator's trace chunk, in order *)
-}
-
 let pp_verdict ppf = function
   | Unmapped msg -> Fmt.string ppf msg
   | Inconclusive e ->
@@ -98,7 +87,6 @@ let pp_verdict ppf = function
         | None -> "")
 
 let verdict_to_string v = Fmt.str "%a" pp_verdict v
-let reason f = verdict_to_string f.verdict
 
 let exit_code = function
   | Ok _ -> 0
@@ -156,9 +144,7 @@ let check ?(config = Config.default) ?rules ~gs ~gd ~input_relation () =
   (* The certificate cache, when configured: one context per check
      (fingerprint environments over both graphs). [context] refuses
      graphs whose tensor names are ambiguous, in which case the check
-     silently runs uncached. The context is immutable after
-     construction; the store handle it wraps serializes its own I/O, so
-     parallel workers share it directly. *)
+     silently runs uncached. *)
   let cache_ctx =
     match config.Config.cache with
     | None -> None
@@ -179,9 +165,7 @@ let check ?(config = Config.default) ?rules ~gs ~gd ~input_relation () =
   (* Statistics are a fold over the same event stream any configured
      trace sink receives: the aggregator is itself a sink, teed with
      [config.trace], so [stats] and a collected trace are projections
-     of identical events and cannot disagree. Under [jobs > 1] workers
-     buffer their events and the wavefront join replays each chunk
-     through this same sink, in topological commit order. *)
+     of identical events and cannot disagree. *)
   let agg = Trace.Agg.create () in
   let sink = Sink.tee (Trace.Agg.sink agg) config.Config.trace in
   let t0 = Unix.gettimeofday () in
@@ -206,7 +190,10 @@ let check ?(config = Config.default) ?rules ~gs ~gd ~input_relation () =
   in
   let stats () = stats_of_agg ~wall_time_s:(Unix.gettimeofday () -. t0) agg in
   let cache_log = ref [] in
-  let cache_instant ~sink v p =
+  (* Record how [v]'s relation was obtained, for [cache_provenance] and
+     as a [cat:"cache"] instant. *)
+  let note v p =
+    cache_log := (v, p) :: !cache_log;
     if Sink.enabled sink then
       Sink.instant sink
         (match p with
@@ -245,7 +232,7 @@ let check ?(config = Config.default) ?rules ~gs ~gd ~input_relation () =
             stats = stats ();
           }
   in
-  let op_begin ~sink index v =
+  let op_begin index v =
     if Sink.enabled sink then
       Sink.span_begin sink ~cat:"operator"
         (Op.name (Node.op v))
@@ -255,7 +242,7 @@ let check ?(config = Config.default) ?rules ~gs ~gd ~input_relation () =
             ("index", Event.Int index);
           ]
   in
-  let op_end ~sink ~processed ~mappings v =
+  let op_end ~processed ~mappings v =
     if Sink.enabled sink then
       Sink.span_end sink ~cat:"operator"
         (Op.name (Node.op v))
@@ -294,7 +281,7 @@ let check ?(config = Config.default) ?rules ~gs ~gd ~input_relation () =
      as an [Internal] verdict localized to [v]. Precondition violations
      detected before the loop ([Invalid_argument] on unclean input) are
      deliberately NOT routed through this: they are documented raises. *)
-  let search_operator ~sink v relation =
+  let search_operator v relation =
     let attempt rung =
       let cfg =
         match rung with
@@ -325,7 +312,7 @@ let check ?(config = Config.default) ?rules ~gs ~gd ~input_relation () =
       match attempt rung with
       | Error verdict -> `Fail verdict
       | Ok o ->
-          if o.Node_rel.mappings <> [] then `Found (o, retries)
+          if o.Node_rel.mappings <> [] then `Found o
           else (
             match o.Node_rel.exhausted with
             | None ->
@@ -383,15 +370,9 @@ let check ?(config = Config.default) ?rules ~gs ~gd ~input_relation () =
      replay on a hit, population on a miss. Only definitive outcomes
      are stored: a mapping set, or provable absence at saturation.
      [Inconclusive]/[Internal] say nothing about the model and are
-     never cached.
-
-     [note] reports provenance (the sequential path logs and emits it
-     immediately; parallel workers record it for the commit step) and
-     [defer_put] schedules a store write (immediate sequentially;
-     parked until commit under [jobs > 1], so a halted check leaves
-     exactly the entries a sequential halt would). *)
+     never cached. *)
   let store_entry ctx key = function
-    | `Found ((o : Node_rel.outcome), _) ->
+    | `Found (o : Node_rel.outcome) ->
         Cache.put ctx ~key
           (Cache.Mapped
              {
@@ -401,10 +382,10 @@ let check ?(config = Config.default) ?rules ~gs ~gd ~input_relation () =
     | `Absent -> Cache.put ctx ~key Cache.Unmapped
     | `Fail _ -> ()
   in
-  let check_operator ~sink ~note ~defer_put v relation =
+  let check_operator v relation =
     let searched =
       match cache_ctx with
-      | None -> search_operator ~sink v relation
+      | None -> search_operator v relation
       | Some ctx -> (
           let seeds =
             let inputs = Node.inputs v in
@@ -420,24 +401,23 @@ let check ?(config = Config.default) ?rules ~gs ~gd ~input_relation () =
           in
           match lookup with
           | `Hit entry when not config.Config.cache_verify -> (
-              note Cache.Hit;
+              note v Cache.Hit;
               match entry with
               | Cache.Mapped { mappings; output_mappings } ->
                   `Found
-                    ( {
-                        Node_rel.mappings;
-                        output_mappings;
-                        reports = [];
-                        egraph_nodes = 0;
-                        egraph_classes = 0;
-                        exhausted = None;
-                      },
-                      0 )
+                    {
+                      Node_rel.mappings;
+                      output_mappings;
+                      reports = [];
+                      egraph_nodes = 0;
+                      egraph_classes = 0;
+                      exhausted = None;
+                    }
               | Cache.Unmapped -> `Absent)
           | `Hit entry ->
               (* [cache_verify]: run the search anyway and cross-check
                  the cached verdict against the fresh one. *)
-              let fresh = search_operator ~sink v relation in
+              let fresh = search_operator v relation in
               let agree =
                 match (entry, fresh) with
                 | Cache.Mapped _, `Found _ | Cache.Unmapped, `Absent -> true
@@ -448,27 +428,27 @@ let check ?(config = Config.default) ?rules ~gs ~gd ~input_relation () =
                     true
                 | _ -> false
               in
-              if agree then note Cache.Hit
+              if agree then note v Cache.Hit
               else begin
-                note
+                note v
                   (Cache.Replay_failed
                      "cached verdict disagrees with fresh search");
-                defer_put (fun () -> store_entry ctx key fresh)
+                store_entry ctx key fresh
               end;
               fresh
           | `Miss ->
-              note Cache.Miss;
-              let fresh = search_operator ~sink v relation in
-              defer_put (fun () -> store_entry ctx key fresh);
+              note v Cache.Miss;
+              let fresh = search_operator v relation in
+              store_entry ctx key fresh;
               fresh
           | `Replay_failed reason ->
-              note (Cache.Replay_failed reason);
-              let fresh = search_operator ~sink v relation in
-              defer_put (fun () -> store_entry ctx key fresh);
+              note v (Cache.Replay_failed reason);
+              let fresh = search_operator v relation in
+              store_entry ctx key fresh;
               fresh)
     in
     match searched with
-    | `Found (o, retries) -> Ok (o, retries)
+    | `Found o -> Ok o
     | `Absent -> Error (Unmapped (no_mapping_msg v))
     | `Fail verdict -> Error verdict
   in
@@ -487,13 +467,9 @@ let check ?(config = Config.default) ?rules ~gs ~gd ~input_relation () =
     in
     (relation, output_relation, Tensor.Set.add out tainted)
   in
-  let seq_note v p =
-    cache_log := (v, p) :: !cache_log;
-    cache_instant ~sink v p
-  in
   let rec go index relation output_relation faults skipped tainted = function
     | [] -> (
-        match List.rev faults with
+        match faults with
         | [] ->
             Ok
               {
@@ -502,7 +478,7 @@ let check ?(config = Config.default) ?rules ~gs ~gd ~input_relation () =
                 cache_provenance = List.rev !cache_log;
                 stats = stats ();
               }
-        | ordered -> finalize relation ordered skipped)
+        | _ -> finalize relation faults skipped)
     | v :: rest ->
         if
           config.Config.keep_going
@@ -535,16 +511,12 @@ let check ?(config = Config.default) ?rules ~gs ~gd ~input_relation () =
                  })
               relation
           in
-          finalize relation (List.rev (fault :: List.rev faults)) skipped
+          finalize relation (faults @ [ fault ]) skipped
         else begin
-          op_begin ~sink index v;
-          match
-            check_operator ~sink ~note:(seq_note v)
-              ~defer_put:(fun th -> th ())
-              v relation
-          with
+          op_begin index v;
+          match check_operator v relation with
           | Error verdict -> (
-              op_end ~sink ~processed:false ~mappings:0 v;
+              op_end ~processed:false ~mappings:0 v;
               let fault = mk_fault v verdict relation in
               let fatal =
                 match verdict with
@@ -559,8 +531,8 @@ let check ?(config = Config.default) ?rules ~gs ~gd ~input_relation () =
                   go (index + 1) relation output_relation (faults @ [ fault ])
                     skipped tainted rest
               | false -> finalize relation (faults @ [ fault ]) skipped)
-          | Ok (outcome, _retries) -> (
-              op_end ~sink ~processed:true
+          | Ok outcome -> (
+              op_end ~processed:true
                 ~mappings:(List.length outcome.Node_rel.mappings)
                 v;
               let out = Node.output v in
@@ -597,221 +569,9 @@ let check ?(config = Config.default) ?rules ~gs ~gd ~input_relation () =
         else acc)
       Relation.empty (Graph.outputs gs)
   in
-  (* The parallel driver. Wavefront scheduling preserves the sequential
-     loop's observable behavior exactly: a ready operator's computation
-     depends only on its seeds (its input mappings plus the
-     sequential-input mappings), all committed before it is scheduled,
-     so any execution order computes the same per-operator result; the
-     join then commits results in topological index order, replaying
-     each operator's buffered trace chunk, provenance note and deferred
-     store writes through the same code path the sequential loop runs
-     inline. A fatal fault discards everything parked beyond it, which
-     is precisely what halting the sequential loop never computes. *)
-  let check_parallel () =
-    let wf =
-      Wavefront.create ~gs ~gd
-        ~whole_graph:(not config.Config.frontier_optimization)
-    in
-    let ops = Wavefront.ops wf in
-    let n = Array.length ops in
-    let committed = Array.make n false in
-    let started = Array.make n false in
-    let pending = Array.make n None in
-    let relation = ref input_relation in
-    let output_relation = ref output_relation0 in
-    let faults = ref [] in  (* earliest-first, like the sequential go *)
-    let skipped = ref [] in  (* reversed, like the sequential go *)
-    let tainted = ref Tensor.Set.empty in
-    let halted = ref None in
-    let next = ref 0 in
-    let compute index v relation =
-      let buf = ref [] in
-      let bsink = Sink.make (fun ev -> buf := ev :: !buf) in
-      let prov = ref None in
-      let puts = ref [] in
-      op_begin ~sink:bsink index v;
-      let result =
-        check_operator ~sink:bsink
-          ~note:(fun p ->
-            prov := Some p;
-            cache_instant ~sink:bsink v p)
-          ~defer_put:(fun th -> puts := th :: !puts)
-          v relation
-      in
-      (match result with
-      | Error _ -> op_end ~sink:bsink ~processed:false ~mappings:0 v
-      | Ok (o, _) ->
-          op_end ~sink:bsink ~processed:true
-            ~mappings:(List.length o.Node_rel.mappings)
-            v);
-      {
-        c_result = result;
-        c_prov = !prov;
-        c_puts = List.rev !puts;
-        c_events = List.rev !buf;
-      }
-    in
-    let halt failure = halted := Some failure in
-    let commit i = function
-      | `Skip ->
-          let v = ops.(i) in
-          if Sink.enabled sink then
-            Sink.instant sink "operator-skipped" ~cat:"operator"
-              ~args:
-                [
-                  ("operator", Event.Str (Op.name (Node.op v)));
-                  ("index", Event.Int i);
-                ];
-          let r, o, tn = taint !relation !output_relation !tainted v in
-          relation := r;
-          output_relation := o;
-          tainted := tn;
-          skipped := v :: !skipped
-      | `Run c ->
-          let v = ops.(i) in
-          if past_check_deadline () then
-            (* Mirror the sequential pre-operator deadline check: the
-               speculative result is discarded, the fatal fault lands
-               on this operator. *)
-            let fault =
-              mk_fault v
-                (Inconclusive
-                   {
-                     budget = Runner.Deadline;
-                     scope = Check_scope;
-                     retries_used = 0;
-                   })
-                !relation
-            in
-            halt (finalize !relation (!faults @ [ fault ]) !skipped)
-          else begin
-            List.iter (Sink.emit sink) c.c_events;
-            Option.iter
-              (fun p -> cache_log := (v, p) :: !cache_log)
-              c.c_prov;
-            List.iter (fun th -> th ()) c.c_puts;
-            match c.c_result with
-            | Error verdict ->
-                let fault = mk_fault v verdict !relation in
-                let fatal =
-                  match verdict with
-                  | Inconclusive { scope = Check_scope; _ } -> true
-                  | _ -> false
-                in
-                if config.Config.keep_going && not fatal then begin
-                  let r, o, tn =
-                    taint !relation !output_relation !tainted v
-                  in
-                  relation := r;
-                  output_relation := o;
-                  tainted := tn;
-                  faults := !faults @ [ fault ]
-                end
-                else halt (finalize !relation (!faults @ [ fault ]) !skipped)
-            | Ok (outcome, _retries) -> (
-                let out = Node.output v in
-                relation :=
-                  Relation.add_all !relation out outcome.Node_rel.mappings;
-                if Graph.is_output gs out then
-                  match outcome.Node_rel.output_mappings with
-                  | [] ->
-                      let fault =
-                        mk_fault v
-                          (Unmapped (unexposed_output_msg out))
-                          !relation
-                      in
-                      if config.Config.keep_going then
-                        faults := !faults @ [ fault ]
-                      else
-                        halt
-                          (finalize !relation (!faults @ [ fault ]) !skipped)
-                  | out_maps ->
-                      output_relation :=
-                        Relation.add_all !output_relation out out_maps)
-          end
-    in
-    Pool.with_pool ~size:config.Config.jobs @@ fun pool ->
-    let rec drive () =
-      (* Commit the contiguous computed prefix in index order. *)
-      let rec advance () =
-        if !halted = None && !next < n then
-          match pending.(!next) with
-          | Some slot ->
-              pending.(!next) <- None;
-              commit !next slot;
-              committed.(!next) <- true;
-              incr next;
-              advance ()
-          | None -> ()
-      in
-      advance ();
-      match !halted with
-      | Some failure -> failure
-      | None ->
-          if !next >= n then (
-            (* [List.rev] mirrors the sequential completion path. *)
-            match List.rev !faults with
-            | [] ->
-                Ok
-                  {
-                    output_relation = !output_relation;
-                    full_relation = !relation;
-                    cache_provenance = List.rev !cache_log;
-                    stats = stats ();
-                  }
-            | ordered -> finalize !relation ordered !skipped)
-          else begin
-            let ready = Wavefront.ready wf ~committed ~started in
-            let skips, runnable =
-              List.partition
-                (fun i ->
-                  config.Config.keep_going
-                  && List.exists
-                       (fun t -> Tensor.Set.mem t !tainted)
-                       (Node.inputs ops.(i)))
-                ready
-            in
-            List.iter
-              (fun i ->
-                started.(i) <- true;
-                pending.(i) <- Some `Skip)
-              skips;
-            let rel = !relation in
-            let selected, _deferred =
-              Wavefront.batch
-                (List.map
-                   (fun i -> (i, Wavefront.cone wf ~relation:rel i))
-                   runnable)
-            in
-            let batch = Array.of_list selected in
-            Array.iter (fun i -> started.(i) <- true) batch;
-            if Array.length batch > 0 then begin
-              let results =
-                Pool.run pool
-                  (fun k ->
-                    let i = batch.(k) in
-                    compute i ops.(i) rel)
-                  (Array.length batch)
-              in
-              Array.iteri
-                (fun k c -> pending.(batch.(k)) <- Some (`Run c))
-                results
-            end;
-            (* Progress: the lowest uncommitted index is always either
-               parked in [pending] or ready (its producers all precede
-               it), and the greedy batch always admits the first
-               runnable candidate — so each round commits or computes
-               something. *)
-            drive ()
-          end
-    in
-    drive ()
-  in
   let result =
-    if config.Config.jobs <= 1 then
-      go 0 input_relation output_relation0 [] [] Tensor.Set.empty
-        (Graph.nodes gs)
-    else check_parallel ()
+    go 0 input_relation output_relation0 [] [] Tensor.Set.empty
+      (Graph.nodes gs)
   in
   Sink.flush config.Config.trace;
   result

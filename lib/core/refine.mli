@@ -135,15 +135,6 @@ type failure = {
 val pp_verdict : Format.formatter -> verdict -> unit
 val verdict_to_string : verdict -> string
 
-val reason : failure -> string
-  [@@deprecated
-    "use verdict_to_string f.verdict: the structured verdict is the sole \
-     failure surface (the legacy reason string is never serialized)"]
-(** @deprecated [verdict_to_string f.verdict] — the one-line reason
-    string that used to be stored in the failure record. Kept as a
-    thin alias for out-of-tree callers; everything in-tree (including
-    the serve wire protocol) reads [failure.verdict]. *)
-
 val exit_code : (success, failure) result -> int
 (** The process exit code convention shared by the CLI: 0 success,
     1 refinement failure ({!Unmapped}), 2 {!Inconclusive},
@@ -191,17 +182,6 @@ val check :
     {!Inconclusive} and {!Internal} never are — so verdicts are
     unchanged, cached or not. Cache activity shows up as [cat:"cache"]
     trace events, in [stats], and per-operator in [cache_provenance].
-
-    Parallelism: with [config.Config.jobs = n > 1], operators are
-    checked by a pool of [n] domains, scheduled by {!Wavefront} —
-    concurrently only when they have no sequential-graph dependency and
-    their distributed cones are disjoint. Results (relation updates,
-    verdicts, stats, cache reads/writes, provenance) commit at wavefront
-    joins in topological order, so everything observable except wall
-    time and trace-event timestamps/interleaving is identical to
-    [jobs = 1]; a fatal fault discards all speculative work past it.
-    [jobs = 1] (the default) runs the original sequential loop
-    unchanged — byte-identical traces.
 
     Diagnostics flow through [config.Config.trace]
     ({!Entangle_trace.Sink}): per-operator spans with

@@ -13,9 +13,9 @@ let () =
 (* [rng] is a DLS key, not a shared [Random.State.t]: each domain draws
    from its own stream, seeded [seed lxor domain-id], so a [Prob]
    failpoint is deterministic per (seed, domain) and free of data races.
-   The initial domain has id 0 — [seed lxor 0 = seed] — so single-domain
-   runs reproduce the pre-parallelism sequences exactly. Arming mints a
-   fresh key, which resets every domain's stream at once. *)
+   The initial domain has id 0 — [seed lxor 0 = seed] — so a run on it
+   draws exactly the sequence [seed] names. Arming mints a fresh key,
+   which resets every domain's stream at once. *)
 type state = {
   trigger : trigger;
   rng : Random.State.t Domain.DLS.key option;  (* [Prob] only *)

@@ -25,13 +25,14 @@ trigger ::= "nth:" N        fire exactly on the Nth hit (1-based)
 
     Example: [egraph.rebuild=nth:3,symbolic.decide=prob:0.01@42].
 
-    {b Domain safety}: counters are atomic and [prob] triggers draw
+    {b Thread safety}: counters are atomic and [prob] triggers draw
     from a per-domain stream seeded [S lxor domain-id] (the initial
-    domain has id 0, so single-domain runs reproduce the exact
-    pre-parallelism sequences). Under [-j N] the {e aggregate} hit
-    count is exact, but which hit index a given domain observes
-    depends on scheduling — so [nth]/[every] fire deterministically
-    only in single-domain runs. *)
+    domain has id 0, so its stream is the one [S] names). The handler
+    threads of [entangle serve] share the counters and their domain's
+    stream: the {e aggregate} hit count stays exact, but which hit a
+    given request observes depends on thread scheduling — so
+    [nth]/[every]/[prob] fire deterministically only while one check
+    runs at a time. *)
 
 type trigger =
   | Nth of int  (** fire exactly on the nth hit, counting from 1 *)

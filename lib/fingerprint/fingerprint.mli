@@ -20,7 +20,7 @@
     verifier ({!module:Entangle_certexport}) can bind bundles to
     statements without linking the saturation engine. The rule-corpus
     fingerprint, which must inspect patterns, lives in
-    [Entangle_cache.Fingerprint.rules]. *)
+    {!Entangle_cache.Cache}. *)
 
 open Entangle_symbolic
 open Entangle_ir

@@ -2,8 +2,9 @@ type id = int
 
 type t = { id : id; name : string; shape : Shape.t; dtype : Dtype.t }
 
-(* Atomic so parallel checking domains can allocate tensors without
-   racing on ids (ids need only be unique, not dense). *)
+(* Atomic so concurrent checks (the daemon's handler threads) can
+   allocate tensors without racing on ids (ids need only be unique, not
+   dense). *)
 let counter = Atomic.make 0
 
 let create ?(dtype = Dtype.F32) ~name shape =

@@ -100,21 +100,31 @@ let connect ?(client = "entangle") ?timeout_s ~socket () =
     Error e
   in
   let dl = deadline t in
+  let welcome () =
+    match P.Io.read_frame ?deadline:dl t.io with
+    | Error e -> give_up (io_error e)
+    | Ok payload -> (
+        match P.welcome_of_string payload with
+        | Error m -> give_up (err_of m)
+        | Ok (P.Welcome _) -> Ok t
+        | Ok (P.Rejected { message; _ }) ->
+            give_up (err_of ~kind:Rejected message)
+        | Ok (P.Busy { message; _ }) -> give_up (err_of ~kind:Busy message))
+  in
   match
     P.Io.write_frame ?deadline:dl t.io
       (P.hello_to_string { P.protocol = P.protocol_version; client })
   with
+  | Error P.Io.Closed -> (
+      (* A server at its admission limit answers busy without reading
+         the hello and hangs up, so the hello can hit a closed socket.
+         The busy frame is still readable: report it, not the broken
+         pipe. *)
+      match welcome () with
+      | Error { kind = Busy | Rejected; _ } as refused -> refused
+      | Ok _ | Error _ -> give_up (io_error P.Io.Closed))
   | Error e -> give_up (io_error e)
-  | Ok () -> (
-      match P.Io.read_frame ?deadline:dl t.io with
-      | Error e -> give_up (io_error e)
-      | Ok payload -> (
-          match P.welcome_of_string payload with
-          | Error m -> give_up (err_of m)
-          | Ok (P.Welcome _) -> Ok t
-          | Ok (P.Rejected { message; _ }) ->
-              give_up (err_of ~kind:Rejected message)
-          | Ok (P.Busy { message; _ }) -> give_up (err_of ~kind:Busy message)))
+  | Ok () -> welcome ()
 
 let read_response t ~id =
   let* payload =

@@ -313,12 +313,11 @@ let welcome_of_string s =
 type check_options = {
   family : string option;
   namespace : string option;
-  jobs : int option;
   keep_going : bool;
 }
 
 let default_options =
-  { family = None; namespace = None; jobs = None; keep_going = false }
+  { family = None; namespace = None; keep_going = false }
 
 type batch_instance = { gs : Sexp.t; gd : Sexp.t; relation : Sexp.t }
 
@@ -353,7 +352,6 @@ let options_to_sexp o =
          (match o.namespace with
          | Some ns -> [ str_field "namespace" ns ]
          | None -> []);
-         (match o.jobs with Some j -> [ int_field "jobs" j ] | None -> []);
          (if o.keep_going then [ Sexp.atom "keep-going" ] else []);
        ])
 
@@ -364,19 +362,10 @@ let options_of_sexp sexp =
       let o = Sexp.list body in
       let* family = get_str_opt "family" o in
       let* namespace = get_str_opt "namespace" o in
-      let* jobs =
-        match assoc "jobs" o with
-        | None -> Ok None
-        | Some [ Sexp.Atom v ] -> (
-            match int_of_string_opt v with
-            | Some j -> Ok (Some j)
-            | None -> err "field jobs: not an integer (%s)" v)
-        | Some _ -> Error "field jobs: malformed"
-      in
       let keep_going =
         List.exists (function Sexp.Atom "keep-going" -> true | _ -> false) body
       in
-      Ok { family; namespace; jobs; keep_going }
+      Ok { family; namespace; keep_going }
 
 let request_body_to_sexp = function
   | Ping -> Sexp.list [ Sexp.atom "ping" ]
@@ -903,5 +892,5 @@ let describe_json ~server =
         J.Arr
           (List.map
              (fun s -> J.Str s)
-             [ "family"; "namespace"; "jobs"; "keep-going" ]) );
+             [ "family"; "namespace"; "keep-going" ]) );
     ]

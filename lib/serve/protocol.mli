@@ -166,7 +166,6 @@ type check_options = {
   namespace : string option;
       (** per-client certificate-cache namespace
           ({!Entangle.Config.cache_namespace}) *)
-  jobs : int option;  (** override the server's domain-pool width *)
   keep_going : bool;  (** multi-fault localization *)
 }
 

@@ -283,7 +283,6 @@ let check_config t (o : P.check_options) =
     |> Config.with_cache_namespace (Option.value o.P.namespace ~default:"")
     |> Config.with_keep_going o.P.keep_going
   in
-  let c = match o.P.jobs with None -> c | Some j -> Config.with_jobs j c in
   (* The per-request wall budget reuses Runner.budget semantics: the
      deadline is checked cooperatively inside the check and trips to
      an inconclusive verdict, never a hang. A client-supplied deadline

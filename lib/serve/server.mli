@@ -1,19 +1,17 @@
 (** The resident checker service.
 
     One [entangle serve] process keeps everything expensive resident —
-    the lemma corpus (compiled rules), the checker configuration, the
-    warm certificate cache and (via {!Entangle.Config.jobs}) the domain
-    pool — and answers {!Protocol} requests over a Unix-domain socket,
-    so repeated checks from editors, CI shards or scripts skip cold
-    start entirely.
+    the lemma corpus (compiled rules), the checker configuration and the
+    warm certificate cache — and answers {!Protocol} requests over a
+    Unix-domain socket, so repeated checks from editors, CI shards or
+    scripts skip cold start entirely.
 
     {2 Concurrency}
 
     The accept loop hands each connection to its own handler thread,
     up to the [max_clients] admission limit; a connection beyond the
     limit is answered with a structured, retryable [busy] frame and
-    closed. Parallelism {e inside} a check still lives on the
-    configuration's domain pool, where it is deterministic. Every
+    closed. Each check runs sequentially on its handler thread. Every
     request is bracketed by a [cat:"serve"] trace span on the server's
     sink.
 

@@ -457,8 +457,8 @@ let norm store t = rename_binders 0 (go store t)
 
 (* --- equality ----------------------------------------------------------- *)
 
-(* Atomic: freshness is the only requirement, and parallel operator
-   checks mint binders concurrently. *)
+(* Atomic: freshness is the only requirement, and concurrent checks
+   (the daemon's handler threads) mint binders concurrently. *)
 let fresh_counter = Atomic.make 0
 
 let fresh_binder () =

@@ -1,7 +1,6 @@
 (* Counters are atomic and the rule-hit table mutex-guarded so one
-   aggregator can be teed behind sinks on several domains at once (the
-   parallel checker folds per-worker event chunks through the shared
-   aggregator at commit time). *)
+   aggregator can be teed behind sinks on several threads or domains
+   at once. *)
 type t = {
   operators : int Atomic.t;
   iterations : int Atomic.t;

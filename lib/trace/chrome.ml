@@ -5,49 +5,37 @@ type t = {
   mutable closed : bool;
 }
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let value_to_json = function
-  | Event.Int i -> string_of_int i
-  | Event.Float f -> Printf.sprintf "%g" f
-  | Event.Str s -> Printf.sprintf "\"%s\"" (escape s)
-  | Event.Bool b -> if b then "true" else "false"
-
-let args_to_json = function
-  | [] -> ""
-  | args ->
-      let fields =
-        List.map
-          (fun (k, v) -> Printf.sprintf "\"%s\": %s" (escape k) (value_to_json v))
-          args
-      in
-      Printf.sprintf ", \"args\": {%s}" (String.concat ", " fields)
+  | Event.Int i -> Jsonw.Int i
+  | Event.Float f when Float.is_finite f -> Jsonw.Raw (Printf.sprintf "%g" f)
+  | Event.Float _ -> Jsonw.Null
+  | Event.Str s -> Jsonw.Str s
+  | Event.Bool b -> Jsonw.Bool b
 
 (* Microseconds relative to [t0]: what the viewers expect in [ts]. *)
 let event_to_json ~t0 (ev : Event.t) =
   let ts = int_of_float (Float.max 0. (ev.ts -. t0) *. 1e6) in
-  let scope =
-    match ev.phase with Event.Instant -> ", \"s\": \"t\"" | _ -> ""
-  in
-  Printf.sprintf
-    "{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"%s\", \"ts\": %d, \
-     \"pid\": 1, \"tid\": %d%s%s}"
-    (escape ev.name) (escape ev.cat)
-    (Event.phase_letter ev.phase)
-    ts ev.tid scope (args_to_json ev.args)
+  Jsonw.to_string
+    (Jsonw.Obj
+       ([
+          ("name", Jsonw.Str ev.name);
+          ("cat", Jsonw.Str ev.cat);
+          ("ph", Jsonw.Str (Event.phase_letter ev.phase));
+          ("ts", Jsonw.Int ts);
+          ("pid", Jsonw.Int 1);
+          ("tid", Jsonw.Int ev.tid);
+        ]
+       @ (match ev.phase with
+         | Event.Instant -> [ ("s", Jsonw.Str "t") ]
+         | _ -> [])
+       @
+       match ev.args with
+       | [] -> []
+       | args ->
+           [
+             ( "args",
+               Jsonw.Obj (List.map (fun (k, v) -> (k, value_to_json v)) args) );
+           ]))
 
 let create oc =
   output_string oc "[";

@@ -11,8 +11,8 @@ type t = {
 }
 
 (* Domain ids start at 0 for the initial domain; Chrome viewers (and
-   the pre-parallelism golden traces) expect track 1, so shift by one.
-   Worker domains get 2, 3, ... — distinct tracks per domain. *)
+   the golden traces) expect track 1, so shift by one. Other domains
+   get 2, 3, ... — distinct tracks per domain. *)
 let current_tid () = (Domain.self () :> int) + 1
 
 let phase_letter = function

@@ -50,9 +50,8 @@ type t = {
   phase : phase;
   ts : float;  (** seconds since the epoch ([Unix.gettimeofday]) *)
   tid : int;
-      (** emitting track: [1] on the initial domain (so single-domain
-          streams are unchanged), [domain id + 1] on worker domains —
-          parallel per-operator spans land on separate Perfetto tracks *)
+      (** emitting track: [1] on the initial domain, [domain id + 1]
+          on any other — each domain gets its own Perfetto track *)
   args : (string * value) list;
 }
 

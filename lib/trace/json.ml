@@ -52,6 +52,21 @@ let parse s =
           | Some 'r' -> Buffer.add_char b '\r'; advance (); go ()
           | Some 'b' -> Buffer.add_char b '\b'; advance (); go ()
           | Some 'f' -> Buffer.add_char b '\012'; advance (); go ()
+          | Some 'u' -> (
+              advance ();
+              let hex = if !pos + 4 <= n then String.sub s !pos 4 else "" in
+              let is_hex = function
+                | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
+                | _ -> false
+              in
+              match int_of_string_opt ("0x" ^ hex) with
+              | Some cp
+                when String.length hex = 4 && String.for_all is_hex hex
+                     && Uchar.is_valid cp ->
+                  Buffer.add_utf_8_uchar b (Uchar.of_int cp);
+                  pos := !pos + 4;
+                  go ()
+              | _ -> fail "unsupported \\u escape")
           | _ -> fail "unsupported escape")
       | Some c ->
           Buffer.add_char b c;

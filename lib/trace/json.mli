@@ -3,8 +3,9 @@
     The project deliberately carries no JSON dependency; this parser
     exists so the [@trace-smoke] gate and the tests can validate that
     emitted traces actually parse, without trusting the writer that
-    produced them. It accepts standard JSON (RFC 8259) minus the
-    [\uXXXX] escapes the trace writer never emits. *)
+    produced them. It accepts standard JSON (RFC 8259) except
+    [\uXXXX] escapes of UTF-16 surrogates, which {!Jsonw} never
+    emits. *)
 
 type t =
   | Null

@@ -1,10 +1,10 @@
 (** A minimal JSON writer and the shared schema envelope.
 
-    The project's machine-readable outputs ([lint --json],
-    [cache stats --json], the serve protocol's [describe] reply, the
-    bench result files) used to each hand-roll their own printf JSON.
-    This writer gives them one escaping-correct serializer and one
-    envelope convention: every document is an object whose first field
+    Every machine-readable output of the project ([lint --json],
+    [cache stats --json], the serve protocol's [describe] reply,
+    Chrome traces, the bench result files) is built from these values,
+    so there is one escaping-correct serializer and one envelope
+    convention: every document is an object whose first field
     is ["schema"], valued ["entangle/<name>/<n>"], so consumers can
     dispatch on (and version-check) the shape before reading anything
     else. Bump [<n>] on any incompatible field change.
@@ -22,9 +22,8 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
   | Raw of string
-      (** spliced verbatim — for embedding JSON rendered elsewhere
-          (e.g. {!Entangle_analysis.Diagnostic.report_to_json}) without
-          reparsing it *)
+      (** spliced verbatim — for a number in a fixed format (the Chrome
+          trace's [%g] arguments, the bench's fixed-precision times) *)
 
 val to_string : t -> string
 (** Compact (single-line) rendering; strings are escaped per RFC 8259.

@@ -387,15 +387,44 @@ let egraph_tests =
 let diagnostic_tests =
   [
     Alcotest.test_case "json escaping" `Quick (fun () ->
+        let module Json = Entangle_trace.Json in
+        let nasty = "quote \" backslash \\ tab \t ctrl \x01 newline \n done" in
         let d =
           Diagnostic.error ~code:"GRAPH001"
             (Diagnostic.Graph { graph = "g"; node = None; tensor = None })
-            "quote \" backslash \\ newline \n done"
+            "%s" nasty
         in
-        let json = Diagnostic.to_json d in
-        check Alcotest.bool "escaped quote" true
-          (String.length json > 0
-          && not (String.exists (fun c -> c = '\n') json)));
+        let json = Entangle_trace.Jsonw.to_string (Diagnostic.to_json d) in
+        check Alcotest.bool "one line" false (String.contains json '\n');
+        (match Json.parse json with
+        | Ok v ->
+            check Alcotest.(option string) "message survives" (Some nasty)
+              (match Json.member "message" v with
+              | Some (Json.Str m) -> Some m
+              | _ -> None)
+        | Error e -> Alcotest.failf "diagnostic JSON does not parse: %s" e);
+        let ev =
+          {
+            Entangle_trace.Event.name = nasty;
+            cat = "operator";
+            phase = Entangle_trace.Event.Instant;
+            ts = 0.;
+            tid = 1;
+            args = [ (nasty, Entangle_trace.Event.Str nasty) ];
+          }
+        in
+        match Json.parse (Entangle_trace.Chrome.to_string [ ev ]) with
+        | Ok (Json.Arr [ e ]) ->
+            check Alcotest.(option string) "event name survives" (Some nasty)
+              (match Json.member "name" e with
+              | Some (Json.Str m) -> Some m
+              | _ -> None);
+            check Alcotest.(option string) "arg survives" (Some nasty)
+              (match Option.bind (Json.member "args" e) (Json.member nasty) with
+              | Some (Json.Str m) -> Some m
+              | _ -> None)
+        | Ok _ -> Alcotest.fail "trace is not a one-event array"
+        | Error e -> Alcotest.failf "Chrome trace does not parse: %s" e);
     Alcotest.test_case "sort puts errors first" `Quick (fun () ->
         let w = Diagnostic.warning ~code:"X2" Diagnostic.Corpus "warn" in
         let e = Diagnostic.error ~code:"X1" Diagnostic.Corpus "err" in

@@ -8,7 +8,7 @@
 
 open Entangle_models
 module Trace = Entangle_trace
-module Fp = Entangle_cache.Fingerprint
+module Fp = Entangle_fingerprint.Fingerprint
 module Store = Entangle_cache.Store
 module Cache = Entangle_cache.Cache
 

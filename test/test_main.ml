@@ -6,5 +6,5 @@ let () =
    @ Test_egraph.suite @ Test_lemmas.suite @ Test_core.suite
    @ Test_models.suite @ Test_autodiff.suite @ Test_serial.suite @ Test_fuzz.suite @ Test_report.suite
    @ Test_analysis.suite @ Test_verify.suite @ Test_trace.suite
-   @ Test_resilience.suite @ Test_cache.suite @ Test_par.suite
+   @ Test_resilience.suite @ Test_cache.suite
    @ Test_serve.suite @ Test_certexport.suite)

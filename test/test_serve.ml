@@ -168,7 +168,6 @@ let grammar_tests =
                   {
                     P.family = Some "regression";
                     namespace = Some "tenant a";
-                    jobs = Some 4;
                     keep_going = true;
                   };
                 gs = graph "gs";
@@ -307,7 +306,9 @@ let grammar_tests =
           go 0
         in
         check Alcotest.bool "schema tag" true
-          (contains json "\"schema\": \"entangle/serve/1\""));
+          (contains json "\"schema\": \"entangle/serve/1\"");
+        check Alcotest.bool "no retired jobs option" false
+          (contains json "\"jobs\""));
   ]
 
 (* --- the retry ladder --------------------------------------------------- *)
@@ -682,15 +683,28 @@ let end_to_end_tests =
             match Cl.connect ~socket () with
             | Error e -> Alcotest.failf "connect: %s" (Cl.error_message e)
             | Ok first ->
-                (match Cl.connect ~timeout_s:10. ~socket () with
-                | Ok second ->
-                    Cl.close second;
-                    Cl.close first;
-                    Alcotest.fail "second client was admitted over the limit"
-                | Error e ->
-                    check Alcotest.string "structured busy rejection" "busy"
-                      (Cl.kind_name e.Cl.kind));
-                Cl.close first;
+                (* [first] holds the only slot: close it on every path,
+                   or the shutdown in [with_server] is refused as busy
+                   and the daemon is never stopped. *)
+                Fun.protect
+                  ~finally:(fun () -> Cl.close first)
+                  (fun () ->
+                    let turned_away ?client label =
+                      match Cl.connect ?client ~timeout_s:10. ~socket () with
+                      | Ok c ->
+                          Cl.close c;
+                          Alcotest.fail "a client was admitted over the limit"
+                      | Error e ->
+                          check Alcotest.string label "busy"
+                            (Cl.kind_name e.Cl.kind)
+                    in
+                    turned_away "structured busy rejection";
+                    (* A hello larger than the socket buffers is still
+                       being written when the daemon hangs up after its
+                       busy frame, so the write always breaks: the
+                       client must report the frame, not the pipe. *)
+                    turned_away ~client:(String.make (4 lsl 20) 'x')
+                      "busy even when the hello write breaks");
                 (* Once the slot frees the daemon admits again; the
                    release is asynchronous, so poll briefly. *)
                 let rec readmitted n =
@@ -738,6 +752,99 @@ let end_to_end_tests =
                   (Cl.ping c = Ok ());
                 Cl.close c
             | Error e -> Alcotest.failf "connect: %s" (Cl.error_message e)));
+  ]
+
+(* --- retired options ------------------------------------------------------ *)
+
+(* Protocol-3 clients may still send [(jobs N)], which once set the
+   width of a domain pool. The field is now unknown, and unknown option
+   fields are ignored by name, so such a frame must be answered exactly
+   as the same frame without it. *)
+
+(* Send one raw request frame on a fresh connection; return the reply. *)
+let raw_request ~socket frame =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX socket);
+      let io = P.Io.of_fd fd in
+      let deadline = Some (Unix.gettimeofday () +. 60.) in
+      let ( let* ) r f =
+        match r with
+        | Ok v -> f v
+        | Error e -> Alcotest.failf "raw request: %s" (P.Io.error_message e)
+      in
+      let* () =
+        P.Io.write_frame ?deadline io
+          (P.hello_to_string
+             { P.protocol = P.protocol_version; client = "retired-options" })
+      in
+      let* _welcome = P.Io.read_frame ?deadline io in
+      let* () = P.Io.write_frame ?deadline io frame in
+      let* raw = P.Io.read_frame ?deadline io in
+      match P.response_of_string raw with
+      | Ok (_, resp) -> resp
+      | Error e -> Alcotest.failf "response_of_string: %s" e)
+
+let replace_all ~sub ~by s =
+  let n = String.length sub and len = String.length s in
+  let b = Buffer.create len in
+  let rec go i =
+    if i + n <= len && String.sub s i n = sub then (
+      Buffer.add_string b by;
+      go (i + n))
+    else if i < len then (
+      Buffer.add_char b s.[i];
+      go (i + 1))
+  in
+  go 0;
+  Buffer.contents b
+
+(* Wall time is the one field two runs of a check may differ in: zero
+   it in the statistics and blank its rendering in the report. *)
+let without_wall_time = function
+  | P.Checked c ->
+      let shown = Fmt.str "%.3fs" c.P.stats.Entangle.Refine.wall_time_s in
+      P.Checked
+        {
+          c with
+          P.report = replace_all ~sub:shown ~by:"<wall>" c.P.report;
+          stats = { c.P.stats with Entangle.Refine.wall_time_s = 0. };
+        }
+  | r -> r
+
+let retired_option_tests =
+  [
+    Alcotest.test_case "a check carrying (jobs 4) gets the same reply" `Slow
+      (fun () ->
+        let module I = Entangle_models.Instance in
+        let inst = Entangle_models.Regression.build () in
+        let check_frame =
+          P.request_to_string ~id:1
+            (P.Check
+               {
+                 options = P.default_options;
+                 gs = Entangle_ir.Serial.graph_to_sexp inst.I.gs;
+                 gd = Entangle_ir.Serial.graph_to_sexp inst.I.gd;
+                 relation = Entangle.Relation_io.to_sexp inst.I.input_relation;
+               })
+        in
+        let jobs_frame =
+          replace_all ~sub:"(options)" ~by:"(options (jobs 4))" check_frame
+        in
+        check Alcotest.bool "the frame really carries the option" true
+          (jobs_frame <> check_frame);
+        check Alcotest.bool "it parses to the same request" true
+          (P.request_of_string jobs_frame = P.request_of_string check_frame);
+        with_server ~tag:"jobs" (fun _server socket ->
+            let plain = raw_request ~socket check_frame in
+            let jobs_reply = raw_request ~socket jobs_frame in
+            (match plain with
+            | P.Checked { exit_code = 0; _ } -> ()
+            | _ -> Alcotest.fail "the plain check did not refine");
+            check Alcotest.bool "same reply, wall time aside" true
+              (without_wall_time plain = without_wall_time jobs_reply)));
   ]
 
 (* --- socket ownership --------------------------------------------------- *)
@@ -794,5 +901,6 @@ let suite =
     ("serve.grammar", grammar_tests);
     ("serve.retry", retry_tests);
     ("serve.end_to_end", end_to_end_tests);
+    ("serve.retired_options", retired_option_tests);
     ("serve.race", race_tests);
   ]
