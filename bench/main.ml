@@ -638,7 +638,9 @@ let counters () =
 (* The @cache-smoke dune alias: a fresh store must miss on every
    operator, hit on every operator (with zero saturation work and the
    same verdict) when re-checked, and miss again once the search
-   configuration changes. Exits non-zero on any violation. *)
+   configuration changes; and the same cold/warm contract must hold
+   with the frontier off, where every key covers the whole distributed
+   graph. Exits non-zero on any violation. *)
 let cache_smoke () =
   section "Cache smoke: cold / warm / invalidate";
   let failures = ref 0 in
@@ -648,11 +650,11 @@ let cache_smoke () =
   in
   with_temp_cache (fun cache ->
       let base = Entangle.Config.default in
-      let run label config =
-        let inst = Regression.build ~microbatches:2 () in
+      let run ?(build = fun () -> Regression.build ~microbatches:2 ()) label
+          config =
         let _, result =
           time_check ~config:(Entangle.Config.with_cache (Some cache) config)
-            inst
+            (build ())
         in
         (label, result)
       in
@@ -694,7 +696,26 @@ let cache_smoke () =
       expect "both keys coexist: re-warm hits again"
         ((stats rewarm).Entangle.Refine.cache_hits
          = (stats rewarm).Entangle.Refine.operators_processed
-        && (stats rewarm).Entangle.Refine.cache_misses = 0));
+        && (stats rewarm).Entangle.Refine.cache_misses = 0);
+
+      let gpt () = Gpt.build ~layers:1 ~degree:2 ~heads:4 () in
+      let whole = Entangle.Config.no_frontier in
+      let whole_cold = run ~build:gpt "whole-graph cold" whole in
+      let whole_ops = (stats whole_cold).Entangle.Refine.operators_processed in
+      expect
+        (Fmt.str "frontier off, cold: one miss per operator (%d)" whole_ops)
+        ((stats whole_cold).Entangle.Refine.cache_hits = 0
+        && (stats whole_cold).Entangle.Refine.cache_misses = whole_ops
+        && whole_ops > 0);
+      let whole_warm = run ~build:gpt "whole-graph warm" whole in
+      expect "frontier off, warm: every operator served from cache"
+        ((stats whole_warm).Entangle.Refine.cache_hits = whole_ops
+        && (stats whole_warm).Entangle.Refine.cache_misses = 0);
+      expect "frontier off, warm: zero saturation iterations"
+        ((stats whole_warm).Entangle.Refine.saturation_iterations = 0);
+      expect "frontier off, warm: verdict as uncached"
+        (verdict whole_warm
+        = verdict (time_check ~config:whole (gpt ()))));
   if !failures > 0 then begin
     Fmt.epr "cache smoke: %d violation(s)@." !failures;
     exit 1

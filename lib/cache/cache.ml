@@ -27,10 +27,13 @@ type ctx = {
   base_fp : string;
   gs_env : Fingerprint.env;
   gd_env : Fingerprint.env;
+  gs_inputs : Tensor.Set.t;
+  gd_tensors : Tensor.Set.t;
+  gd_outputs : Tensor.Set.t;
   resolve : string -> Tensor.t option;
   gd : Graph.t;
-  whole_graph : bool;
-  gd_outputs : Tensor.Set.t;
+  whole_cone : string option;
+  mutable inputs_memo : ((Tensor.t * Expr.t list) list * string) option;
 }
 
 let has_duplicate_names g =
@@ -41,6 +44,8 @@ let has_duplicate_names g =
     | [] -> false
   in
   dup names
+
+let hex = Fingerprint.to_hex
 
 (* Corpus fingerprint: per rule, its name, left-hand pattern, applier
    kind (syntactic right-hand patterns are hashed structurally;
@@ -65,41 +70,77 @@ let rule (r : Entangle_egraph.Rule.t) =
       string_of_bool r.Entangle_egraph.Rule.nonlocal;
     ]
 
-let rules rs =
-  Fingerprint.strings ("rules" :: List.map Fingerprint.to_hex (List.map rule rs))
+let rules rs = Fingerprint.strings ("rules" :: List.map hex (List.map rule rs))
+
+(* Rendering and hashing a corpus of ~600 rules costs more than the rest
+   of a context, and a process uses a handful of corpora, each built
+   once from immutable [Rule.t] records. So the last few fingerprints
+   are remembered by the physical identity of those records, across
+   checks and the daemon's handler threads. A lost update between two
+   threads only costs a recomputation. *)
+let corpus_memo : (Entangle_egraph.Rule.t list * string) list Atomic.t =
+  Atomic.make []
+
+let corpus_memo_size = 8
+
+let corpus_fp rs =
+  let memo = Atomic.get corpus_memo in
+  match List.find_opt (fun (rs', _) -> List.equal ( == ) rs rs') memo with
+  | Some (_, fp) -> fp
+  | None ->
+      let fp = hex (rules rs) in
+      Atomic.set corpus_memo
+        ((rs, fp) :: List.filteri (fun i _ -> i < corpus_memo_size - 1) memo);
+      fp
+
+(* Seeded relation entries: each sequential tensor with its mapping set,
+   in sorted order. *)
+let seeds_fp ctx seeds =
+  let entry (tensor, es) =
+    hex (Fingerprint.tensor ctx.gs_env tensor)
+    ^ "="
+    ^ hex (Fingerprint.exprs ctx.gd_env es)
+  in
+  hex (Fingerprint.strings (List.sort String.compare (List.map entry seeds)))
+
+(* A distributed node set, by its sorted node fingerprints (memoized in
+   [gd_env] as the fingerprints of the nodes' outputs). *)
+let nodes_fp gd_env nodes =
+  hex
+    (Fingerprint.strings
+       (List.sort String.compare
+          (List.map
+             (fun n -> hex (Fingerprint.tensor gd_env (Node.output n)))
+             nodes)))
 
 let context (t : t) ~config_fp ~whole_graph ~rules:rs ~gs ~gd =
   if has_duplicate_names gd then None
   else
     let gd_env = Fingerprint.graph_env gd in
+    let gd_tensors = Graph.tensors gd in
     let by_name = Hashtbl.create 64 in
     List.iter
       (fun tensor -> Hashtbl.replace by_name (Tensor.name tensor) tensor)
-      (Graph.tensors gd);
+      gd_tensors;
     (* The base covers everything the per-operator computation reads
        besides the operator, its seeds and its cone: the
        search-relevant configuration, the lemma corpus, the
        distributed constraint store (lemma conditions are discharged
        against it) and the distributed output set (output-grounded
-       extraction filters on it). Deliberately NOT the whole
-       distributed graph — that is what the per-operator cone
-       fingerprint is for, so that editing one distributed operator
-       only invalidates the sequential operators whose cone sees it. *)
+       extraction filters on it). *)
     let base_fp =
-      Fingerprint.to_hex
+      hex
         (Fingerprint.strings
            [
              "base/1";
              config_fp;
-             Fingerprint.to_hex (rules rs);
-             Fingerprint.to_hex
-               (Fingerprint.constraints (Graph.constraints gd));
-             Fingerprint.to_hex
+             corpus_fp rs;
+             hex (Fingerprint.constraints (Graph.constraints gd));
+             hex
                (Fingerprint.strings
                   (List.sort String.compare
                      (List.map
-                        (fun tensor ->
-                          Fingerprint.to_hex (Fingerprint.tensor gd_env tensor))
+                        (fun tensor -> hex (Fingerprint.tensor gd_env tensor))
                         (Graph.outputs gd))));
            ])
     in
@@ -109,93 +150,113 @@ let context (t : t) ~config_fp ~whole_graph ~rules:rs ~gs ~gd =
         base_fp;
         gs_env = Fingerprint.graph_env gs;
         gd_env;
+        gs_inputs = Tensor.Set.of_list (Graph.inputs gs);
+        gd_tensors = Tensor.Set.of_list gd_tensors;
+        gd_outputs = Tensor.Set.of_list (Graph.outputs gd);
         resolve = Hashtbl.find_opt by_name;
         gd;
-        whole_graph;
-        gd_outputs =
-          List.fold_left
-            (fun acc tensor -> Tensor.Set.add tensor acc)
-            Tensor.Set.empty (Graph.outputs gd);
+        (* With the frontier off every operator loads the whole
+           distributed graph: one cone for the whole check. *)
+        whole_cone =
+          (if whole_graph then Some (nodes_fp gd_env (Graph.nodes gd))
+           else None);
+        inputs_memo = None;
       }
 
 (* The distributed cone: the node set the frontier loop (Listing 3)
    would load, replayed as a pure tensor-set fixpoint — the loop's
    membership tests never consult the e-graph, so the loaded set is a
-   function of the anchor tensors and the distributed graph alone.
-   With [whole_graph] (frontier optimization off) it is every node. *)
-let cone ~gd ~whole_graph ~anchors =
+   function of the anchor tensors and the distributed graph alone. *)
+let cone gd ~anchors =
   let gd_nodes = Graph.nodes gd in
-  if whole_graph then gd_nodes
-  else begin
-    let t_rel = ref anchors in
-    let explored = Hashtbl.create 64 in
-    let acc = ref [] in
-    let continue = ref true in
-    while !continue do
-      let frontier =
-        List.filter
-          (fun n ->
-            (not (Hashtbl.mem explored (Node.id n)))
-            && List.for_all
-                 (fun tensor -> Tensor.Set.mem tensor !t_rel)
-                 (Node.inputs n))
-          gd_nodes
-      in
-      if frontier = [] then continue := false
-      else
-        List.iter
-          (fun n ->
-            Hashtbl.replace explored (Node.id n) ();
-            acc := n :: !acc;
-            t_rel := Tensor.Set.add (Node.output n) !t_rel)
-          frontier
-    done;
-    !acc
-  end
+  let t_rel = ref anchors in
+  let explored = Hashtbl.create 64 in
+  let acc = ref [] in
+  let continue = ref true in
+  while !continue do
+    let frontier =
+      List.filter
+        (fun n ->
+          (not (Hashtbl.mem explored (Node.id n)))
+          && List.for_all
+               (fun tensor -> Tensor.Set.mem tensor !t_rel)
+               (Node.inputs n))
+        gd_nodes
+    in
+    if frontier = [] then continue := false
+    else
+      List.iter
+        (fun n ->
+          Hashtbl.replace explored (Node.id n) ();
+          acc := n :: !acc;
+          t_rel := Tensor.Set.add (Node.output n) !t_rel)
+        frontier
+  done;
+  !acc
 
-let cone_fp ctx ~anchors =
-  let node_fps =
-    List.map (Fingerprint.node ctx.gd_env)
-      (cone ~gd:ctx.gd ~whole_graph:ctx.whole_graph ~anchors)
-  in
-  Fingerprint.strings
-    (List.sort String.compare (List.map Fingerprint.to_hex node_fps))
+(* Does [seeds] hold exactly the graph-input entries [memo], in order,
+   each with physically the same mapping list? A relation shares the
+   entries no operator rebinds, so within one check this holds for every
+   operator after the first. *)
+let rec same_inputs ctx memo = function
+  | [] -> ( match memo with [] -> true | _ :: _ -> false)
+  | (t, es) :: seeds -> (
+      if not (Tensor.Set.mem t ctx.gs_inputs) then same_inputs ctx memo seeds
+      else
+        match memo with
+        | (t', es') :: memo ->
+            Tensor.equal t t' && es == es' && same_inputs ctx memo seeds
+        | [] -> false)
+
+(* The graph-input share of the seeds is the same for every operator of
+   a check: hash it once and remember it in the context. *)
+let inputs_fp ctx seeds =
+  match ctx.inputs_memo with
+  | Some (memo, fp) when same_inputs ctx memo seeds -> fp
+  | _ ->
+      let inputs =
+        List.filter (fun (t, _) -> Tensor.Set.mem t ctx.gs_inputs) seeds
+      in
+      let fp = seeds_fp ctx inputs in
+      ctx.inputs_memo <- Some (inputs, fp);
+      fp
 
 let key ctx ~seeds v =
   let inputs = Node.inputs v in
-  let seed_fp (tensor, es) =
-    Fingerprint.to_hex (Fingerprint.tensor ctx.gs_env tensor)
-    ^ "="
-    ^ Fingerprint.to_hex (Fingerprint.exprs ctx.gd_env es)
+  let own =
+    List.filter (fun (t, _) -> List.exists (Tensor.equal t) inputs) seeds
   in
-  let seeds_fp =
-    Fingerprint.strings (List.sort String.compare (List.map seed_fp seeds))
-  in
-  (* Cone anchors: the distributed leaves of the mappings of [v]'s
-     inputs, mirroring the frontier loop's initial T_rel. *)
-  let anchors =
-    List.fold_left
-      (fun acc (tensor, es) ->
-        if List.exists (Tensor.equal tensor) inputs then
+  let cone_fp =
+    match ctx.whole_cone with
+    | Some fp -> fp
+    | None ->
+        (* Cone anchors: the distributed leaves of the mappings of [v]'s
+           inputs, mirroring the frontier loop's initial T_rel. *)
+        let anchors =
           List.fold_left
-            (fun acc e ->
+            (fun acc (_, es) ->
               List.fold_left
-                (fun acc leaf ->
-                  if Graph.mem_tensor ctx.gd leaf then Tensor.Set.add leaf acc
-                  else acc)
-                acc (Expr.leaves e))
-            acc es
-        else acc)
-      Tensor.Set.empty seeds
+                (fun acc e ->
+                  List.fold_left
+                    (fun acc leaf ->
+                      if Tensor.Set.mem leaf ctx.gd_tensors then
+                        Tensor.Set.add leaf acc
+                      else acc)
+                    acc (Expr.leaves e))
+                acc es)
+            Tensor.Set.empty own
+        in
+        nodes_fp ctx.gd_env (cone ctx.gd ~anchors)
   in
-  Fingerprint.to_hex
+  hex
     (Fingerprint.strings
        [
-         "key/1";
+         "key/2";
          ctx.base_fp;
-         Fingerprint.to_hex (Fingerprint.tensor ctx.gs_env (Node.output v));
-         Fingerprint.to_hex seeds_fp;
-         Fingerprint.to_hex (cone_fp ctx ~anchors);
+         inputs_fp ctx seeds;
+         hex (Fingerprint.tensor ctx.gs_env (Node.output v));
+         seeds_fp ctx own;
+         cone_fp;
        ])
 
 (* --- payload (de)serialization ------------------------------------------ *)

@@ -5,20 +5,27 @@
     sequential operator: either the clean mapping expressions found for
     its output (the replayable certificate) or the fact that saturation
     proved no mapping exists. The key fingerprints {e every} input of
-    that computation:
+    that computation. A [key/2] key is the hash of, in order:
 
+    - the base, once per check: search-relevant configuration, the
+      lemma corpus, the distributed constraint store and the Merkle
+      fingerprints of every distributed output;
+    - the sequential-input seeds, once per check: each sequential graph
+      input's mapping set, as fingerprints over the distributed graph;
     - the operator's Merkle fingerprint over the sequential graph
       (op + attributes + transitive input structure and shapes);
-    - the seeded relation entries (the operator's input mappings plus
-      every sequential-input mapping), as fingerprints over the
-      distributed graph;
+    - the operator's own seeds: the mapping sets of its inputs;
     - the distributed {e cone}: the node set the frontier loop (paper
       Listing 3) would load for those seeds — the fixpoint is a pure
       tensor-set computation, so it is replayed here without building
-      an e-graph. Editing one distributed operator therefore only
-      invalidates the sequential operators whose cone contains it;
-    - the base context: search-relevant configuration, the lemma
-      corpus, the distributed constraint store and output set.
+      an e-graph. With the frontier off it is the whole distributed
+      graph, hashed once per check.
+
+    The per-check parts are hashed on the context's first {!key} call
+    and reused while later calls pass the same sequential-input
+    entries; the lemma corpus's fingerprint is remembered across
+    checks. Because the base covers every distributed output, an edit
+    anywhere in the distributed graph still invalidates every key.
 
     A hit does not blindly trust the stored expressions: the
     certificate is {e replayed} against the current graphs — leaves
@@ -81,7 +88,11 @@ val key :
   ctx -> seeds:(Tensor.t * Expr.t list) list -> Node.t -> string
 (** The content key for checking operator [v] with the given seeded
     relation entries ([v]'s input mappings plus the sequential-input
-    mappings — exactly what [Node_rel.compute] loads). *)
+    mappings — exactly what [Node_rel.compute] loads). The
+    sequential-input digest is reused only when [seeds] holds the same
+    sequential-input tensors, in the same order, with physically the
+    same mapping lists as the call that computed it; otherwise it is
+    recomputed. *)
 
 val find : ctx -> key:string -> Node.t -> [ `Hit of entry | `Miss | `Replay_failed of string ]
 (** Look up and replay-validate an entry for operator [v]. *)

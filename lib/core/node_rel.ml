@@ -22,7 +22,7 @@ let load_definition g node =
   in
   ignore (Egraph.union g out def)
 
-let compute ~config ?deadline ~sink ~rules ~gs ~gd ~relation v =
+let compute ~config ?deadline ~sink ~rules ~gd ~gd_tensors ~relation ~seeds v =
   let store = Graph.constraints gd in
   let g = Egraph.create ~constraints:store () in
   let limits =
@@ -38,7 +38,6 @@ let compute ~config ?deadline ~sink ~rules ~gs ~gd ~relation v =
   (* Base expression: v applied to its (sequential) input tensors. *)
   let input_ids = List.map (Egraph.add_leaf g) (Node.inputs v) in
   let base = Egraph.add_op g (Node.op v) input_ids in
-  (* Seed the e-graph with the relation's mappings for v's inputs. *)
   let missing =
     List.filter (fun t -> Relation.find relation t = []) (Node.inputs v)
   in
@@ -48,36 +47,16 @@ let compute ~config ?deadline ~sink ~rules ~gs ~gd ~relation v =
         (Fmt.str "input %a of operator %a has no mapping in the relation"
            Tensor.pp_name t Node.pp v)
   | [] ->
-      (* Seed the mappings of v's inputs plus those of every sequential
-         graph input (weights and activations): entries with several
-         mappings (replicated tensors) carry equivalences between
-         distributed tensors that are otherwise only derivable through
-         the sequential tensor, and replicated weights are referenced by
-         operators arbitrarily far downstream. Mappings of unrelated
-         intermediates are skipped, keeping the per-operator e-graph
-         size independent of how much of the model was already
-         processed. *)
-      let is_seed =
-        let inputs = Node.inputs v in
-        fun t ->
-          List.exists (Tensor.equal t) inputs || Graph.is_input gs t
-      in
+      (* Seed the e-graph: each seeded sequential tensor is one class
+         with its mappings. *)
       List.iter
         (fun (t, exprs) ->
-          if is_seed t then begin
-            let leaf = Egraph.add_leaf g t in
-            List.iter
-              (fun expr ->
-                ignore (Egraph.union g leaf (Egraph.add_expr g expr)))
-              exprs
-          end)
-        (Relation.bindings relation);
+          let leaf = Egraph.add_leaf g t in
+          List.iter
+            (fun expr -> ignore (Egraph.union g leaf (Egraph.add_expr g expr)))
+            exprs)
+        seeds;
       Egraph.rebuild g;
-      let gd_tensors =
-        List.fold_left
-          (fun acc t -> Tensor.Set.add t acc)
-          Tensor.Set.empty (Graph.tensors gd)
-      in
       let is_gd t = Tensor.Set.mem t gd_tensors in
       let round_limits =
         { limits with Runner.max_iterations = 1 }

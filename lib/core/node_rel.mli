@@ -34,14 +34,21 @@ val compute :
   ?deadline:float ->
   sink:Entangle_trace.Sink.t ->
   rules:Rule.t list ->
-  gs:Graph.t ->
   gd:Graph.t ->
+  gd_tensors:Tensor.Set.t ->
   relation:Relation.t ->
+  seeds:(Tensor.t * Expr.t list) list ->
   Node.t ->
   (outcome, string) result
 (** [Error] signals a malformed query (an input of [v] has no mapping in
     the relation), not a refinement failure — the latter is an [Ok] with
     empty [mappings].
+
+    [gd_tensors] is the set of [gd]'s tensors, built once per check.
+    [seeds] are the relation entries loaded into the e-graph, in order:
+    the mappings of [v]'s inputs and of every sequential graph input, as
+    {!Refine.check} selects them for both this search and its cache
+    key.
 
     [deadline] is an absolute wall-clock bound ([Unix.gettimeofday]
     scale) merged into the per-round runner limits and checked between

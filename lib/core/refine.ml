@@ -206,6 +206,24 @@ let check ?(config = Config.default) ?rules ~gs ~gd ~input_relation () =
   let mappings_of v relation =
     List.map (fun t -> (t, Relation.find relation t)) (Node.inputs v)
   in
+  (* The relation entries an operator's search loads, and its cache key
+     covers: the mappings of [v]'s inputs plus those of every sequential
+     graph input (weights and activations). Entries with several
+     mappings (replicated tensors) carry equivalences between
+     distributed tensors that are otherwise only derivable through the
+     sequential tensor, and replicated weights are referenced by
+     operators arbitrarily far downstream. Mappings of unrelated
+     intermediates are skipped, keeping the per-operator e-graph size
+     independent of how much of the model was already processed. *)
+  let gs_inputs = Tensor.Set.of_list (Graph.inputs gs) in
+  let gd_tensors = Tensor.Set.of_list (Graph.tensors gd) in
+  let seeds_of v relation =
+    let inputs = Node.inputs v in
+    List.filter
+      (fun (t, _) ->
+        List.exists (Tensor.equal t) inputs || Tensor.Set.mem t gs_inputs)
+      (Relation.bindings relation)
+  in
   let mk_fault v verdict relation =
     {
       fault_operator = v;
@@ -281,7 +299,7 @@ let check ?(config = Config.default) ?rules ~gs ~gd ~input_relation () =
      as an [Internal] verdict localized to [v]. Precondition violations
      detected before the loop ([Invalid_argument] on unclean input) are
      deliberately NOT routed through this: they are documented raises. *)
-  let search_operator v relation =
+  let search_operator v relation seeds =
     let attempt rung =
       let cfg =
         match rung with
@@ -297,7 +315,7 @@ let check ?(config = Config.default) ?rules ~gs ~gd ~input_relation () =
       in
       match
         Node_rel.compute ~config:cfg ?deadline:(attempt_deadline ()) ~sink
-          ~rules ~gs ~gd ~relation v
+          ~rules ~gd ~gd_tensors ~relation ~seeds v
       with
       | Ok o -> Ok o
       | Error msg -> Error (Unmapped msg)
@@ -383,17 +401,11 @@ let check ?(config = Config.default) ?rules ~gs ~gd ~input_relation () =
     | `Fail _ -> ()
   in
   let check_operator v relation =
+    let seeds = seeds_of v relation in
     let searched =
       match cache_ctx with
-      | None -> search_operator v relation
+      | None -> search_operator v relation seeds
       | Some ctx -> (
-          let seeds =
-            let inputs = Node.inputs v in
-            List.filter
-              (fun (t, _) ->
-                List.exists (Tensor.equal t) inputs || Graph.is_input gs t)
-              (Relation.bindings relation)
-          in
           let key = Cache.key ctx ~seeds v in
           let lookup =
             Sink.span sink ~cat:"cache" "cache-lookup" (fun () ->
@@ -417,7 +429,7 @@ let check ?(config = Config.default) ?rules ~gs ~gd ~input_relation () =
           | `Hit entry ->
               (* [cache_verify]: run the search anyway and cross-check
                  the cached verdict against the fresh one. *)
-              let fresh = search_operator v relation in
+              let fresh = search_operator v relation seeds in
               let agree =
                 match (entry, fresh) with
                 | Cache.Mapped _, `Found _ | Cache.Unmapped, `Absent -> true
@@ -438,12 +450,12 @@ let check ?(config = Config.default) ?rules ~gs ~gd ~input_relation () =
               fresh
           | `Miss ->
               note v Cache.Miss;
-              let fresh = search_operator v relation in
+              let fresh = search_operator v relation seeds in
               store_entry ctx key fresh;
               fresh
           | `Replay_failed reason ->
               note v (Cache.Replay_failed reason);
-              let fresh = search_operator v relation in
+              let fresh = search_operator v relation seeds in
               store_entry ctx key fresh;
               fresh)
     in

@@ -1,7 +1,11 @@
 (* FIPS 180-4 SHA-256 over native ints. Words live in the low 32 bits
    of an OCaml int (63-bit on every supported platform), masked after
    each addition; rotations never overflow because a 32-bit value
-   shifted left by at most 30 stays below 2^62. *)
+   shifted left by at most 30 stays below 2^62.
+
+   A call allocates the state, the message schedule, at most two padded
+   tail blocks and the result: whole blocks are read in place from the
+   message, and nothing is allocated per block or per output digit. *)
 
 let mask = 0xffffffff
 let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
@@ -21,18 +25,55 @@ let k =
     0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2;
   |]
 
+(* Fold the 64-byte block of [data] at [base] into the state [h], using
+   [w] as the message schedule. *)
+let compress h w data base =
+  for t = 0 to 15 do
+    w.(t) <- Int32.to_int (Bytes.get_int32_be data (base + (4 * t))) land mask
+  done;
+  for t = 16 to 63 do
+    let x = w.(t - 15) and y = w.(t - 2) in
+    let s0 = rotr x 7 lxor rotr x 18 lxor (x lsr 3) in
+    let s1 = rotr y 17 lxor rotr y 19 lxor (y lsr 10) in
+    w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land mask
+  done;
+  let a = ref h.(0)
+  and b = ref h.(1)
+  and c = ref h.(2)
+  and d = ref h.(3)
+  and e = ref h.(4)
+  and f = ref h.(5)
+  and g = ref h.(6)
+  and hh = ref h.(7) in
+  for t = 0 to 63 do
+    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
+    let ch = (!e land !f) lxor (lnot !e land !g) in
+    let t1 = (!hh + s1 + ch + k.(t) + w.(t)) land mask in
+    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
+    let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
+    let t2 = (s0 + maj) land mask in
+    hh := !g;
+    g := !f;
+    f := !e;
+    e := (!d + t1) land mask;
+    d := !c;
+    c := !b;
+    b := !a;
+    a := (t1 + t2) land mask
+  done;
+  h.(0) <- (h.(0) + !a) land mask;
+  h.(1) <- (h.(1) + !b) land mask;
+  h.(2) <- (h.(2) + !c) land mask;
+  h.(3) <- (h.(3) + !d) land mask;
+  h.(4) <- (h.(4) + !e) land mask;
+  h.(5) <- (h.(5) + !f) land mask;
+  h.(6) <- (h.(6) + !g) land mask;
+  h.(7) <- (h.(7) + !hh) land mask
+
+let digits = "0123456789abcdef"
+
 let hex msg =
   let len = String.length msg in
-  (* One 0x80 byte, zero padding, then the bit length as a 64-bit
-     big-endian integer, rounding the whole message to 64-byte blocks. *)
-  let total = (len + 9 + 63) / 64 * 64 in
-  let data = Bytes.make total '\000' in
-  Bytes.blit_string msg 0 data 0 len;
-  Bytes.set data len '\x80';
-  let bits = len * 8 in
-  for i = 0 to 7 do
-    Bytes.set data (total - 1 - i) (Char.chr ((bits lsr (8 * i)) land 0xff))
-  done;
   let h =
     [|
       0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c;
@@ -40,49 +81,30 @@ let hex msg =
     |]
   in
   let w = Array.make 64 0 in
-  for block = 0 to (total / 64) - 1 do
-    let base = block * 64 in
-    for t = 0 to 15 do
-      let byte i = Char.code (Bytes.get data (base + (4 * t) + i)) in
-      w.(t) <- (byte 0 lsl 24) lor (byte 1 lsl 16) lor (byte 2 lsl 8) lor byte 3
-    done;
-    for t = 16 to 63 do
-      let x = w.(t - 15) and y = w.(t - 2) in
-      let s0 = rotr x 7 lxor rotr x 18 lxor (x lsr 3) in
-      let s1 = rotr y 17 lxor rotr y 19 lxor (y lsr 10) in
-      w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land mask
-    done;
-    let a = ref h.(0)
-    and b = ref h.(1)
-    and c = ref h.(2)
-    and d = ref h.(3)
-    and e = ref h.(4)
-    and f = ref h.(5)
-    and g = ref h.(6)
-    and hh = ref h.(7) in
-    for t = 0 to 63 do
-      let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-      let ch = (!e land !f) lxor (lnot !e land !g) in
-      let t1 = (!hh + s1 + ch + k.(t) + w.(t)) land mask in
-      let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-      let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-      let t2 = (s0 + maj) land mask in
-      hh := !g;
-      g := !f;
-      f := !e;
-      e := (!d + t1) land mask;
-      d := !c;
-      c := !b;
-      b := !a;
-      a := (t1 + t2) land mask
-    done;
-    h.(0) <- (h.(0) + !a) land mask;
-    h.(1) <- (h.(1) + !b) land mask;
-    h.(2) <- (h.(2) + !c) land mask;
-    h.(3) <- (h.(3) + !d) land mask;
-    h.(4) <- (h.(4) + !e) land mask;
-    h.(5) <- (h.(5) + !f) land mask;
-    h.(6) <- (h.(6) + !g) land mask;
-    h.(7) <- (h.(7) + !hh) land mask
+  (* Whole blocks straight from the message, which is only read. *)
+  let data = Bytes.unsafe_of_string msg in
+  let full = len / 64 * 64 in
+  let base = ref 0 in
+  while !base < full do
+    compress h w data !base;
+    base := !base + 64
   done;
-  String.concat "" (Array.to_list (Array.map (Printf.sprintf "%08x") h))
+  (* The rest, one 0x80 byte, zero padding, then the bit length as a
+     64-bit big-endian integer: one block, or two when fewer than nine
+     bytes of the last one are free. *)
+  let rest = len - full in
+  let tail = Bytes.make (if rest < 56 then 64 else 128) '\000' in
+  Bytes.blit_string msg full tail 0 rest;
+  Bytes.set tail rest '\x80';
+  Bytes.set_int64_be tail (Bytes.length tail - 8) (Int64.of_int (len * 8));
+  compress h w tail 0;
+  if Bytes.length tail = 128 then compress h w tail 64;
+  let out = Bytes.create 64 in
+  for i = 0 to 7 do
+    let x = h.(i) in
+    for j = 0 to 7 do
+      Bytes.unsafe_set out ((8 * i) + j)
+        (String.unsafe_get digits ((x lsr (28 - (4 * j))) land 0xf))
+    done
+  done;
+  Bytes.unsafe_to_string out

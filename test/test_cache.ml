@@ -128,7 +128,28 @@ let fingerprint_tests =
           (hex (String.make 55 'q'));
         check Alcotest.string "64 bytes"
           "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"
-          (hex (String.make 64 'a')));
+          (hex (String.make 64 'a'));
+        (* whole blocks are read in place and the tail is padded apart:
+           a tail too long to hold the length field (56), one byte
+           short of that after a whole block (119) and exactly at it
+           (120), the FIPS 896-bit message (a block and a 48-byte
+           tail), and a million bytes of whole blocks *)
+        check Alcotest.string "56 bytes"
+          "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"
+          (hex (String.make 56 'a'));
+        check Alcotest.string "119 bytes"
+          "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"
+          (hex (String.make 119 'a'));
+        check Alcotest.string "120 bytes"
+          "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c"
+          (hex (String.make 120 'a'));
+        check Alcotest.string "896-bit message"
+          "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"
+          (hex
+             "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu");
+        check Alcotest.string "a million bytes"
+          "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+          (hex (String.make 1_000_000 'a')));
     Alcotest.test_case "stable across independent builds" `Quick (fun () ->
         let a = Gpt.build ~layers:1 ~degree:2 ~heads:4 () in
         let b = Gpt.build ~layers:1 ~degree:2 ~heads:4 () in
@@ -448,6 +469,134 @@ let recheck_tests =
             check Alcotest.int "repopulated"
               hs.Entangle.Refine.operators_processed
               hs.Entangle.Refine.cache_hits));
+  ]
+
+(* --- key derivation -------------------------------------------------------- *)
+
+(* The seeds [Refine.check] derives for operator [v]: the mappings of
+   [v]'s inputs and of every sequential graph input. Read off the final
+   relation they are the ones the check saw, since a check only adds
+   entries for operator outputs. *)
+let seeds_for gs relation v =
+  List.filter
+    (fun (t, _) ->
+      List.exists (Tensor.equal t) (Node.inputs v) || Graph.is_input gs t)
+    (Entangle.Relation.bindings relation)
+
+let key_context ?(whole_graph = false) ?rules cache (inst : Instance.t) =
+  let rules =
+    match rules with
+    | Some rules -> rules
+    | None -> Entangle_lemmas.Registry.rules_for_model inst.Instance.family
+  in
+  match
+    Cache.context cache ~config_fp:"test" ~whole_graph ~rules
+      ~gs:inst.Instance.gs ~gd:inst.Instance.gd
+  with
+  | Some ctx -> ctx
+  | None -> Alcotest.fail "no cache context"
+
+let full_relation inst =
+  match Instance.check inst with
+  | Ok s -> s.Entangle.Refine.full_relation
+  | Error _ -> Alcotest.fail "the model does not refine"
+
+(* Every operator's key, in graph order, on one context. *)
+let keys_of ?whole_graph ?rules cache inst relation =
+  let ctx = key_context ?whole_graph ?rules cache inst in
+  List.map
+    (fun v -> Cache.key ctx ~seeds:(seeds_for inst.Instance.gs relation v) v)
+    (Graph.nodes inst.Instance.gs)
+
+let key_tests =
+  let gpt () = Gpt.build ~layers:1 ~degree:2 ~heads:4 () in
+  [
+    Alcotest.test_case "keys are stable across independent builds" `Quick
+      (fun () ->
+        with_temp_cache (fun cache ->
+            let a = gpt () and b = gpt () in
+            List.iter
+              (fun whole_graph ->
+                check
+                  Alcotest.(list string)
+                  (Fmt.str "per-operator keys (whole graph: %b)" whole_graph)
+                  (keys_of ~whole_graph cache a (full_relation a))
+                  (keys_of ~whole_graph cache b (full_relation b)))
+              [ false; true ]));
+    Alcotest.test_case "the lemma corpus is in every key" `Quick (fun () ->
+        with_temp_cache (fun cache ->
+            let inst = gpt () in
+            let relation = full_relation inst in
+            let rules =
+              Entangle_lemmas.Registry.rules_for_model inst.Instance.family
+            in
+            (* the same records in another order: a corpus of the same
+               length that the remembered fingerprint must not answer *)
+            let swapped =
+              match rules with a :: b :: rest -> b :: a :: rest | rs -> rs
+            in
+            let before = keys_of ~rules cache inst relation in
+            let after = keys_of ~rules:swapped cache inst relation in
+            List.iteri
+              (fun i (k, k') ->
+                if String.equal k k' then
+                  Alcotest.failf "operator %d keeps its key" i)
+              (List.combine before after);
+            check
+              Alcotest.(list string)
+              "and the first order keys as before" before
+              (keys_of ~rules cache inst relation)));
+    Alcotest.test_case "a sequential-input mapping is in every key" `Quick
+      (fun () ->
+        with_temp_cache (fun cache ->
+            let inst = gpt () in
+            let relation = full_relation inst in
+            let gs = inst.Instance.gs in
+            (* One graph input gains a mapping; keys do not check
+               shapes, so any distributed tensor will do. *)
+            let input = List.hd (Graph.inputs gs) in
+            let other = List.hd (List.rev (Graph.inputs inst.Instance.gd)) in
+            let edited =
+              Entangle.Relation.add relation input (Expr.leaf other)
+            in
+            let before = keys_of cache inst relation in
+            let after = keys_of cache inst edited in
+            List.iteri
+              (fun i (k, k') ->
+                if String.equal k k' then
+                  Alcotest.failf "operator %d keeps its key" i)
+              (List.combine before after)));
+    Alcotest.test_case "the per-check seed digest tracks its inputs" `Quick
+      (fun () ->
+        with_temp_cache (fun cache ->
+            let inst = gpt () in
+            let relation = full_relation inst in
+            let gs = inst.Instance.gs in
+            let ctx = key_context cache inst in
+            let v = List.nth (Graph.nodes gs) 3 in
+            let seeds = seeds_for gs relation v in
+            let key seeds = Cache.key ctx ~seeds v in
+            let k = key seeds in
+            (* equal, physically distinct mapping lists *)
+            let copy = List.map (fun (t, es) -> (t, List.map Fun.id es)) seeds in
+            check Alcotest.string "a copied seed list keys the same" k
+              (key copy);
+            check Alcotest.string "and the original again" k (key seeds);
+            (* after that memo hit, one graph input gains a mapping *)
+            let input = List.hd (Graph.inputs gs) in
+            let other = List.hd (List.rev (Graph.inputs inst.Instance.gd)) in
+            let edited =
+              List.map
+                (fun (t, es) ->
+                  if Tensor.equal t input then (t, es @ [ Expr.leaf other ])
+                  else (t, es))
+                seeds
+            in
+            check Alcotest.bool "a changed graph-input mapping changes the key"
+              false
+              (String.equal k (key edited));
+            check Alcotest.string "and the original keys as before" k
+              (key seeds)));
   ]
 
 (* --- retention: budgets, eviction, expiry -------------------------------- *)
@@ -841,6 +990,7 @@ let suite =
     ("cache.fingerprint", fingerprint_tests);
     ("cache.store", store_tests);
     ("cache.recheck", recheck_tests);
+    ("cache.key", key_tests);
     ("cache.retention", retention_tests);
     ("cache.archive", archive_tests);
   ]
