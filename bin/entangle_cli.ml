@@ -355,24 +355,25 @@ let verdict_exits =
    verdicts are cached, and replay failures fall back to the search);
    $(b,--no-cache) forces the pre-cache behavior when bisecting. *)
 
+let report_replay = function
+  | Ok () ->
+      Fmt.pr "Certificate replay on concrete data: OK@.";
+      0
+  | Error e ->
+      (* The checker said yes but concrete replay disagrees: an
+         internal inconsistency, not a refinement verdict. *)
+      Fmt.pr "Certificate replay FAILED: %s@." e;
+      3
+
 let check_instance ?config inst =
   Fmt.pr "Checking %a@." Instance.pp inst;
   match Instance.check ?config inst with
   | Ok success ->
       Fmt.pr "%a@." (Entangle.Report.pp_success inst.Instance.gs) success;
-      (match
-         Entangle.Certify.replay ~env:inst.Instance.env ~gs:inst.Instance.gs
+      report_replay
+        (Entangle.Certify.replay ~env:inst.Instance.env ~gs:inst.Instance.gs
            ~gd:inst.Instance.gd ~input_relation:inst.Instance.input_relation
-           ~output_relation:success.output_relation ()
-       with
-      | Ok () ->
-          Fmt.pr "Certificate replay on concrete data: OK@.";
-          0
-      | Error e ->
-          (* The checker said yes but concrete replay disagrees: an
-             internal inconsistency, not a refinement verdict. *)
-          Fmt.pr "Certificate replay FAILED: %s@." e;
-          3)
+           ~output_relation:success.output_relation ())
   | Error failure ->
       Fmt.pr "%a@." (Entangle.Report.pp_failure inst.Instance.gs) failure;
       Entangle.Refine.exit_code (Error failure)
@@ -449,23 +450,15 @@ let remote_check_instance opts socket (inst : Instance.t) =
   remote_check ~retry:(retry_of_opts opts) ~socket ~options ~gs ~gd
     ~input_relation
     ~handle_success:(fun output_relation ->
-      let replayed =
-        match output_relation with
+      report_replay
+        (match output_relation with
         | None -> Error "daemon reply carried no certificate"
         | Some rel_sexp -> (
             match Entangle.Relation_io.of_sexp ~gs ~gd rel_sexp with
             | Error e -> Error ("unreadable certificate: " ^ e)
             | Ok output_relation ->
                 Entangle.Certify.replay ~env:inst.Instance.env ~gs ~gd
-                  ~input_relation ~output_relation ())
-      in
-      match replayed with
-      | Ok () ->
-          Fmt.pr "Certificate replay on concrete data: OK@.";
-          0
-      | Error e ->
-          Fmt.pr "Certificate replay FAILED: %s@." e;
-          3)
+                  ~input_relation ~output_relation ())))
 
 (* --- verify ------------------------------------------------------------ *)
 

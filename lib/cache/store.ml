@@ -5,8 +5,6 @@ let version_prefix = "entangle-cache/"
 
 type budget = { max_bytes : int option; max_age_s : float option }
 
-let no_budget = { max_bytes = None; max_age_s = None }
-
 let env_budget () =
   let pos_int name =
     match Sys.getenv_opt name with

@@ -50,8 +50,6 @@ type budget = { max_bytes : int option; max_age_s : float option }
 (** Retention policy: maximum total object bytes (inclusive), and
     maximum entry age in seconds since last use. [None] = unbounded. *)
 
-val no_budget : budget
-
 val env_budget : unit -> budget
 (** The budget the environment requests:
     [$ENTANGLE_CACHE_MAX_BYTES] and [$ENTANGLE_CACHE_MAX_AGE_S]

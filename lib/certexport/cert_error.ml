@@ -34,23 +34,8 @@ let mnemonic = function
   | Shape_mismatch -> "shape-mismatch"
   | Replay_mismatch -> "replay-mismatch"
 
-let all_codes =
-  [
-    Parse_error;
-    Version_skew;
-    Manifest_malformed;
-    Section_corrupt;
-    Statement_mismatch;
-    Incomplete;
-    Unclean;
-    Leaf_out_of_scope;
-    Shape_mismatch;
-    Replay_mismatch;
-  ]
-
 type t = { code : code; detail : string }
 
 let make code detail = { code; detail }
-let makef code fmt = Fmt.kstr (make code) fmt
 let pp ppf e = Fmt.pf ppf "%s (%s): %s" (code_string e.code) (mnemonic e.code) e.detail
 let to_string e = Fmt.str "%a" pp e

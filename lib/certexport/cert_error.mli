@@ -47,11 +47,8 @@ val code_string : code -> string
 val mnemonic : code -> string
 (** Short kebab-case name, e.g. ["section-corrupt"]. *)
 
-val all_codes : code list
-
 type t = { code : code; detail : string }
 
 val make : code -> string -> t
-val makef : code -> ('a, Format.formatter, unit, t) format4 -> 'a
 val pp : t Fmt.t
 val to_string : t -> string

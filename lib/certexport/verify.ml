@@ -142,13 +142,8 @@ let check_static (b : Bundle.t) =
 
 (* ---------------- concrete replay (CERT010) ----------------------- *)
 
-(* Re-implementation of the certification replay over raw bindings:
-   union-find over distributed inputs forced equal by replication in
-   the input relation, random inputs per group, sequential inputs
-   derived by evaluating the input relation, both graphs interpreted,
-   every output-relation expression replayed and compared. Kept free of
-   lib/core so the verifier stays independent. *)
-
+(* Union-find over distributed inputs forced equal because the input
+   relation maps one sequential input to several bare leaves. *)
 let replication_groups bindings =
   let parent : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let rec find i =
@@ -175,10 +170,13 @@ let replication_groups bindings =
     bindings;
   find
 
-let replay ?(tol = 1e-3) ?(seed = 42) ?(max_mismatches = 8) (b : Bundle.t) =
-  let env = Interp.env_of_list b.env in
+let tol = 1e-3
+let seed = 42
+let max_mismatches = 8
+
+let replay_exn ~env ~gs ~gd ~inputs ~outputs =
   let st = Random.State.make [| seed |] in
-  let canon = replication_groups b.inputs in
+  let canon = replication_groups inputs in
   let by_group : (int, Tensor.t * Ndarray.t) Hashtbl.t = Hashtbl.create 16 in
   let* gd_inputs =
     List.fold_left
@@ -192,9 +190,9 @@ let replay ?(tol = 1e-3) ?(seed = 42) ?(max_mismatches = 8) (b : Bundle.t) =
                input relation (possibly transitively, through a chain
                of shared bare leaves); reusing [rep]'s value is only
                sound if they agree on dtype and concrete shape —
-               otherwise the bundle's relation equates incompatible
-               tensors and must be rejected precisely, not via a
-               downstream interpreter crash. *)
+               otherwise the relation equates incompatible tensors and
+               must be rejected precisely, not via a downstream
+               interpreter crash. *)
             if not (Dtype.equal (Tensor.dtype t) (Tensor.dtype rep)) then
               err E.Shape_mismatch
                 "input relation replicates %s and %s, but their dtypes \
@@ -218,7 +216,7 @@ let replay ?(tol = 1e-3) ?(seed = 42) ?(max_mismatches = 8) (b : Bundle.t) =
             in
             Hashtbl.replace by_group key (t, v);
             Ok ((t, v) :: acc))
-      (Ok []) (Graph.inputs b.gd)
+      (Ok []) (Graph.inputs gd)
   in
   let gd_inputs = List.rev gd_inputs in
   let lookup_gd_input t =
@@ -230,7 +228,7 @@ let replay ?(tol = 1e-3) ?(seed = 42) ?(max_mismatches = 8) (b : Bundle.t) =
     List.fold_left
       (fun acc t ->
         let* acc = acc in
-        match List.find_opt (fun (u, _) -> Tensor.equal t u) b.inputs with
+        match List.find_opt (fun (u, _) -> Tensor.equal t u) inputs with
         | None | Some (_, []) ->
             err E.Incomplete "input relation misses gs input %s" (Tensor.name t)
         | Some (_, expr :: rest) ->
@@ -247,10 +245,10 @@ let replay ?(tol = 1e-3) ?(seed = 42) ?(max_mismatches = 8) (b : Bundle.t) =
                 "input relation mappings for %s are inconsistent"
                 (Tensor.name t)
             else Ok ((t, value) :: acc))
-      (Ok []) (Graph.inputs b.gs)
+      (Ok []) (Graph.inputs gs)
   in
-  let vs = Interp.run env b.gs ~inputs:gs_inputs in
-  let vd = Interp.run env b.gd ~inputs:gd_inputs in
+  let vs = Interp.run env gs ~inputs:gs_inputs in
+  let vd = Interp.run env gd ~inputs:gd_inputs in
   let lookup_gd t =
     match Tensor.Map.find_opt t vd with
     | Some v -> v
@@ -264,7 +262,7 @@ let replay ?(tol = 1e-3) ?(seed = 42) ?(max_mismatches = 8) (b : Bundle.t) =
     List.fold_left
       (fun acc output ->
         let* () = acc in
-        match List.find_opt (fun (u, _) -> Tensor.equal output u) b.outputs with
+        match List.find_opt (fun (u, _) -> Tensor.equal output u) outputs with
         | None | Some (_, []) ->
             err E.Incomplete "output relation misses %s" (Tensor.name output)
         | Some (_, exprs) ->
@@ -276,14 +274,16 @@ let replay ?(tol = 1e-3) ?(seed = 42) ?(max_mismatches = 8) (b : Bundle.t) =
                   let got = Interp.eval_expr env lookup_gd expr in
                   if not (Ndarray.approx_equal ~tol expected got) then
                     mismatches :=
-                      Fmt.str "output %s: replaying %a differs by %g"
+                      Fmt.str
+                        "output %s: replaying %a differs from the sequential \
+                         value by %g"
                         (Tensor.name output) Expr.pp expr
                         (Ndarray.max_abs_diff expected got)
                       :: !mismatches
                 end)
               exprs;
             Ok ())
-      (Ok ()) (Graph.outputs b.gs)
+      (Ok ()) (Graph.outputs gs)
   in
   match List.rev !mismatches with
   | [] -> Ok !replayed
@@ -291,12 +291,15 @@ let replay ?(tol = 1e-3) ?(seed = 42) ?(max_mismatches = 8) (b : Bundle.t) =
       err E.Replay_mismatch "%d mismatching output expression(s): %s"
         (List.length ms) (String.concat "; " ms)
 
-let check ?(tol = 1e-3) ?(seed = 42) ?(max_mismatches = 8) (b : Bundle.t) =
+let replay ~env ~gs ~gd ~inputs ~outputs =
+  try replay_exn ~env ~gs ~gd ~inputs ~outputs
+  with exn -> err E.Replay_mismatch "replay raised: %s" (Printexc.to_string exn)
+
+let check (b : Bundle.t) =
   let* () = check_static b in
   let* exprs_replayed =
-    try replay ~tol ~seed ~max_mismatches b
-    with exn ->
-      err E.Replay_mismatch "replay raised: %s" (Printexc.to_string exn)
+    replay ~env:(Interp.env_of_list b.env) ~gs:b.gs ~gd:b.gd ~inputs:b.inputs
+      ~outputs:b.outputs
   in
   Ok
     {
@@ -308,6 +311,6 @@ let check ?(tol = 1e-3) ?(seed = 42) ?(max_mismatches = 8) (b : Bundle.t) =
       seed;
     }
 
-let check_string ?tol ?seed ?max_mismatches text =
+let check_string text =
   let* b = Bundle.of_string text in
-  check ?tol ?seed ?max_mismatches b
+  check b

@@ -16,6 +16,8 @@
     shape agreement, [CERT010] concrete replay. Framing and integrity
     ([CERT001]–[CERT005]) are {!Bundle.of_string}'s job. *)
 
+open Entangle_ir
+
 type report = {
   id : string;  (** the bundle's content address *)
   operators : int;  (** operator entries checked *)
@@ -25,22 +27,30 @@ type report = {
   seed : int;
 }
 
-val check :
-  ?tol:float ->
-  ?seed:int ->
-  ?max_mismatches:int ->
-  Bundle.t ->
-  (report, Cert_error.t) result
-(** Verify an already-parsed (hence integrity-checked) bundle. Replay
-    accumulates up to [max_mismatches] (default 8) failing output
-    expressions into one [CERT010] error instead of stopping at the
-    first. *)
+val replay :
+  env:Interp.env ->
+  gs:Graph.t ->
+  gd:Graph.t ->
+  inputs:(Tensor.t * Expr.t list) list ->
+  outputs:(Tensor.t * Expr.t list) list ->
+  (int, Cert_error.t) result
+(** Execute a certificate on concrete data: the one replay behind
+    {!check}, [Certify.replay] and so every caller that trusts a
+    returned relation. Draws seeded random values (seed 42) for [gd]'s
+    inputs, sharing one value per replication group (distributed inputs
+    that some input binding lists as bare leaves, closed transitively),
+    derives [gs]'s inputs by evaluating [inputs], interprets both graphs
+    under [env] and compares every [outputs] expression with the
+    sequential value within tol 1e-3. [Ok n] counts the expressions
+    evaluated. A replication group whose members differ in dtype or
+    concrete shape is [CERT009]; a missing binding is [CERT006]; up to 8
+    mismatching output expressions, inconsistent input mappings or an
+    interpreter exception are one [CERT010]. Never raises. *)
 
-val check_string :
-  ?tol:float ->
-  ?seed:int ->
-  ?max_mismatches:int ->
-  string ->
-  (report, Cert_error.t) result
+val check : Bundle.t -> (report, Cert_error.t) result
+(** Verify an already-parsed (hence integrity-checked) bundle: the
+    static checks, then {!replay} under the bundle's env. *)
+
+val check_string : string -> (report, Cert_error.t) result
 (** {!Bundle.of_string} followed by {!check}: the one-call path a
     consumer should use on untrusted bytes. *)

@@ -1,124 +1,8 @@
-open Entangle_ir
-
-(* Union-find over distributed input tensors forced equal because the
-   input relation maps one sequential input to several of them. *)
-let replication_groups input_relation =
-  let parent : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let rec find i =
-    match Hashtbl.find_opt parent i with
-    | Some p when p <> i ->
-        let r = find p in
-        Hashtbl.replace parent i r;
-        r
-    | _ -> i
-  in
-  let union a b =
-    Hashtbl.replace parent (max (find a) (find b)) (min (find a) (find b))
-  in
-  List.iter
-    (fun (_, exprs) ->
-      let leaf_only =
-        List.filter_map
-          (function Expr.Leaf t -> Some (Tensor.id t :> int) | _ -> None)
-          exprs
-      in
-      match leaf_only with
-      | first :: rest -> List.iter (union first) rest
-      | [] -> ())
-    (Relation.bindings input_relation);
-  find
-
-let replay ?(tol = 1e-3) ?(seed = 42) ?(max_mismatches = 1) ~env ~gs ~gd
-    ~input_relation ~output_relation () =
-  let ( let* ) = Result.bind in
-  let st = Random.State.make [| seed |] in
-  let canon = replication_groups input_relation in
-  (* Random distributed inputs, sharing values within replication
-     groups. *)
-  let by_group : (int, Ndarray.t) Hashtbl.t = Hashtbl.create 16 in
-  let gd_inputs =
-    List.map
-      (fun t ->
-        let key = canon (Tensor.id t :> int) in
-        match Hashtbl.find_opt by_group key with
-        | Some v -> (t, v)
-        | None ->
-            let dims = Shape.concrete (Interp.lookup env) (Tensor.shape t) in
-            let v =
-              if Dtype.is_integer (Tensor.dtype t) then
-                Ndarray.random_ints st ~hi:8 dims
-              else Ndarray.random st dims
-            in
-            Hashtbl.replace by_group key v;
-            (t, v))
-      (Graph.inputs gd)
-  in
-  let lookup_gd_input t =
-    match List.find_opt (fun (u, _) -> Tensor.equal t u) gd_inputs with
-    | Some (_, v) -> v
-    | None -> invalid_arg (Fmt.str "certify: %a not a gd input" Tensor.pp t)
-  in
-  (* Sequential inputs derived from the input relation. *)
-  let* gs_inputs =
-    List.fold_left
-      (fun acc t ->
-        let* acc = acc in
-        match Relation.find input_relation t with
-        | [] ->
-            Error (Fmt.str "input relation misses gs input %a" Tensor.pp t)
-        | expr :: rest ->
-            let value = Interp.eval_expr env lookup_gd_input expr in
-            let consistent =
-              List.for_all
-                (fun e ->
-                  Ndarray.approx_equal ~tol value
-                    (Interp.eval_expr env lookup_gd_input e))
-                rest
-            in
-            if not consistent then
-              Error
-                (Fmt.str "input relation mappings for %a are inconsistent"
-                   Tensor.pp_name t)
-            else Ok ((t, value) :: acc))
-      (Ok []) (Graph.inputs gs)
-  in
-  let vs = Interp.run env gs ~inputs:gs_inputs in
-  let vd = Interp.run env gd ~inputs:gd_inputs in
-  let lookup_gd t =
-    match Tensor.Map.find_opt t vd with
-    | Some v -> v
-    | None -> invalid_arg (Fmt.str "certify: %a not computed in gd" Tensor.pp t)
-  in
-  (* Mismatches accumulate (bounded by [max_mismatches], default 1 —
-     the historical first-mismatch behavior) so certificate
-     verification can report every failing output expression in one
-     pass; structural gaps in the relation still fail immediately. *)
-  let mismatches = ref [] in
-  let* () =
-    List.fold_left
-      (fun acc output ->
-        let* () = acc in
-        match Relation.find output_relation output with
-        | [] ->
-            Error (Fmt.str "output relation misses %a" Tensor.pp_name output)
-        | exprs ->
-            let expected = Tensor.Map.find output vs in
-            List.iter
-              (fun expr ->
-                if List.length !mismatches < max_mismatches then
-                  let got = Interp.eval_expr env lookup_gd expr in
-                  if not (Ndarray.approx_equal ~tol expected got) then
-                    mismatches :=
-                      Fmt.str
-                        "output %a: replaying %a differs from the sequential \
-                         value by %g"
-                        Tensor.pp_name output Expr.pp expr
-                        (Ndarray.max_abs_diff expected got)
-                      :: !mismatches)
-              exprs;
-            Ok ())
-      (Ok ()) (Graph.outputs gs)
-  in
-  match List.rev !mismatches with
-  | [] -> Ok ()
-  | ms -> Error (String.concat "; " ms)
+let replay ~env ~gs ~gd ~input_relation ~output_relation () =
+  match
+    Entangle_certexport.Verify.replay ~env ~gs ~gd
+      ~inputs:(Relation.bindings input_relation)
+      ~outputs:(Relation.bindings output_relation)
+  with
+  | Ok _ -> Ok ()
+  | Error e -> Error e.Entangle_certexport.Cert_error.detail

@@ -6,13 +6,10 @@ let err fmt = Fmt.kstr (fun s -> Error s) fmt
 (* Expression rendering/parsing lives in {!Serial} (the certificate
    cache shares it); this module only wraps it in the relation entry
    syntax. *)
-let expr_to_sexp = Serial.expr_to_sexp
-let expr_of_sexp = Serial.expr_of_sexp
-
 let to_sexp relation =
   let entry (t, exprs) =
     List.map
-      (fun e -> Sexp.list [ Sexp.atom (Tensor.name t); expr_to_sexp e ])
+      (fun e -> Sexp.list [ Sexp.atom (Tensor.name t); Serial.expr_to_sexp e ])
       exprs
   in
   Sexp.list
@@ -31,7 +28,8 @@ let of_sexp ~gs ~gd = function
               | None -> err "unknown sequential tensor %s" name
               | Some t ->
                   let* e =
-                    expr_of_sexp ~resolve:(Serial.tensor_by_name gd) expr
+                    Serial.expr_of_sexp ~resolve:(Serial.tensor_by_name gd)
+                      expr
                   in
                   Ok (Relation.add acc t e))
           | s -> err "malformed relation entry %s" (Sexp.to_string s))

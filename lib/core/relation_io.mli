@@ -15,9 +15,6 @@
 
 open Entangle_ir
 
-val expr_to_sexp : Expr.t -> Sexp.t
-val expr_of_sexp : resolve:(string -> Tensor.t option) -> Sexp.t -> (Expr.t, string) result
-
 val to_sexp : Relation.t -> Sexp.t
 val to_string : Relation.t -> string
 

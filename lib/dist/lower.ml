@@ -53,8 +53,6 @@ let whole_input t tensor =
   relate t tensor (Expr.leaf copy);
   copy
 
-let custom_input t ?dtype name shape = B.input t.b ?dtype name shape
-
 let add t ?name op inputs = B.add t.b ?name op inputs
 
 let collective_name t kind r =

@@ -34,11 +34,6 @@ val whole_input : t -> Tensor.t -> Tensor.t
 (** Declare a single non-partitioned copy with an identity relation
     entry. *)
 
-val custom_input :
-  t -> ?dtype:Dtype.t -> string -> Shape.t -> Tensor.t
-(** Declare a distributed input with no automatic relation entry; pair
-    with {!relate} (used by buggy lowerings with wrong partitioning). *)
-
 val relate : t -> Tensor.t -> Expr.t -> unit
 (** Record an explicit input-relation entry. *)
 

@@ -8,7 +8,6 @@ let op o children = { sym = Op o; children }
 let leaf t = { sym = Leaf t; children = [] }
 let sym n = n.sym
 let children n = n.children
-let is_leaf n = match n.sym with Leaf _ -> true | Op _ -> false
 let map_children f n = { n with children = List.map f n.children }
 
 let compare_sym a b =

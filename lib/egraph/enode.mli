@@ -11,7 +11,6 @@ val leaf : Tensor.t -> t
 
 val sym : t -> sym
 val children : t -> Id.t list
-val is_leaf : t -> bool
 
 val map_children : (Id.t -> Id.t) -> t -> t
 (** Canonicalization under a union-find [find]. *)

@@ -101,11 +101,3 @@ let best_clean g ~leaf_ok id =
 let best_filtered g ~node_ok ~leaf_ok id =
   let tables = compute_costs g ~node_ok ~leaf_ok in
   reconstruct g tables id
-
-let clean_cost_table g ~leaf_ok =
-  let node_ok = Op.is_clean in
-  let cost, _ = compute_costs g ~node_ok ~leaf_ok in
-  fun id ->
-    match Id.Tbl.find_opt cost (Egraph.find g id) with
-    | Some c when c < infinity_cost -> Some c
-    | _ -> None

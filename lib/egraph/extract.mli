@@ -26,8 +26,3 @@ val best_filtered :
 (** Like {!best_clean} with a caller-supplied operator filter; used to
     extract alternative canonical forms (for instance rearrangement-only
     expressions alongside reduction expressions). *)
-
-val clean_cost_table :
-  Egraph.t -> leaf_ok:(Tensor.t -> bool) -> (Id.t -> int option)
-(** Precomputed clean-extraction costs for every class; useful when
-    querying many classes of one e-graph. *)

@@ -25,24 +25,3 @@ let rewrite_to ?constrained ?nonlocal name lhs f =
   in
   make_dyn ?constrained ?nonlocal name lhs applier
 
-let apply_matches rule g matches =
-  let mode = if rule.constrained then Ematch.Check_only else Ematch.Insert in
-  let hits = ref 0 in
-  List.iter
-    (fun (cls, subst) ->
-      let equations =
-        match rule.applier with
-        | Syntactic rhs -> [ (Pattern.c cls, rhs) ]
-        | Conditional f -> f g cls subst
-      in
-      List.iter
-        (fun (lhs, rhs) ->
-          match
-            ( Ematch.instantiate ~mode g subst lhs,
-              Ematch.instantiate ~mode g subst rhs )
-          with
-          | Some a, Some b -> if Egraph.union g a b then incr hits
-          | _ -> ())
-        equations)
-    matches;
-  !hits

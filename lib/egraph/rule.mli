@@ -67,8 +67,3 @@ val rewrite_to :
   t
 (** Conditioned lemma whose right-hand side replaces the matched class:
     convenience wrapper around {!make_dyn}. *)
-
-val apply_matches : t -> Egraph.t -> (Id.t * Subst.t) list -> int
-(** Apply the rule to pre-collected matches; returns the number of
-    applications that merged two previously distinct classes. The caller
-    must {!Egraph.rebuild} afterwards. *)

@@ -6,7 +6,6 @@ type t = string
 let equal = String.equal
 let compare = String.compare
 let to_hex fp = fp
-let of_hex fp = if String.length fp = 64 then Some fp else None
 let pp = Fmt.string
 
 (* Length-prefixed framing so ["ab";"c"] and ["a";"bc"] cannot

@@ -33,10 +33,6 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 val to_hex : t -> string
 
-val of_hex : string -> t option
-(** Re-admit a digest previously rendered with {!to_hex}; [None] if the
-    string is not the right width. *)
-
 val pp : t Fmt.t
 
 val strings : string list -> t

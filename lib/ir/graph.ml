@@ -104,36 +104,6 @@ let with_outputs g outputs =
   | [] -> Ok { g with outputs }
   | t :: _ -> Error (Fmt.str "with_outputs: tensor %a not in graph" Tensor.pp t)
 
-let validate g =
-  let ( let* ) = Result.bind in
-  let check_node n =
-    let shapes = List.map Tensor.shape (Node.inputs n) in
-    let dtypes = List.map Tensor.dtype (Node.inputs n) in
-    let* shape = Op.infer_shape g.constraints (Node.op n) shapes in
-    let* dtype = Op.infer_dtype (Node.op n) dtypes in
-    if not (Shape.equal g.constraints shape (Tensor.shape (Node.output n)))
-    then Error (Fmt.str "node %a: recorded shape differs" Node.pp n)
-    else if not (Dtype.equal dtype (Tensor.dtype (Node.output n))) then
-      Error (Fmt.str "node %a: recorded dtype differs" Node.pp n)
-    else Ok ()
-  in
-  let* () =
-    List.fold_left
-      (fun acc n ->
-        let* () = acc in
-        check_node n)
-      (Ok ()) g.nodes
-  in
-  let* () =
-    List.fold_left
-      (fun acc o ->
-        let* () = acc in
-        if mem_tensor g o then Ok ()
-        else Error (Fmt.str "output %a has no producer" Tensor.pp o))
-      (Ok ()) g.outputs
-  in
-  Ok ()
-
 let pp ppf g =
   Fmt.pf ppf "@[<v>graph %s@,inputs: %a@,%a@,outputs: %a@]" g.name
     (Fmt.list ~sep:(Fmt.any ", ") Tensor.pp)

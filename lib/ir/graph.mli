@@ -41,10 +41,6 @@ val append_expr : t -> ?name:string -> Expr.t -> (t * Tensor.t, string) result
 val with_outputs : t -> Tensor.t list -> (t, string) result
 (** Replace the output list; each tensor must belong to the graph. *)
 
-val validate : t -> (unit, string) result
-(** Re-run shape and dtype inference on every node and check that graph
-    outputs are produced or are inputs. *)
-
 val unsafe_make :
   ?constraints:Constraint_store.t ->
   name:string ->

@@ -88,10 +88,6 @@ let is_clean = function
   | Hlo_dot ->
       false
 
-let is_collective = function
-  | All_reduce | Reduce_scatter _ | All_gather _ -> true
-  | _ -> false
-
 let name = function
   | Add -> "add"
   | Sub -> "sub"

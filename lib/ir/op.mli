@@ -81,8 +81,6 @@ val is_clean : t -> bool
     [identity]) and reductions that merely combine distributed tensors
     ([Sum_n] and the collectives). *)
 
-val is_collective : t -> bool
-
 val name : t -> string
 (** Mnemonic without attributes, e.g. ["matmul"], ["concat"]. *)
 

@@ -109,7 +109,6 @@ let error_message = function
   | Failed m -> m
 
 let socket t = t.path
-let requests_served t = Atomic.get t.counters.served
 let draining t = Atomic.get t.draining
 
 let stats t =

@@ -101,9 +101,6 @@ val run : ?signals:bool -> t -> unit
 
 val socket : t -> string
 
-val requests_served : t -> int
-(** Total requests answered so far (including error replies). *)
-
 val stats : t -> Protocol.server_stats
 (** The live counters, as served to [server-stats] requests. *)
 

@@ -6,7 +6,6 @@ let empty = { constrs = [] }
 let is_empty t = t.constrs = []
 let add t c = { constrs = c :: t.constrs }
 let add_ge t e = add t (Ge e)
-let add_le t e = add t (Ge (Symdim.neg e))
 let add_gt t e = add t (Ge (Symdim.sub e Symdim.one))
 let add_eq t a b = add t (Eq (Symdim.sub a b))
 let add_positive t name = add_gt t (Symdim.sym name)

@@ -17,9 +17,6 @@ val is_empty : t -> bool
 val add_ge : t -> Symdim.t -> t
 (** [add_ge s e] records [e >= 0]. *)
 
-val add_le : t -> Symdim.t -> t
-(** [add_le s e] records [e <= 0]. *)
-
 val add_gt : t -> Symdim.t -> t
 (** [add_gt s e] records [e > 0], i.e. [e - 1 >= 0] over the integers. *)
 

@@ -21,7 +21,6 @@ let is_binder_sym s = String.length s >= 2 && s.[0] = '!' && s.[1] = 'k'
 (* --- raw constructors --------------------------------------------------- *)
 
 let access name idx = Access (name, idx)
-let cst r = Cst r
 let cst_int i = Cst (Rat.of_int i)
 let add a b = Lin ([ (Rat.one, a); (Rat.one, b) ], Rat.zero)
 let sub a b = Lin ([ (Rat.one, a); (Rat.minus_one, b) ], Rat.zero)

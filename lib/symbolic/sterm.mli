@@ -48,7 +48,6 @@ val binder_prefix : string
 (** {1 Smart constructors} (raw; normalization happens in {!norm}) *)
 
 val access : string -> index list -> t
-val cst : Rat.t -> t
 val cst_int : int -> t
 val add : t -> t -> t
 val sub : t -> t -> t

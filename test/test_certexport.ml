@@ -2,8 +2,9 @@
    export -> parse round trip, the tamper matrix (every defense layer
    rejects its mutation with its own structured CERT code), the minimal
    verifier's semantic checks (completeness, cleanliness, scope, shape,
-   concrete replay), and the [Certify.replay] mismatch accumulator the
-   verifier shares its bounded-reporting discipline with. *)
+   concrete replay), and [Certify.replay], the adapter through which
+   the checker runs the verifier's replay: its bounded mismatch
+   accumulator as seen over relations. *)
 
 open Entangle_models
 open Entangle_ir
@@ -345,9 +346,8 @@ let verifier_tests =
 
 (* --- Certify.replay's mismatch accumulator ------------------------------- *)
 
-(* Two independently wrong outputs: with the historical default
-   (max_mismatches = 1) only the first is reported; raising the bound
-   accumulates both into one message. *)
+(* Two independently wrong outputs: replay reports both in one
+   message. *)
 let certify_tests =
   let sd = Entangle_symbolic.Symdim.of_int in
   let build_pair ~sabotage () =
@@ -385,22 +385,15 @@ let certify_tests =
     in
     go 0 0
   in
-  let replay ?max_mismatches (gs, gd, input_relation, output_relation) =
-    Entangle.Certify.replay ?max_mismatches
+  let replay (gs, gd, input_relation, output_relation) =
+    Entangle.Certify.replay
       ~env:(Interp.env_of_list [])
       ~gs ~gd ~input_relation ~output_relation ()
   in
   [
-    Alcotest.test_case "default replay stops at the first mismatch" `Quick
-      (fun () ->
-        match replay (build_pair ~sabotage:true ()) with
-        | Ok () -> Alcotest.fail "sabotaged relation replayed clean"
-        | Error message ->
-            check Alcotest.int "one mismatch reported" 1
-              (count_mismatches message));
     Alcotest.test_case "raised bound accumulates every mismatch" `Quick
       (fun () ->
-        match replay ~max_mismatches:8 (build_pair ~sabotage:true ()) with
+        match replay (build_pair ~sabotage:true ()) with
         | Ok () -> Alcotest.fail "sabotaged relation replayed clean"
         | Error message ->
             check Alcotest.int "both mismatches reported" 2
@@ -408,7 +401,7 @@ let certify_tests =
             check Alcotest.bool "messages joined with a separator" true
               (contains message "; "));
     Alcotest.test_case "sound relation still replays clean" `Quick (fun () ->
-        match replay ~max_mismatches:8 (build_pair ~sabotage:false ()) with
+        match replay (build_pair ~sabotage:false ()) with
         | Ok () -> ()
         | Error e -> Alcotest.failf "clean replay failed: %s" e);
   ]

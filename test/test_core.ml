@@ -299,6 +299,42 @@ let certify_tests =
             with
             | Ok () -> ()
             | Error e -> Alcotest.fail e));
+    Alcotest.test_case "replay rejects replicas that differ in dtype or shape"
+      `Quick (fun () ->
+        (* gs: y = neg(x); gd: yd = neg(xd) plus an unused input zd that
+           the input relation replicates with xd. Reusing xd's value for
+           zd would hide a dtype clash or crash the interpreter on a
+           shape clash; replay must reject both, naming the pair. *)
+        let replicate ?dtype dims =
+          let bs = B.create "gs" in
+          let x = B.input bs "x" [ sd 4 ] in
+          let y = B.add bs ~name:"y" Op.Neg [ x ] in
+          B.output bs y;
+          let gs = B.finish bs in
+          let bd = B.create "gd" in
+          let xd = B.input bd "xd" [ sd 4 ] in
+          let zd = B.input bd ?dtype "zd" dims in
+          let yd = B.add bd ~name:"yd" Op.Neg [ xd ] in
+          B.output bd yd;
+          let gd = B.finish bd in
+          Entangle.Certify.replay ~env:(Interp.env_of_list []) ~gs ~gd
+            ~input_relation:
+              (Entangle.Relation.add_all Entangle.Relation.empty x
+                 [ Expr.leaf xd; Expr.leaf zd ])
+            ~output_relation:(Entangle.Relation.singleton y (Expr.leaf yd))
+            ()
+        in
+        List.iter
+          (fun (what, result) ->
+            match result with
+            | Ok () -> Alcotest.failf "%s replica accepted" what
+            | Error e ->
+                check Alcotest.bool (what ^ ": names both tensors") true
+                  (contains e "xd" && contains e "zd"))
+          [
+            ("i64 [4]", replicate ~dtype:Dtype.I64 [ sd 4 ]);
+            ("f32 [8]", replicate [ sd 8 ]);
+          ]);
   ]
 
 (* --- scheduler configurations agree on real instances ---------------------- *)
