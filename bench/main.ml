@@ -244,18 +244,6 @@ let table3 () =
 
 let verdict_str = function Ok _ -> "refines" | Error _ -> "FAILED"
 
-(* The saturation-runner configurations the scheduler ablation compares.
-   "simple" is the pre-backoff runner (full re-match of every rule every
-   iteration); the two intermediate rows isolate each half of the
-   optimization. *)
-let scheduler_configs =
-  [
-    ("incremental+backoff", Entangle.Config.default);
-    ("backoff only", Entangle.Config.{ default with incremental_matching = false });
-    ("incremental only", Entangle.Config.{ default with scheduler = Entangle_egraph.Runner.Simple });
-    ("simple", Entangle.Config.simple_runner);
-  ]
-
 module J = Entangle_trace.Jsonw
 
 (* A fixed-precision number, so the committed document stays readable. *)
@@ -337,77 +325,39 @@ let ablation () =
       Fmt.pr "%-22s %10.2f %16d %10d %s@." name secs
         s.Entangle.Refine.egraph_nodes_peak
         s.Entangle.Refine.matches_examined (verdict_str result))
-    ([
-       ("default", Entangle.Config.default);
-       ("no frontier (4.3.1)", Entangle.Config.no_frontier);
-       ("no pruning (4.3.2)", Entangle.Config.no_pruning);
-     ]
-    @ List.tl scheduler_configs);
+    [
+      ("default", Entangle.Config.default);
+      ("no frontier (4.3.1)", Entangle.Config.no_frontier);
+    ];
   let json_records = ref [] in
   let push r = json_records := r :: !json_records in
 
-  section "Scheduler ablation: verdict equivalence across the zoo";
-  Fmt.pr "%-18s %12s %12s %10s %10s %s@." "instance" "simple" "incr+backoff"
-    "matches" "matches" "agree";
-  let zoo_agree = ref true in
+  (* The saturation counters of the default schedule on every zoo
+     instance and every GPT cell of the Figure-4 sweep. *)
+  section "Saturation counters: the zoo and the Figure-4 GPT sweep";
+  Fmt.pr "%-50s %8s %10s %8s %8s %s@." "instance" "time (s)" "iterations"
+    "matches" "unions" "verdict";
+  let counters ?name inst =
+    let secs, result = time_check inst in
+    push (json_record ?name inst "default" secs result);
+    let s = result_stats result in
+    Fmt.pr "%-50s %8.2f %10d %8d %8d %s@."
+      (Option.value name ~default:inst.Instance.name)
+      secs s.Entangle.Refine.saturation_iterations
+      s.Entangle.Refine.matches_examined s.Entangle.Refine.unions_applied
+      (verdict_str result)
+  in
   List.iter
-    (fun name ->
-      match Zoo.by_name name with
-      | None -> ()
-      | Some _ ->
-          let run config_name config =
-            let inst = Option.get (Zoo.by_name name) in
-            let secs, result = time_check ~config inst in
-            push (json_record inst config_name secs result);
-            result
-          in
-          let simple = run "simple" Entangle.Config.simple_runner in
-          let incr = run "incremental_backoff" Entangle.Config.default in
-          let agree = verdict_str simple = verdict_str incr in
-          if not agree then zoo_agree := false;
-          Fmt.pr "%-18s %12s %12s %10d %10d %s@." name (verdict_str simple)
-            (verdict_str incr)
-            (result_stats simple).Entangle.Refine.matches_examined
-            (result_stats incr).Entangle.Refine.matches_examined
-            (if agree then "yes" else "NO"))
+    (fun name -> Option.iter counters (Zoo.by_name name))
     Zoo.names;
-
-  section
-    "Figure-4 scaling sweep: matches examined, simple vs incremental+backoff";
-  Fmt.pr "%-14s %12s %14s %8s %s@." "GPT cell" "simple" "incr+backoff"
-    "ratio" "verdicts";
-  let total_simple = ref 0 and total_incr = ref 0 in
-  let sweep_agree = ref true in
   List.iter
     (fun (layers, degree) ->
-      let cell = Fmt.str "gpt-d%dl%d" degree layers in
-      let run config_name config =
-        let inst = Gpt.build ~layers ~degree ~heads:8 () in
-        let secs, result = time_check ~config inst in
-        push (json_record ~name:cell inst config_name secs result);
-        result
-      in
-      let simple = run "simple" Entangle.Config.simple_runner in
-      let incr = run "incremental_backoff" Entangle.Config.default in
-      let ms = (result_stats simple).Entangle.Refine.matches_examined in
-      let mi = (result_stats incr).Entangle.Refine.matches_examined in
-      total_simple := !total_simple + ms;
-      total_incr := !total_incr + mi;
-      let agree = verdict_str simple = verdict_str incr in
-      if not agree then sweep_agree := false;
-      Fmt.pr "%-14s %12d %14d %7.2fx %s@." cell ms mi
-        (float_of_int ms /. float_of_int (max 1 mi))
-        (if agree then "agree" else "DISAGREE"))
+      counters
+        ~name:(Fmt.str "gpt-d%dl%d" degree layers)
+        (Gpt.build ~layers ~degree ~heads:8 ()))
     (List.concat_map
        (fun layers -> List.map (fun degree -> (layers, degree)) [ 2; 4; 8 ])
        [ 1; 2; 4 ]);
-  let ratio = float_of_int !total_simple /. float_of_int (max 1 !total_incr) in
-  Fmt.pr "%-14s %12d %14d %7.2fx@." "total" !total_simple !total_incr ratio;
-  Fmt.pr "@.verdict equivalence: %s;  match reduction: %.2fx (target >= 2x: %s)@."
-    (if !zoo_agree && !sweep_agree then "every instance agrees"
-     else "DISAGREEMENT — see tables above")
-    ratio
-    (if ratio >= 2.0 then "met" else "NOT met");
 
   section "Resilience ablation: escalation cost under starved budgets";
   Fmt.pr "%-18s %10s %8s %13s %s@." "configuration" "time (s)" "retries"
@@ -509,53 +459,18 @@ let ablation () =
     (J.to_string
        (J.Obj
           [
-            ("schema", J.Str "entangle-bench-egraph/4");
+            ("schema", J.Str "entangle-bench-egraph/5");
             ("cert_recheck_s", fixed 6 cert_recheck_s);
             ("cert_export_s", fixed 6 cert_export_s);
             ("cert_verify_s", fixed 6 cert_verify_s);
             ("cert_bundle_bytes", J.Int cert_bytes);
             ("cert_verify_speedup", fixed 2 cert_speedup);
-            ("sweep_total_matches_simple", J.Int !total_simple);
-            ("sweep_total_matches_incremental", J.Int !total_incr);
-            ("sweep_match_reduction", fixed 4 ratio);
-            ("all_verdicts_agree", J.Bool (!zoo_agree && !sweep_agree));
             ("runs", J.Arr records);
           ]));
   output_char oc '\n';
   close_out oc;
   Fmt.pr "wrote %s (%d runs)@." bench_egraph_json (List.length records);
   emit_reference_trace ()
-
-(* --- Smoke: scheduler verdict equivalence as a build gate --------------- *)
-
-(* Fast enough for the @bench-smoke dune alias: the regression model and
-   one bug case under every scheduler configuration. Exits non-zero when
-   any configuration changes a verdict, so `dune build @bench-smoke`
-   fails if a scheduler change breaks soundness or completeness. *)
-let smoke () =
-  section "Bench smoke: scheduler verdict equivalence";
-  let failures = ref 0 in
-  let expect name config_name expected actual =
-    let ok = String.equal actual expected in
-    if not ok then incr failures;
-    Fmt.pr "%-16s %-20s %-10s (expected %s)  %s@." name config_name actual
-      expected
-      (if ok then "ok" else "FAIL")
-  in
-  List.iter
-    (fun (config_name, config) ->
-      expect "regression" config_name "refines"
-        (verdict_str (Instance.check ~config (Regression.build ())));
-      expect "bug-6" config_name "detected"
-        (match Bugs.run ~config (Bugs.case 6) with
-        | Bugs.Detected _ -> "detected"
-        | Bugs.Missed -> "MISSED"))
-    scheduler_configs;
-  if !failures > 0 then begin
-    Fmt.epr "bench smoke: %d verdict change(s)@." !failures;
-    exit 1
-  end;
-  Fmt.pr "all verdicts stable@."
 
 (* --- Counter micro-benchmark ------------------------------------------- *)
 
@@ -678,21 +593,14 @@ let cache_smoke () =
         ((stats warm).Entangle.Refine.saturation_iterations = 0);
       expect "warm run: verdict unchanged" (verdict cold = verdict warm);
 
-      let invalidated =
-        run "invalidated"
-          (Entangle.Config.with_scheduler Entangle_egraph.Runner.Simple base
-          |> Entangle.Config.with_incremental_matching false)
-      in
+      let changed = Entangle.Config.with_escalation [ 2 ] base in
+      let invalidated = run "invalidated" changed in
       expect "config change invalidates: no hits"
         ((stats invalidated).Entangle.Refine.cache_hits = 0
         && (stats invalidated).Entangle.Refine.cache_misses > 0);
       expect "config change: verdict unchanged" (verdict cold = verdict invalidated);
 
-      let rewarm =
-        run "re-warm"
-          (Entangle.Config.with_scheduler Entangle_egraph.Runner.Simple base
-          |> Entangle.Config.with_incremental_matching false)
-      in
+      let rewarm = run "re-warm" changed in
       expect "both keys coexist: re-warm hits again"
         ((stats rewarm).Entangle.Refine.cache_hits
          = (stats rewarm).Entangle.Refine.operators_processed
@@ -1586,7 +1494,6 @@ let () =
       ("table3", table3);
       ("ablation", ablation);
       ("extensions", extensions);
-      ("smoke", smoke);
       ("cache-smoke", cache_smoke);
       ("serve-smoke", serve_smoke);
       ("cert-smoke", cert_smoke);

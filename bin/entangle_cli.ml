@@ -476,39 +476,10 @@ let degree_arg =
 let layers_arg =
   Arg.(value & opt int 1 & info [ "l"; "layers" ] ~doc:"Number of layers.")
 
-let scheduler_arg =
-  let sched =
-    Arg.enum
-      [
-        ("backoff", Entangle_egraph.Runner.Backoff);
-        ("simple", Entangle_egraph.Runner.Simple);
-      ]
-  in
-  Arg.(
-    value
-    & opt sched Entangle.Config.default.Entangle.Config.scheduler
-    & info [ "scheduler" ]
-        ~doc:
-          "Saturation rule scheduler: $(b,backoff) (egg-style match-budget \
-           bans, the default) or $(b,simple) (every rule every iteration).")
-
-let full_match_arg =
-  Arg.(
-    value & flag
-    & info [ "full-match" ]
-        ~doc:
-          "Disable incremental e-matching: re-match every rule against \
-           every candidate class each iteration instead of only classes \
-           modified since the rule's last search.")
-
 let verify_cmd =
-  let run opts model degree layers scheduler full_match =
+  let run opts model degree layers =
     Output_opts.with_sink opts (fun sink ->
-        let config =
-          Output_opts.config opts sink
-          |> Entangle.Config.with_scheduler scheduler
-          |> Entangle.Config.with_incremental_matching (not full_match)
-        in
+        let config = Output_opts.config opts sink in
         let inst =
           match String.lowercase_ascii model with
           | "gpt" -> Some (Gpt.build ~layers ~degree ())
@@ -542,8 +513,7 @@ let verify_cmd =
   in
   Cmd.v info
     Term.(
-      const run $ Output_opts.term $ model_arg $ degree_arg $ layers_arg
-      $ scheduler_arg $ full_match_arg)
+      const run $ Output_opts.term $ model_arg $ degree_arg $ layers_arg)
 
 (* --- localize ----------------------------------------------------------- *)
 

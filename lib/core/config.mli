@@ -1,64 +1,25 @@
 (** Checker configuration.
 
-    The two optimization toggles correspond to the paper's section 4.3
-    and exist so the ablation benchmarks can quantify each one. The
-    remaining fields have accumulated with the runner rework (PR 2) and
-    the diagnostics subsystem (PR 3); prefer the [with_*] builders over
-    open-coded record updates when deriving configurations from
+    The frontier toggle corresponds to the paper's section 4.3.1 and
+    exists so the ablation benchmark can quantify it; section 4.3.2 is
+    realised by the constrained (check-only) merge directions of the
+    lemma corpus, which are always on. Prefer the [with_*] builders
+    over open-coded record updates when deriving configurations from
     {!default}. *)
 
 open Entangle_egraph
 
-type rung = {
-  scale : int;
-      (** multiply the discrete saturation budgets
-          (iterations/nodes/classes) by this factor,
-          {!Runner.scale_limits}-style *)
-  scheduler : Runner.scheduler_kind;
-  incremental : bool;  (** incremental e-matching on this attempt *)
-}
-(** One step of the escalation ladder: how to re-run an operator whose
-    first attempt came back {e inconclusive} (a budget tripped before
-    either a mapping or saturation). Each rung also forces a
-    confirmation cool-down, and gets a fresh per-operator deadline
-    allowance (clamped by the whole-check deadline). *)
-
-val default_escalation : rung list
-(** Two rungs: double the limits (same scheduler), then quadruple them
-    under the [Simple] scheduler with full (non-incremental)
-    re-matching — the completeness-first configuration, for when the
-    scheduler heuristics themselves are suspected of starving the
-    derivation. *)
+val default_escalation : int list
+(** [[2; 4]]: double the limits, then quadruple them. *)
 
 type t = {
   frontier_optimization : bool;
       (** Section 4.3.1: iteratively grow the related subgraph of the
           distributed graph instead of loading all of it. *)
-  prune_equivalent : bool;
-      (** Section 4.3.2: keep only the simplest expression per
-          equivalence class when recording relations. *)
-  max_alternates : int;
-      (** Maximum number of alternative mappings recorded per tensor
-          when pruning is off. *)
   limits : Runner.limits;  (** saturation budget per operator *)
-  lint_graphs : bool;
-      (** Run the {!Entangle_analysis.Graph_check} well-formedness pass
-          over both graphs before checking; [Refine.check] raises
-          [Invalid_argument] with the rendered diagnostics when either
-          graph is malformed. On by default. *)
   check_egraph_invariants : bool;
       (** Audit e-graph invariants ({!Entangle_analysis.Egraph_check})
           after every saturation iteration. Expensive; debug only. *)
-  scheduler : Runner.scheduler_kind;
-      (** Rule scheduler for the saturation runner: [Simple] matches
-          every rule every iteration; [Backoff] (default) bans rules
-          that overflow their match budget, egg-style. Saturation
-          verdicts are unaffected (the runner re-matches everything in
-          full before declaring a fixpoint). *)
-  incremental_matching : bool;
-      (** Re-match each rule only against e-classes modified since that
-          rule's last search (default). Off = re-match every candidate
-          class every iteration. *)
   trace : Entangle_trace.Sink.t;
       (** Where structured trace events go: per-operator spans,
           per-iteration saturation counters, per-rule hit events and
@@ -79,12 +40,18 @@ type t = {
           measured from its start. Clamps every per-operator deadline
           and stops escalation and [keep_going] continuation once
           exceeded. [None] = no deadline. *)
-  escalation : rung list;
-      (** The escalation ladder (see {!rung}); [[]] disables retries.
-          Retries never flip a verdict that the base attempt could
-          reach: they run only when the base attempt was inconclusive
-          (a budget tripped), and a mapping found on any rung is the
-          same certificate checked the same way. *)
+  escalation : int list;
+      (** The escalation ladder: how to re-run an operator whose first
+          attempt came back {e inconclusive} (a budget tripped before
+          either a mapping or saturation). Each rung is a factor that
+          multiplies the discrete saturation budgets
+          (iterations/nodes/classes, {!Runner.scale_limits}) and gets
+          a fresh per-operator deadline allowance (clamped by the
+          whole-check deadline).
+          [[]] disables retries. Retries never flip a verdict that the
+          base attempt could reach: they run only when the base attempt
+          was inconclusive, and a mapping found on any rung is the same
+          certificate checked the same way. *)
   keep_going : bool;
       (** Multi-fault localization: instead of halting at the first
           failing operator, bind its outputs to opaque placeholder
@@ -117,25 +84,17 @@ type t = {
 
 val default : t
 val no_frontier : t
-val no_pruning : t
-
-val simple_runner : t
-(** The pre-incremental runner: [Simple] scheduling and exhaustive
-    re-matching every iteration. The baseline of the scheduler
-    ablation. *)
 
 (** {1 Builders}
 
-    [Config.default |> with_scheduler Simple |> with_trace sink] — each
-    returns an updated copy, so they chain with [|>]. *)
+    [Config.default |> with_limits l |> with_trace sink] — each returns
+    an updated copy, so they chain with [|>]. *)
 
 val with_limits : Runner.limits -> t -> t
-val with_scheduler : Runner.scheduler_kind -> t -> t
-val with_incremental_matching : bool -> t -> t
 val with_trace : Entangle_trace.Sink.t -> t -> t
 val with_op_deadline : float option -> t -> t
 val with_check_deadline : float option -> t -> t
-val with_escalation : rung list -> t -> t
+val with_escalation : int list -> t -> t
 val with_keep_going : bool -> t -> t
 val with_cache : Entangle_cache.Cache.t option -> t -> t
 val with_cache_verify : bool -> t -> t
@@ -145,9 +104,8 @@ val with_cache_namespace : string -> t -> t
 
 val search_fingerprint : t -> string
 (** A stable rendering of every field that can change what the
-    per-operator search finds (optimization toggles, discrete limits,
-    scheduler, incremental matching, escalation ladder) — part of every
-    certificate-cache key, so changing any such knob soundly
-    invalidates. Wall-clock/heap budgets and the diagnostics fields are
+    per-operator search finds (frontier toggle, discrete limits,
+    escalation ladder) — part of every certificate-cache key, so
+    changing any such knob soundly invalidates. Wall-clock/heap budgets and the diagnostics fields are
     excluded: they can only produce [Inconclusive]/[Internal] verdicts,
     which are never cached. *)

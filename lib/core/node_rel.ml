@@ -6,9 +6,6 @@ module Event = Entangle_trace.Event
 type outcome = {
   mappings : Expr.t list;
   output_mappings : Expr.t list;
-  reports : Runner.report list;
-  egraph_nodes : int;
-  egraph_classes : int;
   exhausted : Runner.budget option;
 }
 
@@ -34,7 +31,6 @@ let compute ~config ?deadline ~sink ~rules ~gd ~gd_tensors ~relation ~seeds v =
     | None, Some d -> { l with Runner.deadline = Some d }
     | Some a, Some b -> { l with Runner.deadline = Some (Float.min a b) }
   in
-  let reports = ref [] in
   (* Base expression: v applied to its (sequential) input tensors. *)
   let input_ids = List.map (Egraph.add_leaf g) (Node.inputs v) in
   let base = Egraph.add_op g (Node.op v) input_ids in
@@ -71,19 +67,12 @@ let compute ~config ?deadline ~sink ~rules ~gd ~gd_tensors ~relation ~seeds v =
          one-iteration [Runner.run] calls below, so every round after
          the first re-matches only classes dirtied since the rule's
          previous search. *)
-      let state =
-        Runner.create_state ~scheduler:config.Config.scheduler
-          ~incremental:config.Config.incremental_matching ()
-      in
+      let state = Runner.create_state () in
       let rounds_used = ref 0 in
       let one_round ~confirm =
         incr rounds_used;
-        let report =
-          Runner.run ~limits:round_limits ~confirm_saturation:confirm
-            ?invariant_check ~sink ~state g rules
-        in
-        reports := report :: !reports;
-        report
+        Runner.run ~limits:round_limits ~confirm_saturation:confirm
+          ?invariant_check ~sink ~state g rules
       in
       let have_mapping () =
         Option.is_some (Extract.best_clean g ~leaf_ok:is_gd base)
@@ -299,16 +288,6 @@ let compute ~config ?deadline ~sink ~rules ~gd ~gd_tensors ~relation ~seeds v =
           @ Option.to_list best_structured_rearrange
           @ Option.to_list best_output)
       in
-      let mappings =
-        if config.Config.prune_equivalent then mappings
-        else
-          (* Without pruning, also record clean expressions over strict
-             subsets of leaves, up to the alternate budget. *)
-          let alternates =
-            List.filteri (fun i _ -> i < config.Config.max_alternates) mappings
-          in
-          alternates
-      in
       let output_mappings = dedup (Option.to_list best_output) in
       Sink.span_end sink ~cat:"phase" "extract"
         ~args:
@@ -316,12 +295,4 @@ let compute ~config ?deadline ~sink ~rules ~gd ~gd_tensors ~relation ~seeds v =
             ("mappings", Event.Int (List.length mappings));
             ("output_mappings", Event.Int (List.length output_mappings));
           ];
-      Ok
-        {
-          mappings;
-          output_mappings;
-          reports = List.rev !reports;
-          egraph_nodes = Egraph.num_nodes g;
-          egraph_classes = Egraph.num_classes g;
-          exhausted;
-        }
+      Ok { mappings; output_mappings; exhausted }

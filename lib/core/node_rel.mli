@@ -16,9 +16,6 @@ type outcome = {
           first; empty means [v]'s output could not be mapped *)
   output_mappings : Expr.t list;
       (** clean expressions over distributed {e graph outputs} only *)
-  reports : Runner.report list;  (** one per saturation round *)
-  egraph_nodes : int;
-  egraph_classes : int;
   exhausted : Runner.budget option;
       (** [Some b] when the saturation loop stopped because budget [b]
           ran out (rounds, e-graph growth, wall clock, heap) rather

@@ -122,20 +122,16 @@ let stats_of_events ?(wall_time_s = 0.) events =
 let check ?(config = Config.default) ?rules ~gs ~gd ~input_relation () =
   if not (Relation.is_clean input_relation) then
     invalid_arg "Refine.check: input relation contains non-clean expressions";
-  if config.Config.lint_graphs then begin
+  let lint which g =
     let module A = Entangle_analysis in
-    let lint which g =
-      let errors =
-        List.filter A.Diagnostic.is_error (A.Graph_check.check g)
-      in
-      if errors <> [] then
-        invalid_arg
-          (Fmt.str "Refine.check: %s graph %s is malformed:@.%a" which
-             (Graph.name g) A.Diagnostic.pp_report errors)
-    in
-    lint "sequential" gs;
-    lint "distributed" gd
-  end;
+    let errors = List.filter A.Diagnostic.is_error (A.Graph_check.check g) in
+    if errors <> [] then
+      invalid_arg
+        (Fmt.str "Refine.check: %s graph %s is malformed:@.%a" which
+           (Graph.name g) A.Diagnostic.pp_report errors)
+  in
+  lint "sequential" gs;
+  lint "distributed" gd;
   let rules =
     match rules with
     | Some r -> r
@@ -300,17 +296,14 @@ let check ?(config = Config.default) ?rules ~gs ~gd ~input_relation () =
      detected before the loop ([Invalid_argument] on unclean input) are
      deliberately NOT routed through this: they are documented raises. *)
   let search_operator v relation seeds =
-    let attempt rung =
+    let attempt scale =
       let cfg =
-        match rung with
+        match scale with
         | None -> config
-        | Some (r : Config.rung) ->
+        | Some k ->
             {
               config with
-              Config.limits =
-                Runner.scale_limits r.Config.scale config.Config.limits;
-              Config.scheduler = r.Config.scheduler;
-              Config.incremental_matching = r.Config.incremental;
+              Config.limits = Runner.scale_limits k config.Config.limits;
             }
       in
       match
@@ -326,8 +319,8 @@ let check ?(config = Config.default) ?rules ~gs ~gd ~input_relation () =
           in
           Error (Internal { exn = Printexc.to_string e; backtrace; failpoint })
     in
-    let rec go retries rung rungs =
-      match attempt rung with
+    let rec go retries scale rungs =
+      match attempt scale with
       | Error verdict -> `Fail verdict
       | Ok o ->
           if o.Node_rel.mappings <> [] then `Found o
@@ -358,18 +351,18 @@ let check ?(config = Config.default) ?rules ~gs ~gd ~input_relation () =
                              scope = Operator_scope;
                              retries_used = retries;
                            })
-                  | (r : Config.rung) :: rest ->
+                  | k :: rest ->
                       if Sink.enabled sink then
                         Sink.span_begin sink ~cat:"retry" "escalation"
                           ~args:
                             [
                               ("operator", Event.Str (Op.name (Node.op v)));
                               ("rung", Event.Int (retries + 1));
-                              ("scale", Event.Int r.Config.scale);
+                              ("scale", Event.Int k);
                               ( "exhausted",
                                 Event.Str (Runner.budget_name b) );
                             ];
-                      let res = go (retries + 1) (Some r) rest in
+                      let res = go (retries + 1) (Some k) rest in
                       if Sink.enabled sink then
                         Sink.span_end sink ~cat:"retry" "escalation"
                           ~args:
@@ -420,9 +413,6 @@ let check ?(config = Config.default) ?rules ~gs ~gd ~input_relation () =
                     {
                       Node_rel.mappings;
                       output_mappings;
-                      reports = [];
-                      egraph_nodes = 0;
-                      egraph_classes = 0;
                       exhausted = None;
                     }
               | Cache.Unmapped -> `Absent)

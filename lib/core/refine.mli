@@ -37,7 +37,7 @@ type stats = {
   rule_hits : (string * int) list;  (** per-lemma application counts *)
   retries : int;
       (** escalation attempts taken beyond first tries (see
-          {!Config.rung}) *)
+          {!Config.t.escalation}) *)
   budget_trips : int;
       (** per-operator saturation loops stopped by an exhausted budget
           rather than saturation or success *)
@@ -151,7 +151,9 @@ val check :
 (** [rules] defaults to the full ATen corpus
     ({!Entangle_lemmas.Registry.all}). Raises [Invalid_argument] when
     the input relation is not clean or does not cover the sequential
-    graph's inputs that are actually used.
+    graph's inputs that are actually used, and with the rendered
+    diagnostics when either graph fails the
+    {!Entangle_analysis.Graph_check} well-formedness pass.
 
     Budgets: besides the per-operator saturation limits
     ([config.Config.limits], now including an optional wall-clock
@@ -162,8 +164,8 @@ val check :
     {!Inconclusive} verdict, never a hang or a kill.
 
     Escalation: when an operator comes back inconclusive, it is retried
-    along [config.Config.escalation] (each rung scales the limits
-    and/or changes scheduling) before the verdict is accepted; each
+    along [config.Config.escalation] (each rung scales the limits)
+    before the verdict is accepted; each
     retry emits a [cat:"retry"] span. Retries cannot flip a reachable
     verdict — they only run where the base attempt proved nothing.
 

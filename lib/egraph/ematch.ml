@@ -80,6 +80,9 @@ let match_class g pat cls =
      structurally after [since] ({!Egraph.structural_at}) — a merge or
      addition there exposes new sub-derivations to every old root node
      above it;
+   - or a bare-variable root's class changed structurally (it was
+     created, or a union merged nodes into it): its one substitution
+     has no root node to carry a stamp;
    - or, when [conditional], any visited class — including classes
      merely bound by a variable, and the root — changed structurally
      (which subsumes shape changes: [shape_at <= structural_at]).
@@ -149,7 +152,8 @@ let match_class_delta g ~since ~conditional pat cls0 =
   in
   let pairs =
     match pat with
-    | Pattern.V _ | Pattern.C _ -> go pat cls0 Subst.empty false
+    | Pattern.V _ | Pattern.C _ ->
+        go pat cls0 Subst.empty (fresh (Egraph.find g cls0))
     | Pattern.P (sel, args) ->
         let root = Egraph.find g cls0 in
         (* A conditional applier may read the root class's shape, so a

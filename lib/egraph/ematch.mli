@@ -23,7 +23,8 @@ val match_class_delta :
     have been collected (with the same application outcome) at a search
     taken at generation [since] — the semi-naive delta: the root node
     was added after [since], or a class entered through an operator
-    sub-pattern changed structurally ({!Egraph.structural_at}) since.
+    sub-pattern changed structurally ({!Egraph.structural_at}) since,
+    or — for a bare-variable pattern — the root class itself did.
     With [conditional:true] — for rules whose applier may inspect
     match-reachable classes and whose old substitutions are not
     re-applied from a cache — a structural change to {e any} visited

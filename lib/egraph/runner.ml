@@ -45,8 +45,6 @@ type report = {
   tripped : budget option;
 }
 
-type scheduler_kind = Simple | Backoff
-
 (* Per-rule scheduling state, persistent across [run] calls so drivers
    that saturate one iteration at a time (Node_rel) still match
    incrementally between rounds. *)
@@ -55,19 +53,17 @@ type rule_state = {
   mutable times_banned : int;
   mutable banned_until : int;  (** first iteration the rule may run again *)
   mutable cached_matches : (Id.t * Subst.t) list;
-      (** Constrained rules only, incremental mode only: every
-          substitution collected so far. Match sets are monotone (the
-          e-graph only grows and merges, and bindings canonicalize
-          through the union-find), so cache + fresh delta = the full
-          current match set. Re-applying the cache under [Check_only]
-          makes an incremental search of a constrained rule equivalent
-          to a full one: the application is what is global (the target
-          may have materialized anywhere since), not the matching. *)
+      (** Globally-dependent rules only: every substitution collected
+          so far. Match sets are monotone (the e-graph only grows and
+          merges, and bindings canonicalize through the union-find), so
+          cache + fresh delta = the full current match set. Re-applying
+          the cache makes an incremental search of such a rule
+          equivalent to a full one: the application is what is global
+          (a [Check_only] target may have materialized anywhere since),
+          not the matching. *)
 }
 
 type state = {
-  scheduler : scheduler_kind;
-  incremental : bool;
   match_limit : int;
   ban_length : int;
   (* Keyed by the rule's position in the rule list, NOT its name: rule
@@ -77,45 +73,10 @@ type state = {
      search. *)
   rule_states : (int, rule_state) Hashtbl.t;
   mutable iteration : int;  (** global iteration counter across runs *)
-  mutable matches_examined : int;
-  mutable unions_applied : int;
-  mutable full_searches : int;
-  mutable incremental_searches : int;
-  mutable bans : int;
 }
 
-type stats = {
-  matches_examined : int;
-  unions_applied : int;
-  full_searches : int;
-  incremental_searches : int;
-  bans : int;
-}
-
-let create_state ?(scheduler = Simple) ?(incremental = false)
-    ?(match_limit = 1000) ?(ban_length = 5) () =
-  {
-    scheduler;
-    incremental;
-    match_limit;
-    ban_length;
-    rule_states = Hashtbl.create 64;
-    iteration = 0;
-    matches_examined = 0;
-    unions_applied = 0;
-    full_searches = 0;
-    incremental_searches = 0;
-    bans = 0;
-  }
-
-let state_stats (st : state) : stats =
-  {
-    matches_examined = st.matches_examined;
-    unions_applied = st.unions_applied;
-    full_searches = st.full_searches;
-    incremental_searches = st.incremental_searches;
-    bans = st.bans;
-  }
+let create_state ?(match_limit = 1000) ?(ban_length = 5) () =
+  { match_limit; ban_length; rule_states = Hashtbl.create 64; iteration = 0 }
 
 let rule_state st idx =
   match Hashtbl.find_opt st.rule_states idx with
@@ -177,33 +138,22 @@ let root_family (rule : Rule.t) =
   | Pattern.P (Pattern.Family { family; _ }, _) -> Some family
   | Pattern.P (Pattern.Bound _, _) | Pattern.V _ | Pattern.C _ -> None
 
-(* Candidate classes for one rule's search, plus whether the search was
-   full. A full search consults the e-graph's incrementally maintained
-   family index (or every class when the rule's root is not
-   family-headed); an incremental search restricts to classes modified
-   since the rule's last search. *)
-let candidates st g fam rs ~full =
-  if full || (not st.incremental) || rs.last_gen < 0 then begin
-    st.full_searches <- st.full_searches + 1;
-    let cs =
-      match fam with
-      | None -> Egraph.class_ids g
-      | Some f -> Egraph.classes_with_family g f
-    in
-    (cs, true)
-  end
-  else begin
-    st.incremental_searches <- st.incremental_searches + 1;
-    let cs =
-      match fam with
-      | None -> Egraph.classes_modified_since g rs.last_gen
-      | Some f ->
-          List.filter
-            (fun cls -> Egraph.modified_at g cls > rs.last_gen)
-            (Egraph.classes_with_family g f)
-    in
-    (cs, false)
-  end
+(* Candidate classes for one rule's search. A rule's first search
+   consults the e-graph's incrementally maintained family index (or
+   every class when the rule's root is not family-headed); every later
+   search restricts to classes modified since the rule's last one. *)
+let candidates g fam rs =
+  if rs.last_gen < 0 then
+    match fam with
+    | None -> Egraph.class_ids g
+    | Some f -> Egraph.classes_with_family g f
+  else
+    match fam with
+    | None -> Egraph.classes_modified_since g rs.last_gen
+    | Some f ->
+        List.filter
+          (fun cls -> Egraph.modified_at g cls > rs.last_gen)
+          (Egraph.classes_with_family g f)
 
 (* Collect a rule's matches class by class, stopping once the cap is
    reached so pathological classes cannot materialize millions of
@@ -275,16 +225,15 @@ type pass_info = {
    only on structure and shapes reachable from the matched class, all
    of which dirty the class through parent-edge propagation — so they
    keep searching incrementally even during cool-down. Constrained
-   rules reach their complete match set cheaply too when incremental
-   matching is on: matching is as local as anyone's, so the cool-down
-   delta-collects fresh substitutions and re-applies the accumulated
-   cache ([cached_matches]) instead of re-matching from scratch. *)
+   rules reach their complete match set cheaply too: matching is as
+   local as anyone's, so the cool-down delta-collects fresh
+   substitutions and re-applies the accumulated cache
+   ([cached_matches]) instead of re-matching from scratch. *)
 let pass ~limits ~sink st g indexed ~full =
   let total_matches = ref 0 and total_hits = ref 0 in
   (* [complete]: this pass left no candidate unexamined that could
      reveal new work — a zero-hit complete pass is a genuine fixpoint.
-     Incremental searches only break completeness for constrained
-     rules (see above); bans and capped collects always do. *)
+     Deferrals, bans and capped collects break it. *)
   let complete = ref true in
   let searched = ref 0 and full_searches = ref 0 and delta_searches = ref 0 in
   let truncations = ref 0 and banned_count = ref 0 and deferred_count = ref 0 in
@@ -292,56 +241,40 @@ let pass ~limits ~sink st g indexed ~full =
   List.iter
     (fun (idx, fam, rule) ->
       let rs = rule_state st idx in
-      let banned =
-        (not full) && st.scheduler = Backoff && st.iteration < rs.banned_until
-      in
+      let banned = (not full) && st.iteration < rs.banned_until in
       (* Rules whose application outcome depends on global e-graph
          state: constrained rules ([Check_only] targets can materialize
          anywhere) and rules whose applier declares itself [nonlocal].
          Both re-apply their whole accumulated match cache whenever they
          run (below), so their global conditions are re-evaluated on old
          matches too. Constrained rules are additionally deferred to
-         cool-down passes under the backoff scheduler: their Check_only
-         applications only ratify equalities between existing terms, so
-         firing them once per fixpoint candidate reaches the same
-         saturated e-graph as firing them every iteration, without
-         paying their match collection each pass. Nonlocal rules are
-         NOT deferred — they build terms that can unblock drivers which
-         declare failure between iterations, before any cool-down. *)
+         cool-down passes: their Check_only applications only ratify
+         equalities between existing terms, so firing them once per
+         fixpoint candidate reaches the same saturated e-graph as firing
+         them every iteration, without paying their match collection
+         each pass. Nonlocal rules are NOT deferred — they build terms
+         that can unblock drivers which declare failure between
+         iterations, before any cool-down. *)
       let global = rule.Rule.constrained || rule.Rule.nonlocal in
-      let deferred =
-        (not full) && st.scheduler = Backoff && rule.Rule.constrained
-      in
+      let deferred = (not full) && rule.Rule.constrained in
       if banned || deferred then begin
         if banned then incr banned_count else incr deferred_count;
         complete := false
       end
       else begin
-        (* Globally-dependent rules in incremental mode search their
-           delta and re-apply [cached_matches] (see {!rule_state}):
-           equivalent to a full search, so no full candidate set is
-           forced even at cool-down. Without incremental matching they
-           must re-match everything whenever completeness is claimed. *)
-        let use_cache = st.incremental && global in
-        let classes, was_full =
-          candidates st g fam rs ~full:(full && global && not st.incremental)
-        in
+        (* Globally-dependent rules search their delta and re-apply
+           [cached_matches] (see {!rule_state}): equivalent to a full
+           search, so no full candidate set is forced even at
+           cool-down. *)
+        let was_full = rs.last_gen < 0 in
+        let classes = candidates g fam rs in
         incr searched;
         if was_full then incr full_searches else incr delta_searches;
-        if (not was_full) && global && not use_cache then complete := false;
         let threshold =
-          match st.scheduler with
-          | Simple -> max_matches_per_rule
-          | Backoff ->
-              min max_matches_per_rule
-                (st.match_limit lsl min rs.times_banned 20)
+          min max_matches_per_rule (st.match_limit lsl min rs.times_banned 20)
         in
-        let cap =
-          (* Backoff needs one extra slot to observe the overflow. *)
-          match st.scheduler with
-          | Simple -> threshold
-          | Backoff -> threshold + 1
-        in
+        (* One extra slot to observe the overflow. *)
+        let cap = threshold + 1 in
         let since = if was_full then None else Some rs.last_gen in
         (* Class-level blanket re-admission (see
            {!Ematch.match_class_delta}) is needed when a conditional
@@ -354,7 +287,7 @@ let pass ~limits ~sink st g indexed ~full =
           ((match rule.Rule.applier with
            | Rule.Conditional _ -> true
            | Rule.Syntactic _ -> false)
-          && not use_cache)
+          && not global)
           || not (Pattern.linear rule.Rule.lhs)
         in
         let ms, class_truncated =
@@ -362,8 +295,7 @@ let pass ~limits ~sink st g indexed ~full =
         in
         let n = List.length ms in
         total_matches := !total_matches + n;
-        st.matches_examined <- st.matches_examined + n;
-        if (not full) && st.scheduler = Backoff && n > threshold then begin
+        if (not full) && n > threshold then begin
           (* egg-style backoff: the rule overflowed its match budget;
              ban it for a ban length that doubles with every overflow
              and discard the matches. Its [last_gen] is left untouched
@@ -371,7 +303,6 @@ let pass ~limits ~sink st g indexed ~full =
           rs.times_banned <- rs.times_banned + 1;
           rs.banned_until <-
             st.iteration + (st.ban_length lsl min (rs.times_banned - 1) 20);
-          st.bans <- st.bans + 1;
           incr new_bans;
           complete := false;
           if Sink.enabled sink then
@@ -399,7 +330,7 @@ let pass ~limits ~sink st g indexed ~full =
           end
           else rs.last_gen <- Egraph.generation g;
           let to_apply =
-            if use_cache then begin
+            if global then begin
               (* A full collect is the complete current match set, so it
                  replaces the cache (a truncated one is replaced too —
                  [last_gen] stayed at -1, so the next search is again
@@ -414,7 +345,6 @@ let pass ~limits ~sink st g indexed ~full =
           in
           let hits = apply_bounded ~limits rule g to_apply in
           total_hits := !total_hits + hits;
-          st.unions_applied <- st.unions_applied + hits;
           (* The per-rule hit record the old [?hit_counter] hashtable
              used to carry: one instant event per rule per pass that
              actually merged classes. *)
@@ -556,13 +486,13 @@ let run ?(limits = default_limits) ?(confirm_saturation = true)
         finish (iter + 1) false
       end
       else begin
-        (* No unions from the scheduled (incremental and/or
-           ban-throttled) pass: a fixpoint candidate. Before declaring
-           saturation, lift every ban and run a cool-down pass — a full
-           re-match of the constrained rules (whose Check_only targets
-           can appear anywhere without dirtying the matched class) plus
-           an incremental catch-up of everything else. Only an empty
-           complete cool-down is a genuine fixpoint. *)
+        (* No unions from the scheduled (incremental, ban-throttled)
+           pass: a fixpoint candidate. Before declaring saturation,
+           lift every ban and run a cool-down pass — the constrained
+           rules fire over their complete match set (whose Check_only
+           targets can appear anywhere without dirtying the matched
+           class) and everything else catches up incrementally. Only an
+           empty complete cool-down is a genuine fixpoint. *)
         Sink.instant sink "cooldown" ~cat:"iteration";
         unban_all st;
         let p2 = pass ~limits ~sink st g indexed ~full:true in

@@ -4,19 +4,18 @@
     and rebuilds, until a fixpoint or a resource limit. Per-rule
     application counts are recorded (the paper's Figure 6 heatmap).
 
-    Two schedulers and an incremental-matching mode rework the hot path
-    (both are egg's headline optimizations):
+    One schedule drives the hot path, built from egg's two headline
+    optimizations (egg's default runner schedule is the same backoff):
 
     - {b Incremental e-matching}: the runner records, per rule, the
       e-graph {!Egraph.generation} at which it last searched and
       re-matches only {!Egraph.classes_modified_since} that snapshot
       (intersected with the e-graph's operator-family index). A rule's
       first search is always full.
-    - {b Backoff scheduling} ({!scheduler_kind} [Backoff]): a rule that
-      produces more matches than its budget ([match_limit] doubled per
-      overflow) is banned for a number of iterations that doubles with
-      every overflow, keeping explosive rules from dominating early
-      iterations.
+    - {b Backoff scheduling}: a rule that produces more matches than
+      its budget ([match_limit] doubled per overflow) is banned for a
+      number of iterations that doubles with every overflow, keeping
+      explosive rules from dominating early iterations.
 
     The runner is instrumented for the structured tracing subsystem
     ({!Entangle_trace}): pass a sink and it emits one span per
@@ -27,7 +26,7 @@
     {!Entangle_trace.Sink.null} the instrumentation is a dead branch:
     no event, argument list or closure is allocated.
 
-    Both are completeness-preserving. For unconstrained rules
+    Both optimizations preserve completeness. For unconstrained rules
     (syntactic or conditional) incremental matching is already exact:
     matches and applier conditions are match-local (see {!Rule}), and
     every structural or shape change dirties the affected class and —
@@ -36,7 +35,8 @@
     target can come into existence anywhere in the e-graph without the
     matched class being dirtied. So before the runner declares
     saturation it runs a {e cool-down} pass: every ban is lifted,
-    constrained rules re-match in full, everything else catches up
+    constrained rules fire over their complete match set (the cached
+    substitutions plus a fresh delta), everything else catches up
     incrementally; only an empty complete cool-down reports
     [saturated = true]. *)
 
@@ -83,37 +83,18 @@ type report = {
           is genuine saturation. *)
 }
 
-type scheduler_kind = Simple | Backoff
-
 type state
 (** Scheduler and incremental-matching state: per-rule last-search
-    generations and ban status, a global iteration counter, and
-    cumulative search statistics. Persistent across {!run} calls so
+    generations, match caches and ban status, and a global iteration
+    counter. Persistent across {!run} calls so
     drivers that saturate one iteration at a time (the checker's
     round-by-round loop) still match incrementally between rounds.
     A state is tied to one e-graph and one rule set; do not reuse it
     across e-graphs (generations are per-graph). *)
 
-val create_state :
-  ?scheduler:scheduler_kind ->
-  ?incremental:bool ->
-  ?match_limit:int ->
-  ?ban_length:int ->
-  unit ->
-  state
-(** Defaults: [scheduler = Simple], [incremental = false] (the legacy
-    exhaustive behavior), [match_limit = 1000], [ban_length = 5] (egg's
-    defaults for the backoff scheduler). *)
-
-type stats = {
-  matches_examined : int;  (** substitutions collected across all runs *)
-  unions_applied : int;
-  full_searches : int;  (** rule searches over all candidate classes *)
-  incremental_searches : int;  (** rule searches over dirty classes only *)
-  bans : int;  (** backoff bans issued *)
-}
-
-val state_stats : state -> stats
+val create_state : ?match_limit:int -> ?ban_length:int -> unit -> state
+(** Defaults: [match_limit = 1000], [ban_length = 5] (egg's defaults
+    for the backoff scheduler). *)
 
 val run :
   ?limits:limits ->
@@ -136,10 +117,10 @@ val run :
     [confirm_saturation:false] is exactly such an unconfirmed candidate.
 
     [sink] (default {!Entangle_trace.Sink.null}) receives the trace
-    events described above. Per-rule application counts — previously
-    the [?hit_counter] hashtable parameter — arrive as [rule-hit]
-    instants; collect them with {!Entangle_trace.Collect} or fold them
-    with {!Entangle_trace.Agg} to aggregate counts over a whole
+    events described above. Per-rule application counts arrive as
+    [rule-hit] instants and bans as [rule-ban] instants; collect them
+    with {!Entangle_trace.Collect} or fold them with
+    {!Entangle_trace.Agg} to aggregate counts over a whole
     verification.
 
     [invariant_check] is a debug hook invoked on the e-graph after every
@@ -149,4 +130,4 @@ val run :
     ([Entangle_analysis.Egraph_check.runner_hook]).
 
     [state] carries scheduling decisions across calls; omitting it
-    creates a fresh legacy ([Simple], exhaustive) state per call. *)
+    creates a fresh default state per call. *)

@@ -197,8 +197,7 @@ let refine_tests =
             with
             | Ok _ -> ()
             | Error f -> Alcotest.failf "config failed: %s" (Entangle.Refine.verdict_to_string f.Entangle.Refine.verdict))
-          [ Entangle.Config.default; Entangle.Config.no_frontier;
-            Entangle.Config.no_pruning ]);
+          [ Entangle.Config.default; Entangle.Config.no_frontier ]);
     Alcotest.test_case "stats populated" `Quick (fun () ->
         let fx = figure1 () in
         match
@@ -337,48 +336,10 @@ let certify_tests =
           ]);
   ]
 
-(* --- scheduler configurations agree on real instances ---------------------- *)
-
-let scheduler_tests =
-  let configs =
-    [
-      ("default", Entangle.Config.default);
-      ("simple", Entangle.Config.simple_runner);
-      ( "backoff only",
-        { Entangle.Config.default with incremental_matching = false } );
-      ( "incremental only",
-        {
-          Entangle.Config.default with
-          scheduler = Entangle_egraph.Runner.Simple;
-        } );
-    ]
-  in
-  let verdict config inst =
-    match Entangle_models.Instance.check ~config inst with
-    | Ok _ -> "refines"
-    | Error _ -> "FAILED"
-  in
-  List.map
-    (fun name ->
-      Alcotest.test_case
-        (Printf.sprintf "all scheduler configs agree on %s" name)
-        `Slow
-        (fun () ->
-          match Entangle_models.Zoo.by_name name with
-          | None -> Alcotest.failf "unknown zoo instance %s" name
-          | Some inst ->
-              let reference = verdict Entangle.Config.simple_runner inst in
-              List.iter
-                (fun (cname, config) ->
-                  check Alcotest.string cname reference (verdict config inst))
-                configs))
-    [ "regression"; "linear-bwd"; "bytedance-bwd"; "pipeline"; "dp" ]
-
 let suite =
   [
     ("core.relation", relation_tests);
     ("core.refine", refine_tests);
     ("core.expectation", expectation_tests);
     ("core.certify", certify_tests);
-    ("core.scheduler", scheduler_tests);
   ]

@@ -265,6 +265,21 @@ let ematch_tests =
         check Alcotest.int "conditional applier: re-admitted" 1
           (List.length
              (Ematch.match_class_delta g ~since:gen ~conditional:true pat e)));
+    Alcotest.test_case "delta matching: a bare-variable root admits new \
+                        classes" `Quick (fun () ->
+        let g = Egraph.create () in
+        let a = Egraph.add_leaf g (tensor "a") in
+        Egraph.rebuild g;
+        let gen = Egraph.generation g in
+        let b = Egraph.add_leaf g (tensor "b") in
+        Egraph.rebuild g;
+        let delta cls =
+          List.length
+            (Ematch.match_class_delta g ~since:gen ~conditional:false
+               (Pattern.v "x") cls)
+        in
+        check Alcotest.int "new class" 1 (delta b);
+        check Alcotest.int "untouched old class" 0 (delta a));
     Alcotest.test_case "instantiate insert vs check-only" `Quick (fun () ->
         let g = Egraph.create () in
         let a = Egraph.add_leaf g (tensor "a") in
@@ -453,25 +468,27 @@ let runner_tests =
         (* Three matches against a budget of two: the rule overflows and
            gets banned; the cool-down pass must still reach the full
            saturated e-graph. *)
-        let state =
-          Runner.create_state ~scheduler:Runner.Backoff ~incremental:true
-            ~match_limit:2 ~ban_length:1 ()
+        let state = Runner.create_state ~match_limit:2 ~ban_length:1 () in
+        let c = Entangle_trace.Collect.create () in
+        let report =
+          Runner.run ~sink:(Entangle_trace.Collect.sink c) ~state g [ rule ]
         in
-        let report = Runner.run ~state g [ rule ] in
         check Alcotest.bool "saturated" true report.Runner.saturated;
         List.iter2
           (fun id l ->
             check Alcotest.bool "identity collapsed" true (Egraph.equiv g id l))
           ids leaves;
         check Alcotest.bool "a ban was issued" true
-          ((Runner.state_stats state).Runner.bans >= 1));
+          (List.exists
+             (fun (ev : Entangle_trace.Event.t) -> ev.name = "rule-ban")
+             (Entangle_trace.Collect.events c)));
     Alcotest.test_case "unconfirmed saturation defers the cool-down" `Quick
       (fun () ->
-        (* A constrained rule is deferred to the cool-down under the
-           backoff scheduler, so with [confirm_saturation:false] the
-           runner hands back an unconfirmed candidate (zero unions, not
-           saturated) without firing it; asking again with confirmation
-           on fires it and reaches a genuine fixpoint. *)
+        (* A constrained rule is deferred to the cool-down, so with
+           [confirm_saturation:false] the runner hands back an
+           unconfirmed candidate (zero unions, not saturated) without
+           firing it; asking again with confirmation on fires it and
+           reaches a genuine fixpoint. *)
         let g = Egraph.create () in
         let a = Egraph.add_leaf g (tensor "a") in
         let na = Egraph.add_op g Op.Neg [ a ] in
@@ -481,9 +498,7 @@ let runner_tests =
             (Pattern.p Op.Neg [ Pattern.v "x" ])
             (Pattern.p Op.Exp [ Pattern.v "x" ])
         in
-        let state =
-          Runner.create_state ~scheduler:Runner.Backoff ~incremental:true ()
-        in
+        let state = Runner.create_state () in
         let r1 = Runner.run ~confirm_saturation:false ~state g [ rule ] in
         check Alcotest.bool "candidate, not confirmed" false
           r1.Runner.saturated;
@@ -495,10 +510,37 @@ let runner_tests =
           (Egraph.equiv g na ea));
   ]
 
-(* Satellite: whatever the scheduler and matching mode, saturation must
-   reach the same equivalence closure. Random unions seed diverse
-   e-graph shapes; a tight match budget forces actual bans on the
-   backoff states so the cool-down path is exercised too. *)
+(* The reference the runner is checked against: apply every match of
+   every rule in every class, union, rebuild, and repeat until nothing
+   merges. Syntactic rules only. *)
+let naive_saturate g rules =
+  let rec go () =
+    let matches =
+      List.concat_map
+        (fun (rule : Rule.t) ->
+          match rule.Rule.applier with
+          | Rule.Syntactic rhs ->
+              List.map (fun m -> (m, rhs)) (Ematch.match_all g rule.Rule.lhs)
+          | Rule.Conditional _ -> invalid_arg "naive_saturate")
+        rules
+    in
+    let merged =
+      List.fold_left
+        (fun merged ((cls, subst), rhs) ->
+          match Ematch.instantiate ~mode:Ematch.Insert g subst rhs with
+          | Some id -> Egraph.union g cls id || merged
+          | None -> merged)
+        false matches
+    in
+    Egraph.rebuild g;
+    if merged then go ()
+  in
+  go ()
+
+(* The runner's schedule (incremental matching, backoff bans, the
+   cool-down) must reach the same equivalence closure as naive
+   saturation. Random unions seed diverse e-graph shapes; a tight match
+   budget forces actual bans so the cool-down path is exercised too. *)
 let scheduler_equivalence_property =
   qtest
     (QCheck.Test.make ~name:"schedulers reach identical equivalences" ~count:40
@@ -516,7 +558,7 @@ let scheduler_equivalence_property =
                (Pattern.v "x");
            ]
          in
-         let build scheduler incremental =
+         let build saturate =
            let g = Egraph.create () in
            let leaves =
              Array.init 6 (fun i ->
@@ -534,24 +576,20 @@ let scheduler_equivalence_property =
              (fun (i, j) -> ignore (Egraph.union g leaves.(i) leaves.(j)))
              pairs;
            Egraph.rebuild g;
-           let state =
-             Runner.create_state ~scheduler ~incremental ~match_limit:4
-               ~ban_length:1 ()
-           in
-           ignore (Runner.run ~state g rules);
+           saturate g;
            (* Terms were created in the same order in every graph, so
-              positions correspond across configurations. *)
+              positions correspond across saturators. *)
            List.map
              (fun x -> List.map (fun y -> Egraph.equiv g x y) terms)
              terms
          in
-         let reference = build Runner.Simple false in
+         let reference = build (fun g -> naive_saturate g rules) in
+         let runner state g = ignore (Runner.run ~state:(state ()) g rules) in
          List.for_all
-           (fun m -> m = reference)
+           (fun state -> build (runner state) = reference)
            [
-             build Runner.Simple true;
-             build Runner.Backoff false;
-             build Runner.Backoff true;
+             (fun () -> Runner.create_state ());
+             (fun () -> Runner.create_state ~match_limit:4 ~ban_length:1 ());
            ]))
 
 let extract_tests =

@@ -97,8 +97,7 @@ let config_tests =
             match Instance.check ~config inst with
             | Ok _ -> ()
             | Error f -> Alcotest.failf "config failed: %s" (Entangle.Refine.verdict_to_string f.Entangle.Refine.verdict))
-          [ Entangle.Config.default; Entangle.Config.no_frontier;
-            Entangle.Config.no_pruning ]);
+          [ Entangle.Config.default; Entangle.Config.no_frontier ]);
     Alcotest.test_case "no_frontier explores more of the graph" `Quick
       (fun () ->
         let peak config =

@@ -129,14 +129,7 @@ let test_internal_verdict_localizes_failpoint () =
    starvation: success must arrive via a retry. *)
 let starved_limits = { Runner.default_limits with Runner.max_nodes = 8 }
 
-let generous_rung =
-  [
-    {
-      Entangle.Config.scale = 64;
-      scheduler = Runner.Backoff;
-      incremental = true;
-    };
-  ]
+let generous_rung = [ 64 ]
 
 let test_escalation_recovers () =
   let base =
