@@ -295,7 +295,7 @@ let parse_payload ~resolve payload =
       let* output_mappings = parse_exprs ~resolve outs in
       if mappings = [] then err "mapped entry with no mappings"
       else Ok (Mapped { mappings; output_mappings })
-  | s -> err "malformed cache entry %s" (Sexp.to_string s)
+  | s -> err "malformed cache entry %s" (Sexp.excerpt s)
 
 let validate_payload payload =
   (* Structure-only: resolve every leaf to a placeholder so the parse

@@ -32,9 +32,9 @@ let of_sexp ~gs ~gd = function
                       expr
                   in
                   Ok (Relation.add acc t e))
-          | s -> err "malformed relation entry %s" (Sexp.to_string s))
+          | s -> err "malformed relation entry %s" (Sexp.excerpt s))
         (Ok Relation.empty) entries
-  | s -> err "malformed relation %s" (Sexp.to_string s)
+  | s -> err "malformed relation %s" (Sexp.excerpt s)
 
 let of_string ~gs ~gd input =
   let* sexp = Sexp.of_string input in

@@ -113,7 +113,9 @@ val num_nodes : t -> int
     (EGRAPH008). *)
 
 val reachable : t -> Id.t list -> Id.Set.t
-(** Classes reachable from the given roots through e-node children. *)
+(** Canonical ids of the classes reachable from the given roots through
+    e-node children, roots included. {!Extract} solves its costs over
+    this set. *)
 
 val contains_leaf : t -> Id.t -> (Tensor.t -> bool) -> bool
 (** Does the class of the id contain a leaf satisfying the predicate? *)

@@ -8,9 +8,15 @@ let fp_extract =
 
 (* Fixpoint cost relaxation over the (possibly cyclic) e-graph. The cost
    of a node is 1 + sum of its children's class costs; a class costs the
-   minimum over its admissible nodes. *)
-let compute_costs g ~node_ok ~leaf_ok =
+   minimum over its admissible nodes. Only the classes [root] reaches
+   through children are relaxed: that set is closed under children, so
+   the least fixpoint on it equals the whole-graph one, and
+   [reconstruct] never leaves it. Ascending ids visit children before
+   parents, except where a merge reordered them; the order only changes
+   the number of passes. *)
+let compute_costs g ~node_ok ~leaf_ok root =
   Entangle_failpoint.Failpoint.hit fp_extract;
+  let classes = Id.Set.elements (Egraph.reachable g [ root ]) in
   let cost : int Id.Tbl.t = Id.Tbl.create 64 in
   let get id =
     Option.value (Id.Tbl.find_opt cost (Egraph.find g id)) ~default:infinity_cost
@@ -36,7 +42,6 @@ let compute_costs g ~node_ok ~leaf_ok =
     changed := false;
     List.iter
       (fun cls ->
-        let cls = Egraph.find g cls in
         let best =
           List.fold_left
             (fun acc n -> min acc (node_cost n))
@@ -46,7 +51,7 @@ let compute_costs g ~node_ok ~leaf_ok =
           Id.Tbl.replace cost cls best;
           changed := true
         end)
-      (Egraph.class_ids g)
+      classes
   done;
   (cost, node_cost)
 
@@ -90,14 +95,14 @@ let reconstruct g (cost, node_cost) id =
 
 let best g id =
   let node_ok _ = true and leaf_ok _ = true in
-  let tables = compute_costs g ~node_ok ~leaf_ok in
+  let tables = compute_costs g ~node_ok ~leaf_ok id in
   reconstruct g tables id
 
 let best_clean g ~leaf_ok id =
   let node_ok = Op.is_clean in
-  let tables = compute_costs g ~node_ok ~leaf_ok in
+  let tables = compute_costs g ~node_ok ~leaf_ok id in
   reconstruct g tables id
 
 let best_filtered g ~node_ok ~leaf_ok id =
-  let tables = compute_costs g ~node_ok ~leaf_ok in
+  let tables = compute_costs g ~node_ok ~leaf_ok id in
   reconstruct g tables id

@@ -4,7 +4,13 @@
     the smallest number of nested expressions", paper section 4.3.2).
     [best_clean] restricts both the operators (to clean ones) and the
     admissible leaves; it is how the checker turns a saturated e-graph
-    into a clean relation entry. *)
+    into a clean relation entry.
+
+    Costs are solved by a bottom-up fixpoint over the classes the root
+    reaches through children ({!Egraph.reachable}), not over the whole
+    e-graph: no other class can change the root's cost, so every
+    extraction equals the whole-graph one, tie-break included, and the
+    filters are never asked about anything the root cannot reach. *)
 
 open Entangle_ir
 

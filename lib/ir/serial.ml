@@ -41,7 +41,7 @@ let rec symdim_of_sexp = function
       match int_of_string_opt k with
       | Some k -> Ok (Symdim.mul_int k (Symdim.sym s))
       | None -> err "malformed coefficient %s" k)
-  | s -> err "malformed dimension %s" (Sexp.to_string s)
+  | s -> err "malformed dimension %s" (Sexp.excerpt s)
 
 let shape_to_sexp shape =
   Sexp.list (Sexp.atom "shape" :: List.map symdim_to_sexp shape)
@@ -54,7 +54,7 @@ let shape_of_sexp = function
           let* d = symdim_of_sexp d in
           Ok (acc @ [ d ]))
         (Ok []) dims
-  | s -> err "malformed shape %s" (Sexp.to_string s)
+  | s -> err "malformed shape %s" (Sexp.excerpt s)
 
 (* --- dtype ----------------------------------------------------------- *)
 
@@ -131,19 +131,19 @@ let int_of_atom what = function
       match int_of_string_opt a with
       | Some n -> Ok n
       | None -> err "%s: expected integer, got %s" what a)
-  | s -> err "%s: expected integer, got %s" what (Sexp.to_string s)
+  | s -> err "%s: expected integer, got %s" what (Sexp.excerpt s)
 
 let bool_of_atom what = function
   | Sexp.Atom "true" -> Ok true
   | Sexp.Atom "false" -> Ok false
-  | s -> err "%s: expected bool, got %s" what (Sexp.to_string s)
+  | s -> err "%s: expected bool, got %s" what (Sexp.excerpt s)
 
 let float_of_atom what = function
   | Sexp.Atom a -> (
       match float_of_string_opt a with
       | Some f -> Ok f
       | None -> err "%s: expected float, got %s" what a)
-  | s -> err "%s: expected float, got %s" what (Sexp.to_string s)
+  | s -> err "%s: expected float, got %s" what (Sexp.excerpt s)
 
 let op_of_sexp = function
   | Sexp.List (Sexp.Atom name :: args) -> (
@@ -213,7 +213,7 @@ let op_of_sexp = function
           let* dim = int_of_atom "all_gather" d in
           Ok (Op.All_gather { dim })
       | _ -> err "malformed operator (%s ...)" name)
-  | s -> err "malformed operator %s" (Sexp.to_string s)
+  | s -> err "malformed operator %s" (Sexp.excerpt s)
 
 (* --- graphs ------------------------------------------------------------ *)
 
@@ -252,9 +252,9 @@ let constraints_of_sexp = function
           | Sexp.List [ Sexp.Atom "eq"; e ] ->
               let* e = symdim_of_sexp e in
               Ok (Constraint_store.add_eq acc e Symdim.zero)
-          | s -> err "malformed constraint %s" (Sexp.to_string s))
+          | s -> err "malformed constraint %s" (Sexp.excerpt s))
         (Ok Constraint_store.empty) cs
-  | s -> err "malformed constraints %s" (Sexp.to_string s)
+  | s -> err "malformed constraints %s" (Sexp.excerpt s)
 
 let graph_to_sexp g =
   let a = Sexp.atom and l = Sexp.list in
@@ -319,7 +319,7 @@ let graph_of_sexp sexp =
                   let t = Graph.Builder.input b ~dtype iname shape in
                   Hashtbl.replace env iname t;
                   Ok ()
-            | s -> err "malformed input %s" (Sexp.to_string s))
+            | s -> err "malformed input %s" (Sexp.excerpt s))
           (Ok ()) inputs
       in
       let* () =
@@ -339,7 +339,7 @@ let graph_of_sexp sexp =
                         | Sexp.Atom n ->
                             let* t = resolve "node input" n in
                             Ok (acc @ [ t ])
-                        | s -> err "malformed input ref %s" (Sexp.to_string s))
+                        | s -> err "malformed input ref %s" (Sexp.excerpt s))
                       (Ok []) ins
                   in
                   (match Graph.Builder.add b ~name:out op ins with
@@ -347,7 +347,7 @@ let graph_of_sexp sexp =
                       Hashtbl.replace env out t;
                       Ok ()
                   | exception Invalid_argument e -> Error e)
-            | s -> err "malformed node %s" (Sexp.to_string s))
+            | s -> err "malformed node %s" (Sexp.excerpt s))
           (Ok ()) nodes
       in
       let* () =
@@ -359,11 +359,11 @@ let graph_of_sexp sexp =
                 let* t = resolve "output" n in
                 Graph.Builder.output b t;
                 Ok ()
-            | s -> err "malformed output %s" (Sexp.to_string s))
+            | s -> err "malformed output %s" (Sexp.excerpt s))
           (Ok ()) outputs
       in
       Ok (Graph.Builder.finish b)
-  | s -> err "malformed graph %s" (Sexp.to_string s)
+  | s -> err "malformed graph %s" (Sexp.excerpt s)
 
 let graph_of_string input =
   let* sexp = Sexp.of_string input in
@@ -401,4 +401,4 @@ let rec expr_of_sexp ~resolve = function
               (Ok []) args
           in
           Ok (Expr.app op args)
-      | _ -> err "malformed expression %s" (Sexp.to_string sexp))
+      | _ -> err "malformed expression %s" (Sexp.excerpt sexp))

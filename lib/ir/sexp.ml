@@ -17,6 +17,38 @@ let rec pp ppf = function
 
 let to_string t = Fmt.str "%a" pp t
 
+let excerpt_bytes = 200
+
+exception Full
+
+let excerpt t =
+  let buf = Buffer.create 64 in
+  let add s =
+    let room = excerpt_bytes - Buffer.length buf in
+    if String.length s <= room then Buffer.add_string buf s
+    else begin
+      Buffer.add_string buf (String.sub s 0 room);
+      raise Full
+    end
+  in
+  let rec go = function
+    | Atom s when needs_quotes s ->
+        (* Escaping never shortens, so a bound-sized prefix suffices. *)
+        let s = String.sub s 0 (min (String.length s) excerpt_bytes) in
+        add ("\"" ^ String.escaped s ^ "\"")
+    | Atom s -> add s
+    | List l ->
+        add "(";
+        List.iteri
+          (fun i x ->
+            if i > 0 then add " ";
+            go x)
+          l;
+        add ")"
+  in
+  (try go t with Full -> Buffer.add_string buf "...");
+  Buffer.contents buf
+
 (* --- parsing ------------------------------------------------------- *)
 
 type token = Lparen | Rparen | Tatom of string
@@ -95,24 +127,28 @@ let tokenize input =
   | Some e -> Error e
   | None -> Ok (List.rev !tokens)
 
+let max_depth = 1_000
+
 let of_string input =
   let ( let* ) = Result.bind in
   let* tokens = tokenize input in
-  let rec parse_one = function
+  (* [depth] counts the lists enclosing the term being parsed. *)
+  let rec parse_one depth = function
     | [] -> Error "unexpected end of input"
     | Tatom a :: rest -> Ok (Atom a, rest)
-    | Lparen :: rest ->
-        let rec items acc = function
-          | Rparen :: rest -> Ok (List (List.rev acc), rest)
-          | [] -> Error "missing closing parenthesis"
-          | tokens ->
-              let* item, rest = parse_one tokens in
-              items (item :: acc) rest
-        in
-        items [] rest
+    | Lparen :: _ when depth >= max_depth ->
+        Error (Printf.sprintf "lists nest deeper than %d levels" max_depth)
+    | Lparen :: rest -> items (depth + 1) [] rest
     | Rparen :: _ -> Error "unexpected closing parenthesis"
+  and items depth acc = function
+    | Rparen :: rest -> Ok (List (List.rev acc), rest)
+    | [] -> Error "missing closing parenthesis"
+    | tokens -> (
+        match parse_one depth tokens with
+        | Ok (item, rest) -> items depth (item :: acc) rest
+        | Error _ as e -> e)
   in
-  let* sexp, rest = parse_one tokens in
+  let* sexp, rest = parse_one 0 tokens in
   match rest with
   | [] -> Ok sexp
   | _ -> Error "trailing input after S-expression"

@@ -259,7 +259,7 @@ let hello_of_string s =
       let* protocol = get_int "protocol" sexp in
       let* client = get_str "client" sexp in
       Ok { protocol; client }
-  | _ -> err "expected (hello ...), got %s" (Sexp.to_string sexp)
+  | _ -> err "expected (hello ...), got %s" (Sexp.excerpt sexp)
 
 let welcome_to_string = function
   | Welcome w ->
@@ -306,7 +306,7 @@ let welcome_of_string s =
       Ok (Busy { max_clients; message })
   | _ ->
       err "expected (welcome ...), (reject ...) or (busy ...), got %s"
-        (Sexp.to_string sexp)
+        (Sexp.excerpt sexp)
 
 (* --- requests ---------------------------------------------------------- *)
 
@@ -451,7 +451,7 @@ let request_body_of_sexp sexp =
                     let* gd = get_one "gd" item in
                     let* relation = get_one "relation" item in
                     Ok ({ gs; gd; relation } :: acc)
-                | s -> err "instances: malformed %s" (Sexp.to_string s))
+                | s -> err "instances: malformed %s" (Sexp.excerpt s))
               (Ok []) body
             |> Result.map List.rev
       in
@@ -473,7 +473,7 @@ let request_body_of_sexp sexp =
                     match int_of_string_opt v with
                     | Some n -> Ok ((s, n) :: acc)
                     | None -> err "env: bad value %s for %s" v s)
-                | s -> err "env: malformed %s" (Sexp.to_string s))
+                | s -> err "env: malformed %s" (Sexp.excerpt s))
               (Ok []) body
             |> Result.map List.rev
       in
@@ -481,7 +481,7 @@ let request_body_of_sexp sexp =
   | Sexp.List (Sexp.Atom "cert-push" :: _) ->
       let* bundle = get_str "bundle" sexp in
       Ok (Cert_push { bundle })
-  | s -> err "unknown request %s" (Sexp.to_string s)
+  | s -> err "unknown request %s" (Sexp.excerpt s)
 
 let request_of_string s =
   let* sexp = Sexp.of_string s in
@@ -490,7 +490,7 @@ let request_of_string s =
       let* id = get_int "id" sexp in
       let* req = request_body_of_sexp body in
       Ok (id, req)
-  | _ -> err "expected (request (id n) body), got %s" (Sexp.to_string sexp)
+  | _ -> err "expected (request (id n) body), got %s" (Sexp.excerpt sexp)
 
 (* --- responses --------------------------------------------------------- *)
 
@@ -617,7 +617,7 @@ let stats_of_sexp sexp =
                     match int_of_string_opt hits with
                     | Some h -> Ok ((rule, h) :: acc)
                     | None -> err "rule-hits: bad count %s" hits)
-                | s -> err "rule-hits: malformed %s" (Sexp.to_string s))
+                | s -> err "rule-hits: malformed %s" (Sexp.excerpt s))
               (Ok []) body
             |> Result.map List.rev
       in
@@ -637,7 +637,7 @@ let stats_of_sexp sexp =
           cache_replays_failed;
           wall_time_s;
         }
-  | s -> err "expected (stats ...), got %s" (Sexp.to_string s)
+  | s -> err "expected (stats ...), got %s" (Sexp.excerpt s)
 
 let opt_int_field name = function
   | Some i -> [ int_field name i ]
@@ -853,7 +853,7 @@ let rec response_body_of_sexp sexp =
       let* cert_code = get_str_opt "code" sexp in
       let* cert_detail = get_str "detail" sexp in
       Ok (Cert_verdict_reply { accepted; cert_id; cert_code; cert_detail })
-  | s -> err "unknown response %s" (Sexp.to_string s)
+  | s -> err "unknown response %s" (Sexp.excerpt s)
 
 let response_of_string s =
   let* sexp = Sexp.of_string s in
@@ -862,7 +862,7 @@ let response_of_string s =
       let* id = get_int "id" sexp in
       let* resp = response_body_of_sexp body in
       Ok (id, resp)
-  | _ -> err "expected (response (id n) body), got %s" (Sexp.to_string sexp)
+  | _ -> err "expected (response (id n) body), got %s" (Sexp.excerpt sexp)
 
 (* --- introspection ----------------------------------------------------- *)
 

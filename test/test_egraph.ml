@@ -649,7 +649,165 @@ let extract_tests =
         match Extract.best g a with
         | Some e -> check Alcotest.int "leaf" 0 (Expr.size e)
         | None -> Alcotest.fail "no extraction");
+    Alcotest.test_case "costs cover only the root's reachable classes" `Quick
+      (fun () ->
+        (* exp(b) is unreachable from neg(a), so the filters must never
+           be consulted about it. *)
+        let g = Egraph.create () in
+        let tb = tensor "b" in
+        let root = Egraph.add_op g Op.Neg [ Egraph.add_leaf g (tensor "a") ] in
+        ignore (Egraph.add_op g Op.Exp [ Egraph.add_leaf g tb ]);
+        let ops = ref [] and leaves = ref [] in
+        let node_ok op = ops := op :: !ops; true in
+        let leaf_ok t = leaves := t :: !leaves; true in
+        (match Extract.best_filtered g ~node_ok ~leaf_ok root with
+        | Some e -> check Alcotest.int "neg(a)" 1 (Expr.size e)
+        | None -> Alcotest.fail "no extraction");
+        check Alcotest.bool "neg asked" true (List.exists (Op.equal Op.Neg) !ops);
+        check Alcotest.bool "exp never asked" false
+          (List.exists (Op.equal Op.Exp) !ops);
+        check Alcotest.bool "b never asked" false
+          (List.exists (Tensor.equal tb) !leaves));
   ]
+
+(* The whole-graph reference extractor: relax every class of the
+   e-graph until nothing changes, then rebuild the cheapest term with
+   the same (cost, Enode.compare) tie-break as [Extract]. *)
+let reference_extract g ~node_ok ~leaf_ok root =
+  let inf = max_int / 4 in
+  let cost = Id.Tbl.create 64 in
+  let get id =
+    Option.value (Id.Tbl.find_opt cost (Egraph.find g id)) ~default:inf
+  in
+  let node_cost n =
+    match Enode.sym n with
+    | Enode.Leaf t -> if leaf_ok t then 0 else inf
+    | Enode.Op op when not (node_ok op) -> inf
+    | Enode.Op _ ->
+        List.fold_left
+          (fun acc c ->
+            let k = get c in
+            if acc >= inf || k >= inf then inf else acc + k)
+          1 (Enode.children n)
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    List.iter
+      (fun cls ->
+        let best =
+          List.fold_left
+            (fun acc n -> min acc (node_cost n))
+            inf (Egraph.nodes_of g cls)
+        in
+        if best < get cls then begin
+          Id.Tbl.replace cost cls best;
+          changed := true
+        end)
+      (Egraph.class_ids g)
+  done;
+  (* A finite class cost guarantees finite children all the way down. *)
+  let rec build id =
+    let candidates =
+      List.filter_map
+        (fun n ->
+          let c = node_cost n in
+          if c >= inf then None else Some (c, n))
+        (Egraph.nodes_of g id)
+    in
+    let by_cost (ca, na) (cb, nb) =
+      match Int.compare ca cb with 0 -> Enode.compare na nb | c -> c
+    in
+    let n = snd (List.hd (List.sort by_cost candidates)) in
+    match Enode.sym n with
+    | Enode.Leaf t -> Expr.leaf t
+    | Enode.Op op -> Expr.app op (List.map build (Enode.children n))
+  in
+  if get root >= inf then None else Some (build root)
+
+type step =
+  | Add_leaf of int
+  | Add_unary of int * int
+  | Add_binary of int * int * int
+  | Merge of int * int
+
+let unary_ops = [| Op.Neg; Op.Exp; Op.Identity; Op.All_reduce |]
+let binary_ops = [| Op.Add; Op.Sum_n; Op.Concat { dim = 0 } |]
+let all_ops = Array.append unary_ops binary_ops
+let leaf_tensors = Array.init 4 (fun i -> tensor (Printf.sprintf "x%d" i))
+
+let pp_step ppf = function
+  | Add_leaf i -> Fmt.pf ppf "leaf %d" i
+  | Add_unary (o, c) -> Fmt.pf ppf "%a(#%d)" Op.pp unary_ops.(o) c
+  | Add_binary (o, a, b) -> Fmt.pf ppf "%a(#%d, #%d)" Op.pp binary_ops.(o) a b
+  | Merge (a, b) -> Fmt.pf ppf "union #%d #%d" a b
+
+(* Class operands index the classes created so far (modulo their
+   count), so every step is valid and unions freely close cycles. *)
+let step_gen =
+  QCheck.Gen.(
+    let c = int_bound 30 in
+    frequency
+      [
+        (2, map (fun i -> Add_leaf i) (int_bound 3));
+        (3, map2 (fun o a -> Add_unary (o, a)) (int_bound 3) c);
+        (3, map3 (fun o a b -> Add_binary (o, a, b)) (int_bound 2) c c);
+        (2, map2 (fun a b -> Merge (a, b)) c c);
+      ])
+
+let build_random_egraph steps =
+  let g = Egraph.create () in
+  let ids = ref [| Egraph.add_leaf g leaf_tensors.(0) |] in
+  let cls i = !ids.(i mod Array.length !ids) in
+  let push id = ids := Array.append !ids [| id |] in
+  List.iter
+    (function
+      | Add_leaf i -> push (Egraph.add_leaf g leaf_tensors.(i))
+      | Add_unary (o, a) -> push (Egraph.add_op g unary_ops.(o) [ cls a ])
+      | Add_binary (o, a, b) ->
+          push (Egraph.add_op g binary_ops.(o) [ cls a; cls b ])
+      | Merge (a, b) -> ignore (Egraph.union g (cls a) (cls b)))
+    steps;
+  Egraph.rebuild g;
+  g
+
+(* Restricting the cost fixpoint to the root's reachable classes must
+   not change any extraction: for every class as root, [best],
+   [best_clean] and [best_filtered] under random filters agree with
+   the whole-graph reference. *)
+let extract_reference_property =
+  qtest
+    (QCheck.Test.make ~name:"reachable-only extraction equals whole-graph"
+       ~count:200
+       QCheck.(
+         triple
+           (make
+              ~print:(Fmt.str "%a" (Fmt.Dump.list pp_step))
+              Gen.(list_size (int_range 1 40) step_gen))
+           (int_bound 15) (int_bound 127))
+       (fun (steps, leaf_mask, op_mask) ->
+         let g = build_random_egraph steps in
+         let index eq arr x =
+           let rec go i = if eq arr.(i) x then i else go (i + 1) in
+           go 0
+         in
+         let leaf_ok t =
+           leaf_mask land (1 lsl index Tensor.equal leaf_tensors t) <> 0
+         in
+         let node_ok op = op_mask land (1 lsl index Op.equal all_ops op) <> 0 in
+         let same = Option.equal Expr.equal in
+         let any _ = true in
+         List.for_all
+           (fun root ->
+             same (Extract.best g root)
+               (reference_extract g ~node_ok:any ~leaf_ok:any root)
+             && same
+                  (Extract.best_clean g ~leaf_ok root)
+                  (reference_extract g ~node_ok:Op.is_clean ~leaf_ok root)
+             && same
+                  (Extract.best_filtered g ~node_ok ~leaf_ok root)
+                  (reference_extract g ~node_ok ~leaf_ok root))
+           (Egraph.class_ids g)))
 
 let suite =
   [
@@ -658,5 +816,5 @@ let suite =
     ("egraph.ematch", ematch_tests);
     ("egraph.incremental", incremental_tests);
     ("egraph.runner", runner_tests @ [ scheduler_equivalence_property ]);
-    ("egraph.extract", extract_tests);
+    ("egraph.extract", extract_tests @ [ extract_reference_property ]);
   ]

@@ -59,6 +59,24 @@ let sexp_tests =
           (fun bad ->
             check Alcotest.bool bad true (Result.is_error (Sexp.of_string bad)))
           [ "(a b"; ")"; "(a) trailing"; "\"unterminated" ]);
+    Alcotest.test_case "nesting past the depth limit is an error" `Quick
+      (fun () ->
+        let nest d = String.make d '(' ^ String.make d ')' in
+        check Alcotest.bool "at the limit" true
+          (Result.is_ok (Sexp.of_string (nest Sexp.max_depth)));
+        check Alcotest.bool "100k deep" true
+          (Result.is_error (Sexp.of_string (nest 100_000))));
+    Alcotest.test_case "excerpts are bounded and single-line" `Quick (fun () ->
+        let small = Sexp.list [ Sexp.atom "a"; Sexp.atom "b c\nd" ] in
+        check Alcotest.string "short term verbatim" (Sexp.to_string small)
+          (Sexp.excerpt small);
+        let wide =
+          Sexp.list (List.init 10_000 (fun _ -> Sexp.atom "line\nbreak"))
+        in
+        let e = Sexp.excerpt wide in
+        check Alcotest.bool "bounded" true
+          (String.length e <= Sexp.excerpt_bytes + 3);
+        check Alcotest.bool "single line" false (String.contains e '\n'));
   ]
 
 let symdim_roundtrip =
@@ -164,6 +182,16 @@ let graph_error_tests =
         in
         check Alcotest.bool "error" true
           (Result.is_error (Serial.graph_of_string text)));
+    Alcotest.test_case "errors quote a bounded excerpt of the input" `Quick
+      (fun () ->
+        (* 400 KB of a shallow, malformed graph must not be echoed back. *)
+        let text =
+          "(graph" ^ String.concat "" (List.init 200_000 (fun _ -> " a")) ^ ")"
+        in
+        match Serial.graph_of_string text with
+        | Ok _ -> Alcotest.fail "accepted a malformed graph"
+        | Error e ->
+            check Alcotest.bool "under 1 KB" true (String.length e < 1024));
     Alcotest.test_case "duplicate tensor names rejected on write" `Quick
       (fun () ->
         let module B = Graph.Builder in
