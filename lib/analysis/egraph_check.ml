@@ -209,6 +209,38 @@ let check g =
                      (Id.to_int id) f))
             ids)
         (Egraph.Debug.family_entries g);
+      (* Arity census: exact in both directions. Every node's (family,
+         arity) must be recorded, and every recorded arity must be held
+         by some node of the family. *)
+      let held = Hashtbl.create 64 in
+      Egraph.iter_nodes g (fun _ node ->
+          match Enode.sym node with
+          | Enode.Op op ->
+              Hashtbl.replace held
+                (Op.name op, List.length (Enode.children node))
+                ()
+          | Enode.Leaf _ -> ());
+      Hashtbl.iter
+        (fun (f, n) () ->
+          if not (Egraph.has_arity g f n) then
+            emit
+              (Diagnostic.error ~code:"EGRAPH010" Diagnostic.Egraph
+                 "arity census of family %S lacks arity %d, which a node \
+                  has"
+                 f n))
+        held;
+      List.iter
+        (fun (f, arities) ->
+          List.iter
+            (fun n ->
+              if not (Hashtbl.mem held (f, n)) then
+                emit
+                  (Diagnostic.error ~code:"EGRAPH010" Diagnostic.Egraph
+                     "arity census of family %S records arity %d, which no \
+                      node has"
+                     f n))
+            arities)
+        (Egraph.Debug.arity_census g);
       Diagnostic.sort (List.rev !diags)
 
 exception Violation of Diagnostic.t list

@@ -21,7 +21,10 @@
     - [EGRAPH008] the cached O(1) {!Egraph.num_nodes} counter disagrees
       with an O(graph) recount;
     - [EGRAPH009] the incrementally maintained operator-family index is
-      incomplete or, over canonical ids, unsound. *)
+      incomplete or, over canonical ids, unsound;
+    - [EGRAPH010] the arity census ({!Egraph.has_arity}) disagrees with
+      a recount of (family, arity) over every class's nodes, in either
+      direction: it is exact, not only conservative. *)
 
 open Entangle_egraph
 

@@ -409,10 +409,12 @@ let importable_key key =
   && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) key
 
 let import_all ?(check = fun ~key:_ _ -> true) t text =
+  (* Archive lines are echoed in errors as bounded excerpts. *)
+  let excerpt line = Entangle_ir.Sexp.(excerpt (Atom line)) in
   match split_line text with
   | None -> Error "empty archive"
   | Some (header, _) when not (String.equal header archive_header) ->
-      Error (Fmt.str "unrecognized archive header %S" header)
+      Error (Fmt.str "unrecognized archive header %s" (excerpt header))
   | Some (_, rest) ->
       let rec loop rest imported rejected =
         if String.equal rest "" then Ok (imported, rejected)
@@ -425,16 +427,21 @@ let import_all ?(check = fun ~key:_ _ -> true) t text =
               | Some (len_s, rest) -> (
                   match int_of_string_opt len_s with
                   | None ->
-                      Error (Fmt.str "bad payload length %S for %s" len_s key)
+                      Error
+                        (Fmt.str "bad payload length %s for %s" (excerpt len_s)
+                           (excerpt key))
                   | Some len ->
                       if len < 0 || String.length rest < len + 1 then
-                        Error (Fmt.str "truncated archive: payload of %s" key)
+                        Error
+                          (Fmt.str "truncated archive: payload of %s"
+                             (excerpt key))
                       else if rest.[len] <> '\n' then
                         (* An in-range but wrong length would silently
                            shift the framing for every later entry;
                            fail at the faulty one instead. *)
                         Error
-                          (Fmt.str "malformed entry terminator for %s" key)
+                          (Fmt.str "malformed entry terminator for %s"
+                             (excerpt key))
                       else
                         let payload = String.sub rest 0 len in
                         let rest =

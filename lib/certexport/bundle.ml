@@ -268,7 +268,7 @@ let parse_relation ~what ~resolve_target ~gd entries =
           | None ->
               err E.Leaf_out_of_scope
                 "%s entry targets %s, which is not in the sequential graph"
-                what target
+                what (Sexp.excerpt (Sexp.Atom target))
           | Some t ->
               let* es = parse_exprs ~gd exprs in
               Ok ((t, es) :: acc))
@@ -285,7 +285,9 @@ let of_sexp top =
   let* version = atom_field E.Parse_error "schema" items in
   let* () =
     if String.equal version (string_of_int schema) then Ok ()
-    else err E.Version_skew "bundle schema %s, verifier speaks %d" version schema
+    else
+      err E.Version_skew "bundle schema %s, verifier speaks %d"
+        (Sexp.excerpt (Sexp.Atom version)) schema
   in
   let* producer = atom_field E.Parse_error "producer" items in
   let* manifest = parse_manifest items in
@@ -322,7 +324,7 @@ let of_sexp top =
             else
               err E.Section_corrupt
                 "section %s content digest %s does not match manifest %s" name
-                got claimed)
+                got (Sexp.excerpt (Sexp.Atom claimed)))
       (Ok ()) section_names
   in
   (* Decode sections. *)
@@ -343,7 +345,9 @@ let of_sexp top =
         let* acc = acc in
         match int_of_string_opt v with
         | Some n -> Ok ((s, n) :: acc)
-        | None -> err E.Manifest_malformed "env binding %s=%s is not an integer" s v)
+        | None ->
+            err E.Manifest_malformed "env binding %s=%s is not an integer"
+              (Sexp.excerpt (Sexp.Atom s)) (Sexp.excerpt (Sexp.Atom v)))
       (Ok []) ps
     |> Result.map List.rev
   in
@@ -385,7 +389,7 @@ let of_sexp top =
             else
               err E.Statement_mismatch
                 "statement fingerprint %s: recomputed %s, manifest claims %s"
-                name fp claimed)
+                name fp (Sexp.excerpt (Sexp.Atom claimed)))
       (Ok ()) (statement_fields stmt)
   in
   let recomputed_id =
@@ -395,7 +399,7 @@ let of_sexp top =
     if String.equal recomputed_id manifest.m_id then Ok ()
     else
       err E.Statement_mismatch "bundle id recomputed %s, manifest claims %s"
-        recomputed_id manifest.m_id
+        recomputed_id (Sexp.excerpt (Sexp.Atom manifest.m_id))
   in
   Ok b
 

@@ -25,7 +25,9 @@ let of_sexp ~gs ~gd = function
           match entry with
           | Sexp.List [ Sexp.Atom name; expr ] -> (
               match Serial.tensor_by_name gs name with
-              | None -> err "unknown sequential tensor %s" name
+              | None ->
+                  err "unknown sequential tensor %s"
+                    (Sexp.excerpt (Sexp.Atom name))
               | Some t ->
                   let* e =
                     Serial.expr_of_sexp ~resolve:(Serial.tensor_by_name gd)

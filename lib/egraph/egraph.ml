@@ -23,6 +23,14 @@ type eclass = {
   mutable shape_at : int;
 }
 
+(* The classes holding a node of one operator family, and the arity
+   census: bit [n] is set once a node of the family with [n] children
+   has been hash-consed. A hash-consed node never loses its operator or
+   arity ([rebuild] re-keys it over canonical children and dedups it
+   only against an equal node), so the census is exact: a clear bit
+   means [lookup] finds no such node. *)
+type family = { members : unit Id.Tbl.t; mutable arities : int }
+
 type t = {
   uf : Union_find.t;
   memo : Id.t Enode.Tbl.t;
@@ -39,12 +47,12 @@ type t = {
      (duplicates introduced by unions are counted until [rebuild]
      deduplicates them). *)
   mutable n_nodes : int;
-  (* Operator family -> classes containing a node of that family,
-     maintained incrementally on add/union. Entries may go stale when a
-     class is absorbed by a union; queries canonicalize lazily and
-     compact the set. A class never *loses* a family, so entries are
-     never false after canonicalization. *)
-  families : (string, unit Id.Tbl.t) Hashtbl.t;
+  (* Operator family -> classes containing a node of that family, and
+     the family's arity census, maintained incrementally on add/union.
+     Entries may go stale when a class is absorbed by a union; queries
+     canonicalize lazily and compact the set. A class never *loses* a
+     family, so entries are never false after canonicalization. *)
+  families : (string, family) Hashtbl.t;
   (* Unions that merged two classes whose shape analyses disagree; kept
      for the invariant checker (EGRAPH007) instead of silently dropping
      the loser's shape. *)
@@ -94,18 +102,33 @@ let classes_modified_since t gen =
     (fun id c acc -> if c.modified_at > gen then id :: acc else acc)
     t.classes []
 
-let family_add t fam id =
+(* Arities past the census's bits are never recorded; [has_arity]
+   answers yes for them. *)
+let census_width = Sys.int_size - 1
+
+(* Class [id] holds the operator node [n] of operator [op]. *)
+let family_add t op n id =
+  let f =
+    match Hashtbl.find_opt t.families (Op.name op) with
+    | Some f -> f
+    | None ->
+        let f = { members = Id.Tbl.create 8; arities = 0 } in
+        Hashtbl.replace t.families (Op.name op) f;
+        f
+  in
+  Id.Tbl.replace f.members id ();
+  let arity = List.length (Enode.children n) in
+  if arity < census_width then f.arities <- f.arities lor (1 lsl arity)
+
+let has_arity t fam n =
   match Hashtbl.find_opt t.families fam with
-  | Some set -> Id.Tbl.replace set id ()
-  | None ->
-      let set = Id.Tbl.create 8 in
-      Id.Tbl.replace set id ();
-      Hashtbl.replace t.families fam set
+  | None -> false
+  | Some f -> n >= census_width || f.arities land (1 lsl n) <> 0
 
 let classes_with_family t fam =
   match Hashtbl.find_opt t.families fam with
   | None -> []
-  | Some set ->
+  | Some { members = set; _ } ->
       let canon = Id.Tbl.create (Id.Tbl.length set) in
       Id.Tbl.iter
         (fun id () ->
@@ -167,7 +190,7 @@ let add t n =
       cls.shape <- infer_shape t n;
       (match Enode.sym n with
       | Enode.Leaf tensor -> Hashtbl.replace t.leaves (Tensor.id tensor :> int) id
-      | Enode.Op op -> family_add t (Op.name op) id);
+      | Enode.Op op -> family_add t op n id);
       id
 
 let add_leaf t tensor = add t (Enode.leaf tensor)
@@ -202,7 +225,7 @@ let union t a b =
     List.iter
       (fun (n, _) ->
         match Enode.sym n with
-        | Enode.Op op -> family_add t (Op.name op) root
+        | Enode.Op op -> family_add t op n root
         | Enode.Leaf _ -> ())
       loser.nodes;
     winner.nodes <- List.rev_append loser.nodes winner.nodes;
@@ -316,8 +339,7 @@ let rebuild t =
 let nodes_of t id =
   List.map (fun (n, _) -> canonicalize t n) (eclass_of t id).nodes
 
-let nodes_with_stamps t id =
-  List.map (fun (n, stamp) -> (canonicalize t n, stamp)) (eclass_of t id).nodes
+let nodes_with_stamps t id = (eclass_of t id).nodes
 let shape_of t id = (eclass_of t id).shape
 let class_ids t = Id.Tbl.fold (fun id _ acc -> id :: acc) t.classes []
 let num_classes t = Id.Tbl.length t.classes
@@ -362,9 +384,17 @@ module Debug = struct
 
   let family_entries t =
     Hashtbl.fold
-      (fun fam set acc ->
-        (fam, Id.Tbl.fold (fun id () ids -> id :: ids) set []) :: acc)
+      (fun fam f acc ->
+        (fam, Id.Tbl.fold (fun id () ids -> id :: ids) f.members []) :: acc)
       t.families []
+
+  let arity_census t =
+    let arities f =
+      List.filter
+        (fun n -> f.arities land (1 lsl n) <> 0)
+        (List.init census_width Fun.id)
+    in
+    Hashtbl.fold (fun fam f acc -> (fam, arities f) :: acc) t.families []
 
   let shape_conflicts t = t.shape_conflicts
 end

@@ -87,18 +87,35 @@ val classes_with_family : t -> string -> Id.t list
     gain families); stale entries from absorbed classes are compacted
     lazily on query. *)
 
+val has_arity : t -> string -> int -> bool
+(** [has_arity g family n]: has a node of the operator family with [n]
+    children ever been hash-consed? An O(1) bitmask test against the
+    arity census {!add} keeps per family. Exact for
+    [n < Sys.int_size - 1], whose bits the census holds, and [true]
+    beyond that whenever the family has a node at all. A hash-consed
+    node never loses its operator or arity ({!rebuild} re-keys it over
+    canonical children and dedups it only against an equal node), so
+    [false] implies that {!lookup} returns [None] for every node of
+    that family and arity. Constrained lemmas ask it before they build
+    a probe node. Audited by [Entangle_analysis.Egraph_check]
+    (EGRAPH010). *)
+
 (** {1 Inspection} *)
 
 val nodes_of : t -> Id.t -> Enode.t list
 (** Canonicalized nodes of the class of the given id. *)
 
 val nodes_with_stamps : t -> Id.t -> (Enode.t * int) list
-(** Canonicalized nodes paired with the generation at which each was
-    first added. Stamps survive merges: a node absorbed from a losing
-    class keeps its original stamp, because every substitution rooted
-    through it was already collected at the losing class and its
-    application outcome is unchanged by the merge. Delta e-matching
-    skips root nodes whose stamp predates a rule's last search. *)
+(** The class's nodes as stored, each paired with the generation at
+    which it was first added: the same nodes in the same order as
+    {!nodes_of}, but not copied, so children may be non-canonical
+    between a union and the next {!rebuild}. Callers must {!find} every
+    child they follow, as the e-matchers do. Stamps survive merges: a
+    node absorbed from a losing class keeps its original stamp, because
+    every substitution rooted through it was already collected at the
+    losing class and its application outcome is unchanged by the merge.
+    Delta e-matching skips root nodes whose stamp predates a rule's
+    last search. *)
 
 val shape_of : t -> Id.t -> Shape.t option
 val class_ids : t -> Id.t list
@@ -149,6 +166,9 @@ module Debug : sig
   val family_entries : t -> (string * Id.t list) list
   (** Raw operator-family index as stored — ids are {e not}
       canonicalized, so staleness is observable. *)
+
+  val arity_census : t -> (string * int list) list
+  (** Per family, the arities whose census bit is set, ascending. *)
 
   val shape_conflicts : t -> (Id.t * Shape.t * Shape.t) list
   (** Unions that merged two classes with provably disagreeing shapes:

@@ -39,8 +39,10 @@ let rec match_pat g pat cls subst =
   | Pattern.C id -> if Id.equal (Egraph.find g id) cls then [ subst ] else []
   | Pattern.P (sel, args) ->
       let n_args = List.length args in
+      (* Stored nodes, not canonical copies: every child is [find]-ed
+         on entry above. *)
       List.concat_map
-        (fun enode ->
+        (fun (enode, _) ->
           match Enode.sym enode with
           | Enode.Leaf _ -> []
           | Enode.Op op ->
@@ -57,7 +59,7 @@ let rec match_pat g pat cls subst =
                              substs))
                       [ subst ] args (Enode.children enode)
               end)
-        (Egraph.nodes_of g cls)
+        (Egraph.nodes_with_stamps g cls)
       |> truncate
 
 let fp_match =
@@ -130,7 +132,7 @@ let match_class_delta g ~since ~conditional pat cls0 =
     | Pattern.P (sel, args) ->
         let n_args = List.length args in
         List.concat_map
-          (fun enode ->
+          (fun (enode, _) ->
             match Enode.sym enode with
             | Enode.Leaf _ -> []
             | Enode.Op op ->
@@ -147,7 +149,7 @@ let match_class_delta g ~since ~conditional pat cls0 =
                                substs))
                         [ (subst, f) ] args (Enode.children enode)
                 end)
-          (Egraph.nodes_of g cls)
+          (Egraph.nodes_with_stamps g cls)
         |> truncate
   in
   let pairs =

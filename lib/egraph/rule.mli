@@ -24,11 +24,12 @@ type applier =
           some reachable class changes, which dirties the matched class
           via parent-edge propagation, so unconstrained rules are never
           re-searched at clean classes. An applier that reads global
-          e-graph state ({!Egraph.lookup}, {!Egraph.iter_nodes}) must
-          declare it by setting [nonlocal]; the runner then re-applies
-          every substitution collected so far whenever it claims
-          completeness, so the condition is re-evaluated even on
-          matches whose reachable classes never changed. *)
+          e-graph state ({!Egraph.lookup}, {!Egraph.has_arity},
+          {!Egraph.iter_nodes}) must declare it by setting [nonlocal];
+          the runner then re-applies every substitution collected so
+          far whenever it claims completeness, so the condition is
+          re-evaluated even on matches whose reachable classes never
+          changed. *)
 
 type t = {
   name : string;

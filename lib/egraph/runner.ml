@@ -215,6 +215,29 @@ type pass_info = {
   p_new_bans : int;  (** bans issued during this pass *)
 }
 
+(* Where one iteration's time went, summed over its passes: the
+   iteration span's [collect_s], [apply_s], [rebuild_s] and
+   [minor_words]. The runner keeps one only when the sink is enabled,
+   so a null sink reads no clock. *)
+type split = {
+  mutable collect_s : float;
+  mutable apply_s : float;
+  mutable rebuild_s : float;
+  minor_words0 : float;  (** [Gc.minor_words] at the iteration's start *)
+}
+
+(* The clock is read only when the runner keeps a split and [work]
+   says there is something to time: a read costs ~50 ns, and most rules
+   have nothing to collect or apply in most passes. [lap] adds the
+   seconds since [clock]'s reading to one field through [add]. *)
+let clock split ~work =
+  match split with Some _ when work -> Unix.gettimeofday () | _ -> 0.
+
+let lap split ~work t0 add =
+  match split with
+  | Some sp when work -> add sp (Unix.gettimeofday () -. t0)
+  | _ -> ()
+
 (* One pass over the rule list. With [full] bans are ignored (the
    caller lifts them first) and constrained rules are applied over
    their complete match set — the cool-down that makes the scheduler
@@ -229,7 +252,7 @@ type pass_info = {
    local as anyone's, so the cool-down delta-collects fresh
    substitutions and re-applies the accumulated cache
    ([cached_matches]) instead of re-matching from scratch. *)
-let pass ~limits ~sink st g indexed ~full =
+let pass ~limits ~sink ~split st g indexed ~full =
   let total_matches = ref 0 and total_hits = ref 0 in
   (* [complete]: this pass left no candidate unexamined that could
      reveal new work — a zero-hit complete pass is a genuine fixpoint.
@@ -290,9 +313,12 @@ let pass ~limits ~sink st g indexed ~full =
           && not global)
           || not (Pattern.linear rule.Rule.lhs)
         in
+        let work = classes <> [] in
+        let t0 = clock split ~work in
         let ms, class_truncated =
           collect rule classes ~cap ~since ~conditional g
         in
+        lap split ~work t0 (fun sp dt -> sp.collect_s <- sp.collect_s +. dt);
         let n = List.length ms in
         total_matches := !total_matches + n;
         if (not full) && n > threshold then begin
@@ -343,7 +369,10 @@ let pass ~limits ~sink st g indexed ~full =
             end
             else ms
           in
+          let work = to_apply <> [] in
+          let t0 = clock split ~work in
           let hits = apply_bounded ~limits rule g to_apply in
+          lap split ~work t0 (fun sp dt -> sp.apply_s <- sp.apply_s +. dt);
           total_hits := !total_hits + hits;
           (* The per-rule hit record the old [?hit_counter] hashtable
              used to carry: one instant event per rule per pass that
@@ -406,37 +435,47 @@ let run ?(limits = default_limits) ?(confirm_saturation = true)
           | Some h when (Gc.quick_stat ()).Gc.heap_words > h -> Some Heap
           | _ -> None)
   in
-  let settle () =
+  let settle split =
+    let t0 = clock split ~work:true in
     Egraph.rebuild g;
+    lap split ~work:true t0 (fun sp dt -> sp.rebuild_s <- sp.rebuild_s +. dt);
     match invariant_check with Some f -> f g | None -> ()
   in
   (* One span per iteration of the main loop (the scheduled pass plus,
      when it produced a fixpoint candidate, the cool-down pass run in
-     the same iteration), closed with the iteration's totals plus an
-     e-graph growth sample — the trace counterpart of [report]. *)
-  let end_iteration ~cooldown p extra_matches extra_hits =
-    if Sink.enabled sink then begin
-      Sink.counter sink "egraph" ~cat:"egraph"
-        ~args:
-          [
-            ("nodes", Event.Int (Egraph.num_nodes g));
-            ("classes", Event.Int (Egraph.num_classes g));
-          ];
-      Sink.span_end sink "iteration" ~cat:"iteration"
-        ~args:
-          [
-            ("matches", Event.Int (p.p_matches + extra_matches));
-            ("unions", Event.Int (p.p_hits + extra_hits));
-            ("rules_searched", Event.Int p.p_searched);
-            ("full_searches", Event.Int p.p_full);
-            ("delta_searches", Event.Int p.p_delta);
-            ("truncated", Event.Int p.p_truncated);
-            ("banned", Event.Int p.p_banned);
-            ("deferred", Event.Int p.p_deferred);
-            ("new_bans", Event.Int p.p_new_bans);
-            ("cooldown", Event.Bool cooldown);
-          ]
-    end
+     the same iteration), closed with the iteration's totals and its
+     {!split} plus an e-graph growth sample — the trace counterpart of
+     [report]. *)
+  let end_iteration ~cooldown ~split p extra_matches extra_hits =
+    match split with
+    | None -> ()
+    | Some sp ->
+        Sink.counter sink "egraph" ~cat:"egraph"
+          ~args:
+            [
+              ("nodes", Event.Int (Egraph.num_nodes g));
+              ("classes", Event.Int (Egraph.num_classes g));
+            ];
+        Sink.span_end sink "iteration" ~cat:"iteration"
+          ~args:
+            [
+              ("matches", Event.Int (p.p_matches + extra_matches));
+              ("unions", Event.Int (p.p_hits + extra_hits));
+              ("rules_searched", Event.Int p.p_searched);
+              ("full_searches", Event.Int p.p_full);
+              ("delta_searches", Event.Int p.p_delta);
+              ("truncated", Event.Int p.p_truncated);
+              ("banned", Event.Int p.p_banned);
+              ("deferred", Event.Int p.p_deferred);
+              ("new_bans", Event.Int p.p_new_bans);
+              ("cooldown", Event.Bool cooldown);
+              ("collect_s", Event.Float sp.collect_s);
+              ("apply_s", Event.Float sp.apply_s);
+              ("rebuild_s", Event.Float sp.rebuild_s);
+              ( "minor_words",
+                Event.Int
+                  (int_of_float (Gc.minor_words () -. sp.minor_words0)) );
+            ]
   in
   let rec go iter =
     match
@@ -445,11 +484,22 @@ let run ?(limits = default_limits) ?(confirm_saturation = true)
     with
     | Some b -> finish ~tripped:b iter false
     | None -> begin
-      if Sink.enabled sink then
-        Sink.span_begin sink "iteration" ~cat:"iteration"
-          ~args:[ ("iteration", Event.Int st.iteration) ];
-      let p = pass ~limits ~sink st g indexed ~full:false in
-      settle ();
+      let split =
+        if Sink.enabled sink then begin
+          Sink.span_begin sink "iteration" ~cat:"iteration"
+            ~args:[ ("iteration", Event.Int st.iteration) ];
+          Some
+            {
+              collect_s = 0.;
+              apply_s = 0.;
+              rebuild_s = 0.;
+              minor_words0 = Gc.minor_words ();
+            }
+        end
+        else None
+      in
+      let p = pass ~limits ~sink ~split st g indexed ~full:false in
+      settle split;
       matches_total := !matches_total + p.p_matches;
       unions_total := !unions_total + p.p_hits;
       Log.debug (fun m ->
@@ -459,19 +509,19 @@ let run ?(limits = default_limits) ?(confirm_saturation = true)
       let over_budget = budget_tripped in
       st.iteration <- st.iteration + 1;
       if p.p_hits > 0 then begin
-        end_iteration ~cooldown:false p 0 0;
+        end_iteration ~cooldown:false ~split p 0 0;
         go (iter + 1)
       end
       else
       match over_budget () with
       | Some b ->
-        end_iteration ~cooldown:false p 0 0;
+        end_iteration ~cooldown:false ~split p 0 0;
         finish ~tripped:b (iter + 1) false
       | None ->
       if p.p_complete then begin
         (* Every rule searched every candidate class and nothing
            merged: a genuine fixpoint. *)
-        end_iteration ~cooldown:false p 0 0;
+        end_iteration ~cooldown:false ~split p 0 0;
         finish (iter + 1) true
       end
       else if not confirm_saturation then begin
@@ -482,7 +532,7 @@ let run ?(limits = default_limits) ?(confirm_saturation = true)
            report is the driver's cue to either stop (it already has
            the answer it was saturating for) or call again with
            confirmation on. *)
-        end_iteration ~cooldown:false p 0 0;
+        end_iteration ~cooldown:false ~split p 0 0;
         finish (iter + 1) false
       end
       else begin
@@ -495,15 +545,15 @@ let run ?(limits = default_limits) ?(confirm_saturation = true)
            empty complete cool-down is a genuine fixpoint. *)
         Sink.instant sink "cooldown" ~cat:"iteration";
         unban_all st;
-        let p2 = pass ~limits ~sink st g indexed ~full:true in
-        settle ();
+        let p2 = pass ~limits ~sink ~split st g indexed ~full:true in
+        settle split;
         matches_total := !matches_total + p2.p_matches;
         unions_total := !unions_total + p2.p_hits;
         Log.debug (fun m ->
             m "iteration %d (cool-down): %d matches, %d unions"
               st.iteration p2.p_matches p2.p_hits);
         st.iteration <- st.iteration + 1;
-        end_iteration ~cooldown:true p2 p.p_matches p.p_hits;
+        end_iteration ~cooldown:true ~split p2 p.p_matches p.p_hits;
         match over_budget () with
         | Some b -> finish ~tripped:b (iter + 1) false
         | None ->

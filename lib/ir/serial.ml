@@ -40,7 +40,7 @@ let rec symdim_of_sexp = function
   | Sexp.List [ Sexp.Atom "*"; Sexp.Atom k; Sexp.Atom s ] -> (
       match int_of_string_opt k with
       | Some k -> Ok (Symdim.mul_int k (Symdim.sym s))
-      | None -> err "malformed coefficient %s" k)
+      | None -> err "malformed coefficient %s" (Sexp.excerpt (Sexp.Atom k)))
   | s -> err "malformed dimension %s" (Sexp.excerpt s)
 
 let shape_to_sexp shape =
@@ -64,7 +64,7 @@ let dtype_of_string = function
   | "bf16" -> Ok Dtype.BF16
   | "i64" -> Ok Dtype.I64
   | "bool" -> Ok Dtype.Bool
-  | s -> err "unknown dtype %s" s
+  | s -> err "unknown dtype %s" (Sexp.excerpt (Sexp.Atom s))
 
 (* --- operators -------------------------------------------------------- *)
 
@@ -77,13 +77,13 @@ let rat_of_string s =
   | None -> (
       match int_of_string_opt s with
       | Some n -> Ok (Rat.of_int n)
-      | None -> err "malformed rational %s" s)
+      | None -> err "malformed rational %s" (Sexp.excerpt (Sexp.Atom s)))
   | Some i -> (
       let num = String.sub s 0 i in
       let den = String.sub s (i + 1) (String.length s - i - 1) in
       match (int_of_string_opt num, int_of_string_opt den) with
       | Some n, Some d when d <> 0 -> Ok (Rat.make n d)
-      | _ -> err "malformed rational %s" s)
+      | _ -> err "malformed rational %s" (Sexp.excerpt (Sexp.Atom s)))
 
 let simple_ops : (string * Op.t) list =
   [
@@ -126,24 +126,26 @@ let op_to_sexp (op : Op.t) =
   | Op.All_gather { dim } -> l [ a "all_gather"; i dim ]
   | other -> l [ a (Op.name other) ]
 
-let int_of_atom what = function
-  | Sexp.Atom a -> (
-      match int_of_string_opt a with
-      | Some n -> Ok n
-      | None -> err "%s: expected integer, got %s" what a)
-  | s -> err "%s: expected integer, got %s" what (Sexp.excerpt s)
+let int_of_atom what s =
+  let n =
+    match s with Sexp.Atom a -> int_of_string_opt a | Sexp.List _ -> None
+  in
+  match n with
+  | Some n -> Ok n
+  | None -> err "%s: expected integer, got %s" what (Sexp.excerpt s)
 
 let bool_of_atom what = function
   | Sexp.Atom "true" -> Ok true
   | Sexp.Atom "false" -> Ok false
   | s -> err "%s: expected bool, got %s" what (Sexp.excerpt s)
 
-let float_of_atom what = function
-  | Sexp.Atom a -> (
-      match float_of_string_opt a with
-      | Some f -> Ok f
-      | None -> err "%s: expected float, got %s" what a)
-  | s -> err "%s: expected float, got %s" what (Sexp.excerpt s)
+let float_of_atom what s =
+  let f =
+    match s with Sexp.Atom a -> float_of_string_opt a | Sexp.List _ -> None
+  in
+  match f with
+  | Some f -> Ok f
+  | None -> err "%s: expected float, got %s" what (Sexp.excerpt s)
 
 let op_of_sexp = function
   | Sexp.List (Sexp.Atom name :: args) -> (
@@ -151,7 +153,7 @@ let op_of_sexp = function
       | _, [] -> (
           match List.assoc_opt name simple_ops with
           | Some op -> Ok op
-          | None -> err "unknown operator %s" name)
+          | None -> err "unknown operator %s" (Sexp.excerpt (Sexp.Atom name)))
       | "scale", [ Sexp.Atom r ] ->
           let* r = rat_of_string r in
           Ok (Op.Scale r)
@@ -212,7 +214,7 @@ let op_of_sexp = function
       | "all_gather", [ d ] ->
           let* dim = int_of_atom "all_gather" d in
           Ok (Op.All_gather { dim })
-      | _ -> err "malformed operator (%s ...)" name)
+      | _ -> err "malformed operator (%s ...)" (Sexp.excerpt (Sexp.Atom name)))
   | s -> err "malformed operator %s" (Sexp.excerpt s)
 
 (* --- graphs ------------------------------------------------------------ *)
@@ -229,7 +231,10 @@ let check_unique_names g =
     | [] -> None
   in
   match dup sorted with
-  | Some n -> err "graph %s: duplicate tensor name %s" (Graph.name g) n
+  | Some n ->
+      err "graph %s: duplicate tensor name %s"
+        (Sexp.excerpt (Sexp.Atom (Graph.name g)))
+        (Sexp.excerpt (Sexp.Atom n))
   | None -> Ok ()
 
 let constraints_to_sexp store =
@@ -304,7 +309,7 @@ let graph_of_sexp sexp =
       let resolve what n =
         match Hashtbl.find_opt env n with
         | Some t -> Ok t
-        | None -> err "%s: unknown tensor %s" what n
+        | None -> err "%s: unknown tensor %s" what (Sexp.excerpt (Sexp.Atom n))
       in
       let* () =
         List.fold_left
@@ -312,7 +317,8 @@ let graph_of_sexp sexp =
             let* () = acc in
             match input with
             | Sexp.List [ Sexp.Atom iname; shape; Sexp.Atom dt ] ->
-                if Hashtbl.mem env iname then err "duplicate tensor %s" iname
+                if Hashtbl.mem env iname then
+                  err "duplicate tensor %s" (Sexp.excerpt (Sexp.Atom iname))
                 else
                   let* shape = shape_of_sexp shape in
                   let* dtype = dtype_of_string dt in
@@ -328,7 +334,8 @@ let graph_of_sexp sexp =
             let* () = acc in
             match node with
             | Sexp.List [ Sexp.Atom out; op; Sexp.List ins ] ->
-                if Hashtbl.mem env out then err "duplicate tensor %s" out
+                if Hashtbl.mem env out then
+                  err "duplicate tensor %s" (Sexp.excerpt (Sexp.Atom out))
                 else
                   let* op = op_of_sexp op in
                   let* ins =
@@ -386,7 +393,7 @@ let rec expr_of_sexp ~resolve = function
   | Sexp.List [ Sexp.Atom "tensor"; Sexp.Atom name ] | Sexp.Atom name -> (
       match resolve name with
       | Some t -> Ok (Expr.leaf t)
-      | None -> err "unknown tensor %s" name)
+      | None -> err "unknown tensor %s" (Sexp.excerpt (Sexp.Atom name)))
   | Sexp.List parts as sexp -> (
       match List.rev parts with
       | Sexp.List args :: rev_op when rev_op <> [] ->

@@ -241,35 +241,16 @@ let sum_assoc =
    (the per-rank partial sums a distributed graph materialized before a
    collective). Mirrors concat-group. *)
 let sum_group =
-  let sub_sum_exists g subst group =
-    match group with
-    | [ _ ] -> true
-    | _ ->
-        let ids =
-          List.map
-            (fun x ->
-              match x with
-              | Pattern.V name -> Subst.var subst name
-              | _ -> assert false)
-            group
-        in
-        Option.is_some (Egraph.lookup g (Enode.op Op.Sum_n ids))
-  in
   let gen (n, groups) =
+    let names = equal_groups ~groups (var_names n) in
+    let rhs =
+      p Op.Sum_n (List.map (p Op.Sum_n) (equal_groups ~groups (vars n)))
+    in
     Rule.rewrite_to ~nonlocal:true "sum-group"
       (p Op.Sum_n (vars n))
       (fun g _root subst ->
-        let per = n / groups in
-        let xs = Array.of_list (vars n) in
-        let group i = List.init per (fun j -> xs.((i * per) + j)) in
-        let all_groups = List.init groups group in
-        let ( let* ) = Option.bind in
-        let* () =
-          if List.for_all (sub_sum_exists g subst) all_groups then Some ()
-          else None
-        in
-        Some
-          (p Op.Sum_n (List.map (fun grp -> p Op.Sum_n grp) all_groups)))
+        if List.for_all (sub_term_exists g subst Op.Sum_n) names then Some rhs
+        else None)
   in
   let instances =
     List.concat_map

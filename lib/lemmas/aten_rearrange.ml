@@ -222,56 +222,37 @@ let concat_group =
      Constrained in the sense of section 4.3.2: the grouped sub-concats
      must already exist as e-nodes (they are the per-rank concats the
      distributed graph materialized); the outer regrouping node itself
-     is inserted. *)
-  let sub_concat_exists g subst dim group =
-    match group with
-    | [ _ ] -> true
-    | _ ->
-        let ids =
-          List.map
-            (fun x ->
-              match x with
-              | Pattern.V name -> Subst.var subst name
-              | _ -> assert false)
-            group
-        in
-        Option.is_some (Egraph.lookup g (Enode.op (Op.Concat { dim }) ids))
-  in
+     is inserted. Each instance splits its variables once, here. *)
   let gen (n, k) =
+    let split l =
+      (List.filteri (fun i _ -> i < k) l, List.filteri (fun i _ -> i >= k) l)
+    in
+    let prefix, suffix = split (vars n) in
+    let prefix_names, suffix_names = split (var_names n) in
     Rule.rewrite_to ~nonlocal:true "concat-group"
       (fam "concat" ~bind:"cc" (vars n))
       (fun g _root subst ->
         let* dim = concat_dim (Subst.op subst "cc") in
-        let xs = vars n in
-        let prefix = List.filteri (fun i _ -> i < k) xs in
-        let suffix = List.filteri (fun i _ -> i >= k) xs in
+        let op = Op.Concat { dim } in
         let* () =
           guard
-            (sub_concat_exists g subst dim prefix
-            && sub_concat_exists g subst dim suffix)
+            (sub_term_exists g subst op prefix_names
+            && sub_term_exists g subst op suffix_names)
         in
-        let wrap = function
-          | [ one ] -> one
-          | many -> p (Op.Concat { dim }) many
-        in
-        Some (p (Op.Concat { dim }) [ wrap prefix; wrap suffix ]))
+        let wrap = function [ one ] -> one | many -> p op many in
+        Some (p op [ wrap prefix; wrap suffix ]))
   in
   (* Equal regrouping into [groups] sub-concats. *)
   let gen_equal (n, groups) =
+    let groups_of l = equal_groups ~groups l in
+    let all_groups = groups_of (vars n) and names = groups_of (var_names n) in
     Rule.rewrite_to ~nonlocal:true "concat-group"
       (fam "concat" ~bind:"cc" (vars n))
       (fun g _root subst ->
         let* dim = concat_dim (Subst.op subst "cc") in
-        let per = n / groups in
-        let xs = Array.of_list (vars n) in
-        let group i = List.init per (fun j -> xs.((i * per) + j)) in
-        let all_groups = List.init groups group in
-        let* () =
-          guard (List.for_all (sub_concat_exists g subst dim) all_groups)
-        in
-        Some
-          (p (Op.Concat { dim })
-             (List.map (fun grp -> p (Op.Concat { dim }) grp) all_groups)))
+        let op = Op.Concat { dim } in
+        let* () = guard (List.for_all (sub_term_exists g subst op) names) in
+        Some (p op (List.map (p op) all_groups)))
   in
   let instances =
     List.concat_map

@@ -5,7 +5,8 @@ open Entangle_egraph
 let v = Pattern.v
 let p = Pattern.p
 let fam = Pattern.fam
-let vars n = List.init n (fun i -> v (Printf.sprintf "x%d" i))
+let var_names n = List.init n (Printf.sprintf "x%d")
+let vars n = List.map v (var_names n)
 
 let vars_y n = List.init n (fun i -> v (Printf.sprintf "y%d" i))
 
@@ -49,6 +50,17 @@ let dim_of_var g subst x axis =
 
 let rank_of_var g subst x =
   Option.map Shape.rank (shape_of_var g subst x)
+
+let equal_groups ~groups l =
+  let per = List.length l / groups in
+  List.init groups (fun i -> List.filteri (fun j _ -> j / per = i) l)
+
+let sub_term_exists g subst op = function
+  | [ _ ] -> true
+  | names ->
+      Egraph.has_arity g (Op.name op) (List.length names)
+      && Option.is_some
+           (Egraph.lookup g (Enode.op op (List.map (Subst.var subst) names)))
 
 let deq g a b = Decide.prove_eq (Egraph.constraints g) a b
 let dle g a b = Decide.prove_le (Egraph.constraints g) a b

@@ -14,6 +14,9 @@ val fam : string -> bind:string -> Pattern.t list -> Pattern.t
 val vars : int -> Pattern.t list
 (** [vars n] is [[?x0; ...; ?x(n-1)]]. *)
 
+val var_names : int -> string list
+(** [var_names n] is [["x0"; ...; "x(n-1)"]], the names {!vars} binds. *)
+
 val vars2 : int -> Pattern.t list * Pattern.t list
 (** [[?x0..]], [[?y0..]] — two disjoint groups for binary rules. *)
 
@@ -40,6 +43,18 @@ val dim_of_var : Egraph.t -> Subst.t -> string -> int -> Symdim.t option
 (** Size of a variable's class along an axis (axis may be negative). *)
 
 val rank_of_var : Egraph.t -> Subst.t -> string -> int option
+
+val equal_groups : groups:int -> 'a list -> 'a list list
+(** [equal_groups ~groups l] cuts [l] into [groups] consecutive runs of
+    equal length; [groups] divides the length of [l]. *)
+
+val sub_term_exists : Egraph.t -> Subst.t -> Op.t -> string list -> bool
+(** [sub_term_exists g subst op names]: does [op] over the classes
+    bound to [names] already exist as an e-node? A single name is its
+    own sub-term. The guard of the constrained regrouping lemmas (paper
+    section 4.3.2): it asks {!Egraph.has_arity} before it builds and
+    looks up a probe node, so a match costs a bitmask test while the
+    e-graph holds no node of the family and arity. *)
 
 val deq : Egraph.t -> Symdim.t -> Symdim.t -> bool
 (** Provable equality under the e-graph's constraint store. *)

@@ -212,7 +212,8 @@ let get_int name sexp =
   | Some [ Sexp.Atom v ] -> (
       match int_of_string_opt v with
       | Some i -> Ok i
-      | None -> err "field %s: not an integer (%s)" name v)
+      | None ->
+          err "field %s: not an integer (%s)" name (Sexp.excerpt (Sexp.Atom v)))
   | Some _ -> err "field %s: malformed" name
   | None -> err "missing field %s" name
 
@@ -472,7 +473,10 @@ let request_body_of_sexp sexp =
                 | Sexp.List [ Sexp.Atom s; Sexp.Atom v ] -> (
                     match int_of_string_opt v with
                     | Some n -> Ok ((s, n) :: acc)
-                    | None -> err "env: bad value %s for %s" v s)
+                    | None ->
+                        err "env: bad value %s for %s"
+                          (Sexp.excerpt (Sexp.Atom v))
+                          (Sexp.excerpt (Sexp.Atom s)))
                 | s -> err "env: malformed %s" (Sexp.excerpt s))
               (Ok []) body
             |> Result.map List.rev
@@ -505,7 +509,7 @@ let error_code_to_string = function
 let error_code_of_string = function
   | "bad-request" -> Ok Bad_request
   | "internal" -> Ok Server_internal
-  | s -> err "unknown error code %s" s
+  | s -> err "unknown error code %s" (Sexp.excerpt (Sexp.Atom s))
 
 type check_reply = {
   exit_code : int;
@@ -603,7 +607,8 @@ let stats_of_sexp sexp =
       let* wall_time_s =
         match float_of_string_opt wall with
         | Some f -> Ok f
-        | None -> err "field wall: not a float (%s)" wall
+        | None ->
+            err "field wall: not a float (%s)" (Sexp.excerpt (Sexp.Atom wall))
       in
       let* rule_hits =
         match assoc "rule-hits" sexp with
@@ -616,7 +621,9 @@ let stats_of_sexp sexp =
                 | Sexp.List [ Sexp.Atom rule; Sexp.Atom hits ] -> (
                     match int_of_string_opt hits with
                     | Some h -> Ok ((rule, h) :: acc)
-                    | None -> err "rule-hits: bad count %s" hits)
+                    | None ->
+                        err "rule-hits: bad count %s"
+                          (Sexp.excerpt (Sexp.Atom hits)))
                 | s -> err "rule-hits: malformed %s" (Sexp.excerpt s))
               (Ok []) body
             |> Result.map List.rev
@@ -649,7 +656,8 @@ let get_int_opt name sexp =
   | Some [ Sexp.Atom v ] -> (
       match int_of_string_opt v with
       | Some i -> Ok (Some i)
-      | None -> err "field %s: not an integer (%s)" name v)
+      | None ->
+          err "field %s: not an integer (%s)" name (Sexp.excerpt (Sexp.Atom v)))
   | Some _ -> err "field %s: malformed" name
 
 let rec response_body_to_sexp = function
@@ -754,7 +762,7 @@ let rec response_body_of_sexp sexp =
   | Sexp.List [ Sexp.Atom "cleared"; Sexp.Atom n ] -> (
       match int_of_string_opt n with
       | Some n -> Ok (Cache_cleared n)
-      | None -> err "cleared: bad count %s" n)
+      | None -> err "cleared: bad count %s" (Sexp.excerpt (Sexp.Atom n)))
   | Sexp.List (Sexp.Atom "error" :: _) ->
       let* code = get_str "code" sexp in
       let* code = error_code_of_string code in
@@ -773,7 +781,9 @@ let rec response_body_of_sexp sexp =
         | Some [ Sexp.Atom v ] -> (
             match float_of_string_opt v with
             | Some f -> Ok (Some f)
-            | None -> err "field max-age-s: not a float (%s)" v)
+            | None ->
+                err "field max-age-s: not a float (%s)"
+                  (Sexp.excerpt (Sexp.Atom v)))
         | Some _ -> Error "field max-age-s: malformed"
       in
       let* evicted_entries = get_int "evicted-entries" sexp in
@@ -847,7 +857,9 @@ let rec response_body_of_sexp sexp =
       let* accepted =
         match bool_of_string_opt accepted with
         | Some b -> Ok b
-        | None -> err "field accepted: not a bool (%s)" accepted
+        | None ->
+            err "field accepted: not a bool (%s)"
+              (Sexp.excerpt (Sexp.Atom accepted))
       in
       let* cert_id = get_str_opt "id" sexp in
       let* cert_code = get_str_opt "code" sexp in

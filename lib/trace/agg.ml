@@ -13,6 +13,10 @@ type t = {
   cache_hits : int Atomic.t;
   cache_misses : int Atomic.t;
   cache_replays_failed : int Atomic.t;
+  collect_s : float Atomic.t;
+  apply_s : float Atomic.t;
+  rebuild_s : float Atomic.t;
+  minor_words : int Atomic.t;
   hits : (string, int) Hashtbl.t;
   hits_lock : Mutex.t;
 }
@@ -30,12 +34,21 @@ let create () =
     cache_hits = Atomic.make 0;
     cache_misses = Atomic.make 0;
     cache_replays_failed = Atomic.make 0;
+    collect_s = Atomic.make 0.;
+    apply_s = Atomic.make 0.;
+    rebuild_s = Atomic.make 0.;
+    minor_words = Atomic.make 0;
     hits = Hashtbl.create 64;
     hits_lock = Mutex.create ();
   }
 
 let arg ev key = Option.value (Event.arg_int ev key) ~default:0
 let add a n = ignore (Atomic.fetch_and_add a n)
+
+let rec add_float a ev key =
+  let cur = Atomic.get a in
+  let sum = cur +. Option.value (Event.arg_float ev key) ~default:0. in
+  if not (Atomic.compare_and_set a cur sum) then add_float a ev key
 
 let rec update_max a v =
   let cur = Atomic.get a in
@@ -48,7 +61,11 @@ let fold t (ev : Event.t) =
   | Event.End, "iteration" ->
       Atomic.incr t.iterations;
       add t.matches (arg ev "matches");
-      add t.unions (arg ev "unions")
+      add t.unions (arg ev "unions");
+      add_float t.collect_s ev "collect_s";
+      add_float t.apply_s ev "apply_s";
+      add_float t.rebuild_s ev "rebuild_s";
+      add t.minor_words (arg ev "minor_words")
   | Event.Counter, "egraph" ->
       update_max t.nodes_peak (arg ev "nodes");
       update_max t.classes_peak (arg ev "classes")
@@ -83,6 +100,10 @@ let budget_trips t = Atomic.get t.budget_trips
 let cache_hits t = Atomic.get t.cache_hits
 let cache_misses t = Atomic.get t.cache_misses
 let cache_replays_failed t = Atomic.get t.cache_replays_failed
+let collect_s t = Atomic.get t.collect_s
+let apply_s t = Atomic.get t.apply_s
+let rebuild_s t = Atomic.get t.rebuild_s
+let minor_words t = Atomic.get t.minor_words
 
 let rule_hits t =
   Mutex.lock t.hits_lock;

@@ -15,7 +15,8 @@ val create : unit -> t
 val sink : t -> Sink.t
 (** Folds the {!Event} vocabulary: ["operator"] span ends with
     [processed=true] bump {!operators}; ["iteration"] span ends bump
-    {!iterations} and accumulate their [matches]/[unions] args;
+    {!iterations} and accumulate their [matches]/[unions] args and
+    their time split;
     ["egraph"] counter samples update the peaks; ["rule-hit"] instants
     accumulate per-rule hit counts; ["retry"] span ends bump
     {!retries}; ["budget-trip"] instants bump {!budget_trips}. *)
@@ -44,6 +45,18 @@ val cache_misses : t -> int
 val cache_replays_failed : t -> int
 (** ["cache-replay-failed"] instants: entries found but rejected by
     certificate replay validation (then searched afresh) *)
+
+val collect_s : t -> float
+(** Sum of the iteration spans' [collect_s]: e-matching seconds. *)
+
+val apply_s : t -> float
+(** Sum of [apply_s]: seconds in appliers, instantiation and unions. *)
+
+val rebuild_s : t -> float
+(** Sum of [rebuild_s]: seconds restoring congruence. *)
+
+val minor_words : t -> int
+(** Sum of [minor_words]: words allocated during saturation. *)
 
 val rule_hits : t -> (string * int) list
 (** Sorted by rule name. *)

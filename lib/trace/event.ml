@@ -24,6 +24,9 @@ let phase_letter = function
 let arg_int t key =
   match List.assoc_opt key t.args with Some (Int i) -> Some i | _ -> None
 
+let arg_float t key =
+  match List.assoc_opt key t.args with Some (Float f) -> Some f | _ -> None
+
 let arg_str t key =
   match List.assoc_opt key t.args with Some (Str s) -> Some s | _ -> None
 

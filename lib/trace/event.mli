@@ -26,7 +26,12 @@
       args: [matches], [unions], [rules_searched], [full_searches],
       [delta_searches], [truncated], [banned], [deferred], [new_bans]
       and [cooldown] (whether a cool-down pass ran inside this
-      iteration). Instant ["cooldown"] marks the cool-down itself.
+      iteration), then the iteration's split: [collect_s] (e-matching),
+      [apply_s] (appliers, instantiation and unions) and [rebuild_s]
+      (congruence repair), floats in seconds that together stay within
+      the span, and [minor_words], the words allocated on the minor
+      heap during the iteration. Instant ["cooldown"] marks the
+      cool-down itself.
     - ["rule"] — instant ["rule-hit"] whenever a rule application
       merged classes (args [rule], [hits], [matches]): the replacement
       for the old [?hit_counter] side channel. Instant ["rule-ban"]
@@ -63,6 +68,7 @@ val phase_letter : phase -> string
 (** The Chrome trace-event [ph] field: ["B"], ["E"], ["C"] or ["i"]. *)
 
 val arg_int : t -> string -> int option
+val arg_float : t -> string -> float option
 val arg_str : t -> string -> string option
 val arg_bool : t -> string -> bool option
 

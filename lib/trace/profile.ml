@@ -10,6 +10,10 @@ type t = {
   unions : int;
   nodes_peak : int;
   classes_peak : int;
+  collect_s : float;
+  apply_s : float;
+  rebuild_s : float;
+  minor_words : int;
   cache_hits : int;
   cache_misses : int;
   cache_replays_failed : int;
@@ -93,6 +97,10 @@ let of_events events =
     unions = Agg.unions agg;
     nodes_peak = Agg.nodes_peak agg;
     classes_peak = Agg.classes_peak agg;
+    collect_s = Agg.collect_s agg;
+    apply_s = Agg.apply_s agg;
+    rebuild_s = Agg.rebuild_s agg;
+    minor_words = Agg.minor_words agg;
     cache_hits = Agg.cache_hits agg;
     cache_misses = Agg.cache_misses agg;
     cache_replays_failed = Agg.cache_replays_failed agg;
@@ -122,7 +130,19 @@ let pp ppf t =
   if t.phases <> [] then begin
     Fmt.pf ppf "@.Per-phase time:@.";
     Fmt.pf ppf "  %-32s %6s %14s@." "phase" "count" "total";
-    pp_rows ppf t.phases
+    pp_rows ppf t.phases;
+    if t.iterations > 0 then begin
+      pp_rows ppf
+        (List.map
+           (fun (label, total_s) -> { label; count = t.iterations; total_s })
+           [
+             ("saturate.collect", t.collect_s);
+             ("saturate.apply", t.apply_s);
+             ("saturate.rebuild", t.rebuild_s);
+           ]);
+      Fmt.pf ppf "  %-32s %6d %12d words@." "saturate.minor_words"
+        t.iterations t.minor_words
+    end
   end;
   if t.rules <> [] then begin
     Fmt.pf ppf "@.Per-rule applications:@.";

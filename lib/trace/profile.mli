@@ -10,7 +10,9 @@ type row = { label : string; count : int; total_s : float }
 type t = {
   operators : row list;
       (** per operator-span name (the op name), most expensive first *)
-  phases : row list;  (** frontier/load, saturate, extract *)
+  phases : row list;
+      (** frontier/load, saturate, extract; {!pp} prints the saturation
+          split beneath them *)
   rules : (string * int * int) list;
       (** rule name, unions applied, matches examined; most-applied
           first *)
@@ -20,6 +22,12 @@ type t = {
   unions : int;
   nodes_peak : int;
   classes_peak : int;
+  collect_s : float;
+  apply_s : float;
+  rebuild_s : float;
+      (** saturation's split, summed over the iteration spans: seconds
+          e-matching, applying matches, and restoring congruence *)
+  minor_words : int;  (** words allocated during saturation *)
   cache_hits : int;  (** operators served from the certificate cache *)
   cache_misses : int;
   cache_replays_failed : int;

@@ -359,6 +359,43 @@ let egraph_tests =
         let ds = Egraph_check.check g in
         check Alcotest.bool "no EGRAPH008" false (has_code "EGRAPH008" ds);
         check Alcotest.bool "no EGRAPH009" false (has_code "EGRAPH009" ds));
+    Alcotest.test_case "regrouping saturation is EGRAPH009/10-clean" `Quick
+      (fun () ->
+        (* Concat and sum nodes whose groups exist, congruent pairs that
+           rebuild dedups, and the audit after every iteration. *)
+        let g = Egraph.create () in
+        let l =
+          Array.init 4 (fun i -> Egraph.add_leaf g (tensor (Fmt.str "g%d" i)))
+        in
+        let add op ids = Egraph.add_op g op (List.map (Array.get l) ids) in
+        let concat = Op.Concat { dim = 0 } in
+        List.iter
+          (fun (op, ids) -> ignore (add op ids))
+          [
+            (concat, [ 0; 1; 2; 3 ]);
+            (concat, [ 0; 1 ]);
+            (concat, [ 2; 3 ]);
+            (Op.Sum_n, [ 0; 1; 2; 3 ]);
+            (Op.Sum_n, [ 0; 1 ]);
+            (Op.Sum_n, [ 2; 3 ]);
+          ];
+        ignore (Egraph.union g l.(0) l.(2));
+        ignore (Egraph.union g l.(1) l.(3));
+        Egraph.rebuild g;
+        let ds = Egraph_check.check g in
+        check Alcotest.bool "no EGRAPH009" false (has_code "EGRAPH009" ds);
+        check Alcotest.bool "no EGRAPH010" false (has_code "EGRAPH010" ds);
+        let rules =
+          Entangle_lemmas.Lemma.rules
+            (List.filter
+               (fun (l : Entangle_lemmas.Lemma.t) ->
+                 l.name = "concat-group" || l.name = "sum-group")
+               Entangle_lemmas.Registry.all)
+        in
+        let report =
+          Runner.run ~invariant_check:Egraph_check.runner_hook g rules
+        in
+        check Alcotest.bool "regrouped" true (report.Runner.unions > 0));
     Alcotest.test_case "runner accepts the invariant hook" `Quick (fun () ->
         let g = Egraph.create () in
         let a = Egraph.add_leaf g (tensor "ra") in

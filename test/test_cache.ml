@@ -913,6 +913,16 @@ let archive_tests =
                 match Store.import_all s2 "some other file format\n" with
                 | Error _ -> ()
                 | Ok _ -> Alcotest.fail "foreign file must not import")));
+    Alcotest.test_case "a huge archive header echoes a bounded excerpt"
+      `Quick (fun () ->
+        with_temp_dir (fun dir ->
+            match
+              Store.import_all (open_store dir)
+                (String.make 400_000 'h' ^ "\n")
+            with
+            | Error e ->
+                check Alcotest.bool "under 1 KB" true (String.length e < 1024)
+            | Ok _ -> Alcotest.fail "foreign file must not import"));
     Alcotest.test_case
       "cache archive warms a fresh store; junk payloads are rejected" `Quick
       (fun () ->

@@ -373,6 +373,30 @@ let incremental_tests =
         (* The merged class carries both families under its root. *)
         check Alcotest.bool "merged root under neg" true (mem "neg" n);
         check Alcotest.bool "merged root under exp" true (mem "exp" n));
+    Alcotest.test_case "the arity census tracks hash-consed nodes" `Quick
+      (fun () ->
+        let g = Egraph.create () in
+        let l =
+          Array.init 8 (fun i -> Egraph.add_leaf g (tensor (Fmt.str "l%d" i)))
+        in
+        let concat ids = Egraph.add_op g (Op.Concat { dim = 0 }) ids in
+        let c01 = concat [ l.(0); l.(1) ] and c23 = concat [ l.(2); l.(3) ] in
+        ignore (concat (Array.to_list l));
+        let census () =
+          List.map (Egraph.has_arity g "concat") [ 2; 3; 8 ]
+        in
+        check Alcotest.(list bool) "arities 2 and 8, not 3"
+          [ true; false; true ] (census ());
+        check Alcotest.bool "absent family" false (Egraph.has_arity g "sum" 2);
+        (* Make the two pairs congruent: rebuild re-keys and dedups the
+           concat nodes, and the census keeps both arities. *)
+        ignore (Egraph.union g l.(0) l.(2));
+        ignore (Egraph.union g l.(1) l.(3));
+        Egraph.rebuild g;
+        check Alcotest.bool "congruent concats merged" true
+          (Egraph.equiv g c01 c23);
+        check Alcotest.(list bool) "census after rebuild" [ true; false; true ]
+          (census ()));
     Alcotest.test_case "union records dropped shape conflicts" `Quick
       (fun () ->
         let g = Egraph.create () in

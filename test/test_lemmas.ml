@@ -58,25 +58,25 @@ let scenario_limits =
    the same verdict as spending the whole budget; it spares scenarios
    like "mean of replicas collapses", whose sums keep the e-graph
    growing for the remaining iterations, over a minute of matching. *)
-let saturate_until_equiv g a b =
+let saturate_until_equiv ~rules g a b =
   let state = Runner.create_state () in
   let one = { scenario_limits with Runner.max_iterations = 1 } in
   let rec go i =
     if i < scenario_limits.Runner.max_iterations && not (Egraph.equiv g a b)
     then
-      match (Runner.run ~limits:one ~state g all_rules).Runner.tripped with
+      match (Runner.run ~limits:one ~state g rules).Runner.tripped with
       | Some Runner.Iterations -> go (i + 1)
       | _ -> ()  (* saturated, or a size budget tripped *)
   in
   go 0
 
-let scenario ?(skip_eval = false) name expr_a expr_b =
+let scenario ?(skip_eval = false) ?(rules = all_rules) name expr_a expr_b =
   Alcotest.test_case name `Quick (fun () ->
       (* e-graph equivalence *)
       let g = Egraph.create () in
       let a = Egraph.add_expr g expr_a in
       let b = Egraph.add_expr g expr_b in
-      saturate_until_equiv g a b;
+      saturate_until_equiv ~rules g a b;
       if not (Egraph.equiv g a b) then
         Alcotest.failf "expressions not identified:@.  %a@.  %a" Expr.pp expr_a
           Expr.pp expr_b;
@@ -425,6 +425,167 @@ let dialect_tests =
           [ app Op.Matmul [ leaf ha; leaf hc ]; app Op.Matmul [ leaf hb; leaf hd ] ]));
   ]
 
+(* --- constrained regrouping ------------------------------------------------ *)
+
+let lemma_rules name =
+  match Entangle_lemmas.Registry.find name with
+  | Some l -> l.Entangle_lemmas.Lemma.rules
+  | None -> invalid_arg ("no lemma " ^ name)
+
+(* Each scenario loads only the lemma under test: concat-flatten and
+   sum-flatten would otherwise prove the same equalities. The grouped
+   side's sub-terms exist because it is added too; that is what lets
+   the constrained lemma fire. *)
+let regroup_tests =
+  let l = Array.init 6 (fun i -> leaf (t (Fmt.str "r%d" i) [ 2; 3 ])) in
+  let run i n = List.init n (fun j -> l.(i + j)) in
+  let sum = app Op.Sum_n in
+  [
+    scenario ~rules:(lemma_rules "concat-group")
+      "concat-group joins concat(a,b,c,d) with its halves"
+      (concat 0 (run 0 4))
+      (concat 0 [ concat 0 (run 0 2); concat 0 (run 2 2) ]);
+    scenario ~rules:(lemma_rules "concat-group")
+      "concat-group joins concat(a..f) with its 3+3 grouping"
+      (concat 0 (run 0 6))
+      (concat 0 [ concat 0 (run 0 3); concat 0 (run 3 3) ]);
+    scenario ~rules:(lemma_rules "sum-group")
+      "sum-group joins sum(a,b,c,d) with its halves"
+      (sum (run 0 4))
+      (sum [ sum (run 0 2); sum (run 2 2) ]);
+    Alcotest.test_case "concat-group needs every grouped sub-concat" `Quick
+      (fun () ->
+        let g = Egraph.create () in
+        let whole = Egraph.add_expr g (concat 0 (run 0 4)) in
+        ignore (Egraph.add_expr g (concat 0 (run 0 2)));
+        ignore
+          (Runner.run ~limits:scenario_limits g (lemma_rules "concat-group"));
+        Alcotest.check Alcotest.int "no regrouping without concat(c,d)" 1
+          (List.length (Egraph.nodes_of g whole)));
+  ]
+
+(* The regrouping lemmas' guard without the arity census: build the
+   probe node and look it up. *)
+let probe_exists g subst op = function
+  | [ _ ] -> true
+  | group ->
+      let var = function Pattern.V x -> Subst.var subst x | _ -> assert false in
+      Option.is_some (Egraph.lookup g (Enode.op op (List.map var group)))
+
+let pattern_vars n = List.init n (fun i -> Pattern.v (Fmt.str "x%d" i))
+
+let chunks groups l =
+  let per = List.length l / groups in
+  List.init groups (fun i -> List.filteri (fun j _ -> j / per = i) l)
+
+let equal_instances = [ (4, 2); (6, 2); (6, 3); (8, 2); (8, 4) ]
+
+(* Reference appliers of concat-group and sum-group over the probe
+   guard, rule for rule in corpus order. *)
+let reference_concat_group =
+  let guarded subst k =
+    match Subst.op subst "cc" with
+    | Op.Concat { dim } -> k (Op.Concat { dim })
+    | _ -> []
+  in
+  let split (n, k) g root subst =
+    guarded subst (fun op ->
+        let xs = pattern_vars n in
+        let prefix = List.filteri (fun i _ -> i < k) xs in
+        let suffix = List.filteri (fun i _ -> i >= k) xs in
+        let wrap = function [ one ] -> one | many -> Pattern.p op many in
+        if probe_exists g subst op prefix && probe_exists g subst op suffix
+        then [ (Pattern.c root, Pattern.p op [ wrap prefix; wrap suffix ]) ]
+        else [])
+  and equal (n, groups) g root subst =
+    guarded subst (fun op ->
+        let all = chunks groups (pattern_vars n) in
+        if List.for_all (probe_exists g subst op) all then
+          [ (Pattern.c root, Pattern.p op (List.map (Pattern.p op) all)) ]
+        else [])
+  in
+  List.concat_map
+    (fun n -> List.init (n - 1) (fun k -> split (n, k + 1)))
+    [ 3; 4; 6; 8 ]
+  @ List.map equal equal_instances
+
+let reference_sum_group =
+  List.map
+    (fun (n, groups) g root subst ->
+      let all = chunks groups (pattern_vars n) in
+      let sum = Pattern.p Op.Sum_n in
+      if List.for_all (probe_exists g subst Op.Sum_n) all then
+        [ (Pattern.c root, sum (List.map sum all)) ]
+      else [])
+    equal_instances
+
+type regroup_step =
+  | Node of bool * int * int * int  (** sum?, concat dim, first leaf, arity *)
+  | Merge of int * int
+
+let pp_regroup_step ppf = function
+  | Node (is_sum, dim, first, n) ->
+      Fmt.pf ppf "%s(l%d..+%d)"
+        (if is_sum then "sum" else Fmt.str "concat%d" dim)
+        first n
+  | Merge (a, b) -> Fmt.pf ppf "union #%d #%d" a b
+
+(* Concat and sum nodes of arity 2-8 over runs of six shared leaves, so
+   grouped sub-terms sometimes exist, then random unions. *)
+let regroup_step_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 4,
+          map
+            (fun (((is_sum, dim), first), n) -> Node (is_sum, dim, first, n))
+            (pair
+               (pair (pair bool (int_bound 1)) (int_bound 5))
+               (int_range 2 8)) );
+        (1, map2 (fun a b -> Merge (a, b)) (int_bound 40) (int_bound 40));
+      ])
+
+let regroup_property =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make
+       ~name:"census-guarded regrouping equals the probe-only guard" ~count:150
+       (QCheck.make
+          ~print:(Fmt.str "%a" (Fmt.Dump.list pp_regroup_step))
+          QCheck.Gen.(list_size (int_range 1 30) regroup_step_gen))
+       (fun steps ->
+         let g = Egraph.create () in
+         let leaves =
+           Array.init 6 (fun i ->
+               Egraph.add_leaf g (t (Fmt.str "q%d" i) [ 2; 3 ]))
+         in
+         let ids = ref (Array.to_list leaves) in
+         List.iter
+           (function
+             | Node (is_sum, dim, first, n) ->
+                 let op = if is_sum then Op.Sum_n else Op.Concat { dim } in
+                 let child i = leaves.((first + i) mod 6) in
+                 ids := !ids @ [ Egraph.add_op g op (List.init n child) ]
+             | Merge (a, b) ->
+                 let cls i = List.nth !ids (i mod List.length !ids) in
+                 ignore (Egraph.union g (cls a) (cls b)))
+           steps;
+         Egraph.rebuild g;
+         let agrees rules references =
+           List.length rules = List.length references
+           && List.for_all2
+                (fun (rule : Rule.t) reference ->
+                  match rule.applier with
+                  | Rule.Syntactic _ -> false
+                  | Rule.Conditional f ->
+                      List.for_all
+                        (fun (cls, subst) ->
+                          f g cls subst = reference g cls subst)
+                        (Ematch.match_all g rule.lhs))
+                rules references
+         in
+         agrees (lemma_rules "concat-group") reference_concat_group
+         && agrees (lemma_rules "sum-group") reference_sum_group))
+
 (* --- metadata -------------------------------------------------------------- *)
 
 let metadata_tests =
@@ -475,5 +636,6 @@ let suite =
     ("lemmas.nn", nn_tests);
     ("lemmas.collectives", collective_tests);
     ("lemmas.dialects", dialect_tests);
+    ("lemmas.regroup", regroup_tests @ [ regroup_property ]);
     ("lemmas.metadata", metadata_tests);
   ]

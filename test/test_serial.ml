@@ -192,6 +192,27 @@ let graph_error_tests =
         | Ok _ -> Alcotest.fail "accepted a malformed graph"
         | Error e ->
             check Alcotest.bool "under 1 KB" true (String.length e < 1024));
+    Alcotest.test_case "errors quote a bounded excerpt of a huge atom" `Quick
+      (fun () ->
+        (* A 400 KB operator, tensor or float atom must not be echoed
+           back whole. *)
+        let big = String.make 400_000 'z' in
+        let graph node =
+          "(graph g (constraints) (inputs (x (shape 2) f32)) (nodes (y "
+          ^ node ^ ")) (outputs y))"
+        in
+        List.iter
+          (fun (what, text) ->
+            match Serial.graph_of_string text with
+            | Ok _ -> Alcotest.failf "%s: accepted" what
+            | Error e ->
+                check Alcotest.bool (what ^ " under 1 KB") true
+                  (String.length e < 1024))
+          [
+            ("unknown operator", graph ("(" ^ big ^ ") (x)"));
+            ("unknown tensor", graph ("(neg) (" ^ big ^ ")"));
+            ("expected float", graph ("(layernorm " ^ big ^ ") (x)"));
+          ]);
     Alcotest.test_case "duplicate tensor names rejected on write" `Quick
       (fun () ->
         let module B = Graph.Builder in

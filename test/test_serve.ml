@@ -100,6 +100,25 @@ let handshake_tests =
             | Ok w' -> check Alcotest.bool "welcome" true (w = w')
             | Error e -> Alcotest.failf "welcome_of_string: %s" e)
           cases);
+    Alcotest.test_case "a huge non-integer field echoes a bounded excerpt"
+      `Quick (fun () ->
+        let big = String.make 400_000 '9' ^ "x" in
+        List.iter
+          (fun (what, result) ->
+            match result with
+            | Ok _ -> Alcotest.failf "%s: accepted" what
+            | Error e ->
+                check Alcotest.bool (what ^ " under 1 KB") true
+                  (String.length e < 1024))
+          [
+            ( "request id",
+              Result.map ignore
+                (P.request_of_string ("(request (id " ^ big ^ ") (ping))")) );
+            ( "response id",
+              Result.map ignore
+                (P.response_of_string ("(response (id " ^ big ^ ") (pong))"))
+            );
+          ]);
     Alcotest.test_case "malformed hello is an error" `Quick (fun () ->
         check Alcotest.bool "not a hello" true
           (Result.is_error (P.hello_of_string "(pang)"));

@@ -139,6 +139,40 @@ let stats_tests =
           (List.fold_left
              (fun acc (r : Trace.Profile.row) -> acc + r.count)
              0 p.Trace.Profile.operators));
+    Alcotest.test_case "iteration spans carry the saturation split" `Quick
+      (fun () ->
+        let _, events = check_collecting (Gpt.build ()) in
+        let module E = Trace.Event in
+        let split =
+          List.fold_left
+            (fun acc (ev : E.t) ->
+              if ev.phase <> E.End || ev.cat <> "iteration" then acc
+              else
+                match
+                  ( E.arg_float ev "collect_s",
+                    E.arg_float ev "apply_s",
+                    E.arg_float ev "rebuild_s",
+                    E.arg_int ev "minor_words" )
+                with
+                | Some c, Some a, Some r, Some w
+                  when c >= 0. && a >= 0. && r >= 0. && w >= 0 ->
+                    acc +. c +. a +. r
+                | _ ->
+                    Alcotest.failf "iteration end without a split: %a" E.pp ev)
+            0. events
+        in
+        let p = Trace.Profile.of_events events in
+        let saturate =
+          List.fold_left
+            (fun acc (r : Trace.Profile.row) ->
+              if r.label = "saturate" then acc +. r.total_s else acc)
+            0. p.Trace.Profile.phases
+        in
+        check Alcotest.bool "split is positive" true (split > 0.);
+        check Alcotest.bool "split within the saturate spans" true
+          (split <= saturate);
+        check (Alcotest.float 1e-9) "profile sums the split" split
+          Trace.Profile.(p.collect_s +. p.apply_s +. p.rebuild_s));
   ]
 
 let chrome_tests =
