@@ -32,8 +32,11 @@ type ctx = {
   gd_outputs : Tensor.Set.t;
   resolve : string -> Tensor.t option;
   gd : Graph.t;
+  sources : Node.t list;  (** distributed nodes without inputs *)
   whole_cone : string option;
   mutable inputs_memo : ((Tensor.t * Expr.t list) list * string) option;
+  batch : (string, string) Hashtbl.t;
+      (** payloads recorded by {!put}, written by {!flush} *)
 }
 
 let has_duplicate_names g =
@@ -155,44 +158,54 @@ let context (t : t) ~config_fp ~whole_graph ~rules:rs ~gs ~gd =
         gd_outputs = Tensor.Set.of_list (Graph.outputs gd);
         resolve = Hashtbl.find_opt by_name;
         gd;
+        sources = List.filter (fun n -> Node.inputs n = []) (Graph.nodes gd);
         (* With the frontier off every operator loads the whole
            distributed graph: one cone for the whole check. *)
         whole_cone =
           (if whole_graph then Some (nodes_fp gd_env (Graph.nodes gd))
            else None);
         inputs_memo = None;
+        batch = Hashtbl.create 64;
       }
 
 (* The distributed cone: the node set the frontier loop (Listing 3)
    would load, replayed as a pure tensor-set fixpoint — the loop's
    membership tests never consult the e-graph, so the loaded set is a
-   function of the anchor tensors and the distributed graph alone. *)
-let cone gd ~anchors =
-  let gd_nodes = Graph.nodes gd in
-  let t_rel = ref anchors in
-  let explored = Hashtbl.create 64 in
+   function of the anchor tensors and the distributed graph alone. The
+   loop scans every node once per wave; the same least fixpoint comes
+   from a worklist over the consumers index that counts down each
+   node's distinct inputs not yet available, in time proportional to
+   the cone. Nodes without inputs load in the loop's first wave, so
+   they seed the worklist with the anchors. *)
+let cone_from gd ~sources ~anchors =
+  let available = Hashtbl.create 64 and waiting = Hashtbl.create 64 in
   let acc = ref [] in
-  let continue = ref true in
-  while !continue do
-    let frontier =
-      List.filter
-        (fun n ->
-          (not (Hashtbl.mem explored (Node.id n)))
-          && List.for_all
-               (fun tensor -> Tensor.Set.mem tensor !t_rel)
-               (Node.inputs n))
-        gd_nodes
+  let rec make_available t =
+    if not (Hashtbl.mem available (Tensor.id t)) then begin
+      Hashtbl.replace available (Tensor.id t) ();
+      List.iter arrive (Graph.consumers gd t)
+    end
+  (* One of [n]'s distinct inputs became available. *)
+  and arrive n =
+    let missing =
+      match Hashtbl.find_opt waiting (Node.id n) with
+      | Some k -> k - 1
+      | None -> List.length (Node.distinct_inputs n) - 1
     in
-    if frontier = [] then continue := false
-    else
-      List.iter
-        (fun n ->
-          Hashtbl.replace explored (Node.id n) ();
-          acc := n :: !acc;
-          t_rel := Tensor.Set.add (Node.output n) !t_rel)
-        frontier
-  done;
+    Hashtbl.replace waiting (Node.id n) missing;
+    if missing = 0 then load n
+  and load n =
+    acc := n :: !acc;
+    make_available (Node.output n)
+  in
+  Tensor.Set.iter make_available anchors;
+  List.iter load sources;
   !acc
+
+let cone gd ~anchors =
+  cone_from gd
+    ~sources:(List.filter (fun n -> Node.inputs n = []) (Graph.nodes gd))
+    ~anchors
 
 (* Does [seeds] hold exactly the graph-input entries [memo], in order,
    each with physically the same mapping list? A relation shares the
@@ -246,7 +259,7 @@ let key ctx ~seeds v =
                 acc es)
             Tensor.Set.empty own
         in
-        nodes_fp ctx.gd_env (cone ctx.gd ~anchors)
+        nodes_fp ctx.gd_env (cone_from ctx.gd ~sources:ctx.sources ~anchors)
   in
   hex
     (Fingerprint.strings
@@ -276,14 +289,6 @@ let entry_to_payload entry =
   in
   Sexp.to_string sexp
 
-let parse_exprs ~resolve sexps =
-  List.fold_left
-    (fun acc s ->
-      let* acc = acc in
-      let* e = Serial.expr_of_sexp ~resolve s in
-      Ok (acc @ [ e ]))
-    (Ok []) sexps
-
 let parse_payload ~resolve payload =
   let* sexp = Sexp.of_string payload in
   match sexp with
@@ -291,8 +296,10 @@ let parse_payload ~resolve payload =
   | Sexp.List
       [ Sexp.Atom "entry"; Sexp.Atom "mapped"; Sexp.List maps; Sexp.List outs ]
     ->
-      let* mappings = parse_exprs ~resolve maps in
-      let* output_mappings = parse_exprs ~resolve outs in
+      let* mappings = Serial.map_result (Serial.expr_of_sexp ~resolve) maps in
+      let* output_mappings =
+        Serial.map_result (Serial.expr_of_sexp ~resolve) outs
+      in
       if mappings = [] then err "mapped entry with no mappings"
       else Ok (Mapped { mappings; output_mappings })
   | s -> err "malformed cache entry %s" (Sexp.excerpt s)
@@ -353,9 +360,16 @@ let find ctx ~key v =
 let put ctx ~key entry =
   match entry with
   | Mapped { mappings = []; _ } -> ()
-  | _ -> (
-      match Store.put ctx.store ~key (entry_to_payload entry) with
-      | Ok () | Error _ -> ())
+  | _ -> Hashtbl.replace ctx.batch key (entry_to_payload entry)
+
+let pending ctx = Hashtbl.length ctx.batch
+
+let flush ctx =
+  let entries =
+    List.sort compare (Hashtbl.fold (fun k p acc -> (k, p) :: acc) ctx.batch [])
+  in
+  Hashtbl.reset ctx.batch;
+  match Store.put_all ctx.store entries with Ok bytes -> bytes | Error _ -> 0
 
 (* --- maintenance --------------------------------------------------------- *)
 

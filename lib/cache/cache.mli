@@ -65,8 +65,9 @@ type entry =
 
 type ctx
 (** Per-check context: fingerprint environments for both graphs, the
-    distributed name-resolution table and the base fingerprint. Built
-    once per [Refine.check]. *)
+    distributed name-resolution table, the base fingerprint and the
+    batch of entries the check has yet to write. Built once per
+    [Refine.check]. *)
 
 val context :
   t ->
@@ -94,13 +95,32 @@ val key :
     same mapping lists as the call that computed it; otherwise it is
     recomputed. *)
 
+val cone : Graph.t -> anchors:Tensor.Set.t -> Node.t list
+(** The distributed nodes the frontier loop would load from [anchors],
+    in no particular order: the least node set closed under loading
+    every node whose inputs are all anchors or outputs of loaded nodes
+    (so every node without inputs). {!key} hashes it. *)
+
 val find : ctx -> key:string -> Node.t -> [ `Hit of entry | `Miss | `Replay_failed of string ]
-(** Look up and replay-validate an entry for operator [v]. *)
+(** Look up and replay-validate an entry for operator [v]. Entries
+    recorded by {!put} are not in the store until {!flush}; the keys
+    of one check differ as long as the sequential graph's tensor names
+    do, since each covers its operator's output tensor by name. *)
 
 val put : ctx -> key:string -> entry -> unit
-(** Record an entry; best-effort (I/O errors are swallowed — the cache
-    must never fail a check). A [Mapped] entry with no mappings is not
+(** Record an entry in the context's batch; nothing is written until
+    {!flush}, so a check's entries land together when it ends, as one
+    pack ({!Store.put_all}). A [Mapped] entry with no mappings is not
     stored. *)
+
+val pending : ctx -> int
+(** Entries recorded by {!put} since the last {!flush}. *)
+
+val flush : ctx -> int
+(** Write the pending entries as one pack and empty the batch; the
+    bytes written. Best-effort: I/O errors are swallowed (the cache
+    must never fail a check) and read as [0]. [Refine.check] calls it
+    once, when the check returns or raises. *)
 
 (** {1 Maintenance} (the [entangle cache] subcommand) *)
 

@@ -185,6 +185,25 @@ let check ?(config = Config.default) ?rules ~gs ~gd ~input_relation () =
     | Some s, Some d -> Some (Float.min (now +. s) d)
   in
   let stats () = stats_of_agg ~wall_time_s:(Unix.gettimeofday () -. t0) agg in
+  (* The cache entries a check records are written together, as one
+     pack, when it ends: before its statistics are taken, or when it
+     raises. *)
+  let store_cache () =
+    match cache_ctx with
+    | Some ctx when Cache.pending ctx > 0 ->
+        let entries = Cache.pending ctx in
+        if Sink.enabled sink then
+          Sink.span_begin sink ~cat:"cache" "cache-store";
+        let bytes = Cache.flush ctx in
+        if Sink.enabled sink then
+          Sink.span_end sink ~cat:"cache" "cache-store"
+            ~args:[ ("entries", Event.Int entries); ("bytes", Event.Int bytes) ]
+    | _ -> ()
+  in
+  let final_stats () =
+    store_cache ();
+    stats ()
+  in
   let cache_log = ref [] in
   (* Record how [v]'s relation was obtained, for [cache_provenance] and
      as a [cat:"cache"] instant. *)
@@ -243,7 +262,7 @@ let check ?(config = Config.default) ?rules ~gs ~gd ~input_relation () =
             partial_relation = relation;
             input_mappings = first.fault_input_mappings;
             cache_provenance = List.rev !cache_log;
-            stats = stats ();
+            stats = final_stats ();
           }
   in
   let op_begin index v =
@@ -478,7 +497,7 @@ let check ?(config = Config.default) ?rules ~gs ~gd ~input_relation () =
                 output_relation;
                 full_relation = relation;
                 cache_provenance = List.rev !cache_log;
-                stats = stats ();
+                stats = final_stats ();
               }
         | _ -> finalize relation faults skipped)
     | v :: rest ->
@@ -572,8 +591,9 @@ let check ?(config = Config.default) ?rules ~gs ~gd ~input_relation () =
       Relation.empty (Graph.outputs gs)
   in
   let result =
-    go 0 input_relation output_relation0 [] [] Tensor.Set.empty
-      (Graph.nodes gs)
+    Fun.protect ~finally:store_cache (fun () ->
+        go 0 input_relation output_relation0 [] [] Tensor.Set.empty
+          (Graph.nodes gs))
   in
   Sink.flush config.Config.trace;
   result

@@ -73,10 +73,19 @@ type state = {
      search. *)
   rule_states : (int, rule_state) Hashtbl.t;
   mutable iteration : int;  (** global iteration counter across runs *)
+  mutable indexed : (Rule.t list * (int * string option * Rule.t) list) option;
+      (** the rule list of the last run, and each rule with its position
+          and root family: built once per state, not once per run *)
 }
 
 let create_state ?(match_limit = 1000) ?(ban_length = 5) () =
-  { match_limit; ban_length; rule_states = Hashtbl.create 64; iteration = 0 }
+  {
+    match_limit;
+    ban_length;
+    rule_states = Hashtbl.create 64;
+    iteration = 0;
+    indexed = None;
+  }
 
 let rule_state st idx =
   match Hashtbl.find_opt st.rule_states idx with
@@ -407,7 +416,14 @@ let unban_all st =
 let run ?(limits = default_limits) ?(confirm_saturation = true)
     ?(sink = Sink.null) ?invariant_check ?state g rules =
   let st = match state with Some s -> s | None -> create_state () in
-  let indexed = List.mapi (fun i r -> (i, root_family r, r)) rules in
+  let indexed =
+    match st.indexed with
+    | Some (rules', indexed) when rules' == rules -> indexed
+    | _ ->
+        let indexed = List.mapi (fun i r -> (i, root_family r, r)) rules in
+        st.indexed <- Some (rules, indexed);
+        indexed
+  in
   let matches_total = ref 0 and unions_total = ref 0 in
   let finish ?tripped iter saturated =
     {

@@ -20,13 +20,9 @@ let consumers_of_nodes nodes =
   let map =
     List.fold_left
       (fun map n ->
-        let distinct =
-          List.fold_left
-            (fun acc t ->
-              if List.exists (Tensor.equal t) acc then acc else t :: acc)
-            [] (Node.inputs n)
-        in
-        List.fold_left (fun map t -> add_use map t n) map distinct)
+        List.fold_left
+          (fun map t -> add_use map t n)
+          map (Node.distinct_inputs n))
       Tensor.Map.empty nodes
   in
   Tensor.Map.map List.rev map
@@ -119,8 +115,8 @@ module Builder = struct
   type t = {
     b_name : string;
     b_constraints : Constraint_store.t;
-    mutable b_inputs : Tensor.t list;
-    mutable b_outputs : Tensor.t list;
+    mutable b_inputs : Tensor.t list;  (* reverse order *)
+    mutable b_outputs : Tensor.t list;  (* reverse order *)
     mutable b_nodes : Node.t list;  (* reverse order *)
     mutable b_producers : Node.t Tensor.Map.t;
     mutable b_known : Tensor.Set.t;
@@ -143,7 +139,7 @@ module Builder = struct
 
   let input b ?dtype name shape =
     let t = Tensor.create ?dtype ~name shape in
-    b.b_inputs <- b.b_inputs @ [ t ];
+    b.b_inputs <- t :: b.b_inputs;
     b.b_known <- Tensor.Set.add t b.b_known;
     t
 
@@ -185,14 +181,14 @@ module Builder = struct
   let output b t =
     if not (Tensor.Set.mem t b.b_known) then
       invalid_arg (Fmt.str "Graph.Builder.output: unknown tensor %a" Tensor.pp t);
-    b.b_outputs <- b.b_outputs @ [ t ]
+    b.b_outputs <- t :: b.b_outputs
 
   let finish b =
     let nodes = List.rev b.b_nodes in
     {
       name = b.b_name;
-      inputs = b.b_inputs;
-      outputs = b.b_outputs;
+      inputs = List.rev b.b_inputs;
+      outputs = List.rev b.b_outputs;
       nodes;
       constraints = b.b_constraints;
       producers = b.b_producers;

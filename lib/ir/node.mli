@@ -6,4 +6,9 @@ val id : t -> int
 val op : t -> Op.t
 val inputs : t -> Tensor.t list
 val output : t -> Tensor.t
+
+val distinct_inputs : t -> Tensor.t list
+(** [inputs] without repeats, in order of first use; linear in the
+    number of inputs. *)
+
 val pp : t Fmt.t

@@ -3,6 +3,16 @@ open Entangle_symbolic
 let ( let* ) = Result.bind
 let err fmt = Fmt.kstr (fun s -> Error s) fmt
 
+(* [f] over [xs] in order, stopping at the first error: linear, where a
+   fold appending each result would copy the list per element. *)
+let map_result f xs =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | x :: rest -> (
+        match f x with Ok y -> go (y :: acc) rest | Error _ as e -> e)
+  in
+  go [] xs
+
 (* --- symbolic dimensions ------------------------------------------- *)
 
 let symdim_to_sexp d =
@@ -47,13 +57,7 @@ let shape_to_sexp shape =
   Sexp.list (Sexp.atom "shape" :: List.map symdim_to_sexp shape)
 
 let shape_of_sexp = function
-  | Sexp.List (Sexp.Atom "shape" :: dims) ->
-      List.fold_left
-        (fun acc d ->
-          let* acc = acc in
-          let* d = symdim_of_sexp d in
-          Ok (acc @ [ d ]))
-        (Ok []) dims
+  | Sexp.List (Sexp.Atom "shape" :: dims) -> map_result symdim_of_sexp dims
   | s -> err "malformed shape %s" (Sexp.excerpt s)
 
 (* --- dtype ----------------------------------------------------------- *)
@@ -339,15 +343,11 @@ let graph_of_sexp sexp =
                 else
                   let* op = op_of_sexp op in
                   let* ins =
-                    List.fold_left
-                      (fun acc i ->
-                        let* acc = acc in
-                        match i with
-                        | Sexp.Atom n ->
-                            let* t = resolve "node input" n in
-                            Ok (acc @ [ t ])
+                    map_result
+                      (function
+                        | Sexp.Atom n -> resolve "node input" n
                         | s -> err "malformed input ref %s" (Sexp.excerpt s))
-                      (Ok []) ins
+                      ins
                   in
                   (match Graph.Builder.add b ~name:out op ins with
                   | t ->
@@ -399,13 +399,6 @@ let rec expr_of_sexp ~resolve = function
       | Sexp.List args :: rev_op when rev_op <> [] ->
           let op_sexp = Sexp.list (List.rev rev_op) in
           let* op = op_of_sexp op_sexp in
-          let* args =
-            List.fold_left
-              (fun acc a ->
-                let* acc = acc in
-                let* e = expr_of_sexp ~resolve a in
-                Ok (acc @ [ e ]))
-              (Ok []) args
-          in
+          let* args = map_result (expr_of_sexp ~resolve) args in
           Ok (Expr.app op args)
       | _ -> err "malformed expression %s" (Sexp.excerpt sexp))

@@ -48,3 +48,8 @@ val expr_of_sexp :
   resolve:(string -> Tensor.t option) -> Sexp.t -> (Expr.t, string) result
 (** Inverse of {!expr_to_sexp}; leaves are resolved by name (a bare
     atom is accepted as a leaf too). *)
+
+val map_result : ('a -> ('b, string) result) -> 'a list -> ('b list, string) result
+(** [f] over a list in order, stopping at the first error; linear in
+    the list's length. The parsers here decode every untrusted list
+    with it. *)

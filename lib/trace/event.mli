@@ -39,7 +39,26 @@
       [banned_until], [matches], [threshold]).
     - ["egraph"] — counter ["egraph"] sampling e-graph growth (args
       [nodes], [classes]); emitted once per runner iteration and once
-      per operator after saturation. *)
+      per operator after saturation.
+    - ["cache"] — the certificate cache, when a check has one. Span
+      ["cache-lookup"] inside an operator span (no args) around the
+      store read and certificate replay, then one instant per operator
+      saying how its relation was obtained: ["cache-hit"],
+      ["cache-miss"] or ["cache-replay-failed"] (arg [operator]). Span
+      ["cache-store"] once per check that recorded entries, after its
+      last operator span: the write of those entries as one pack; end
+      args [entries] and [bytes] (the bytes written, [0] when the
+      write failed).
+    - ["retry"] — span ["escalation"] around one escalation rung of an
+      operator whose budget tripped. Begin args [operator], [rung],
+      [scale] and [exhausted] (the budget's name); end arg [resolved]
+      (whether the rung found a mapping).
+    - ["budget"] — instant ["budget-trip"] when an operator's
+      saturation loop stops on an exhausted budget (args [budget],
+      [operator], [rounds]).
+    - ["serve"] — the daemon's dispatch of one request: a span named
+      after the request kind, with the request's [id] in its begin
+      and end args. *)
 
 type value = Int of int | Float of float | Str of string | Bool of bool
 

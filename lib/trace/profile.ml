@@ -64,10 +64,10 @@ let of_events events =
                 0.
             else if ev.name = "rule-ban" then bump ban_counts rule 1 0.)
     events;
-  let by_cat cat =
+  let by_cat cats =
     let tbl = Hashtbl.create 16 in
     Hashtbl.iter
-      (fun (c, name) v -> if c = cat then Hashtbl.replace tbl name v)
+      (fun (c, name) v -> if List.mem c cats then Hashtbl.replace tbl name v)
       durations;
     rows tbl
   in
@@ -88,8 +88,8 @@ let of_events events =
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
   {
-    operators = by_cat "operator";
-    phases = by_cat "phase";
+    operators = by_cat [ "operator" ];
+    phases = by_cat [ "phase"; "cache" ];
     rules;
     bans;
     iterations = Agg.iterations agg;

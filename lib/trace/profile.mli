@@ -1,8 +1,9 @@
 (** Profile summaries: the [--profile] table.
 
     Folds a collected event list into per-operator and per-rule
-    aggregates — where the wall time went (operator spans and their
-    frontier/saturate/extract phases) and which lemmas did the work
+    aggregates — where the wall time went (operator spans, their
+    frontier/saturate/extract phases and the cache's lookups and
+    store write) and which lemmas did the work
     (rule-hit instants, the paper's Figure 6 data). *)
 
 type row = { label : string; count : int; total_s : float }
@@ -11,8 +12,9 @@ type t = {
   operators : row list;
       (** per operator-span name (the op name), most expensive first *)
   phases : row list;
-      (** frontier/load, saturate, extract; {!pp} prints the saturation
-          split beneath them *)
+      (** frontier/load, saturate, extract, and the certificate cache's
+          cache-lookup and cache-store spans; {!pp} prints the
+          saturation split beneath them *)
   rules : (string * int * int) list;
       (** rule name, unions applied, matches examined; most-applied
           first *)

@@ -11,6 +11,7 @@ module Trace = Entangle_trace
 module Fp = Entangle_fingerprint.Fingerprint
 module Store = Entangle_cache.Store
 module Cache = Entangle_cache.Cache
+module Failpoint = Entangle_failpoint.Failpoint
 
 open Entangle_ir
 
@@ -239,6 +240,50 @@ let entry_file dir key =
     (Filename.concat (Filename.concat dir "objects") (String.sub key 0 2))
     key
 
+let rewrite path text =
+  let oc = open_out_bin path in
+  output_string oc text;
+  close_out oc
+
+(* A pack as store.mli lays it out: the version line, then per entry
+   its key, payload length and payload, each ending in a newline. *)
+let pack entries =
+  Store.version ^ "\n"
+  ^ String.concat ""
+      (List.map
+         (fun (key, payload) ->
+           Fmt.str "%s\n%d\n%s\n" key (String.length payload) payload)
+         entries)
+
+(* Every key under objects/, sorted. *)
+let store_keys dir =
+  let objects = Filename.concat dir "objects" in
+  List.sort compare
+    (List.concat_map
+       (fun shard -> Array.to_list (Sys.readdir (Filename.concat objects shard)))
+       (Array.to_list (Sys.readdir objects)))
+
+(* The distinct inodes the keys' links name. *)
+let inodes dir keys =
+  List.sort_uniq compare
+    (List.map (fun key -> (Unix.stat (entry_file dir key)).Unix.st_ino) keys)
+
+let three () =
+  [
+    (String.make 32 'a', "alpha");
+    (String.make 32 'b', "beta\nwith a line");
+    (String.make 32 'c', "gamma");
+  ]
+
+let put_all_exn s entries =
+  match Store.put_all s entries with
+  | Ok bytes -> bytes
+  | Error e -> Alcotest.failf "put_all: %s" e
+
+let backdate dir key seconds_ago =
+  let t = Unix.gettimeofday () -. seconds_ago in
+  Unix.utimes (entry_file dir key) t t
+
 let store_tests =
   [
     Alcotest.test_case "round-trip across re-open" `Quick (fun () ->
@@ -308,6 +353,98 @@ let store_tests =
               [ '0'; '1'; '2' ];
             check Alcotest.int "cleared" 3 (Store.clear s);
             check Alcotest.int "empty" 0 (Store.stats s).Store.entries));
+    Alcotest.test_case "a three-entry pack's bytes count once" `Quick
+      (fun () ->
+        with_temp_dir (fun dir ->
+            let s = open_store dir in
+            let entries = three () in
+            let bytes = put_all_exn s entries in
+            let key0 = fst (List.hd entries) in
+            let size = (Unix.stat (entry_file dir key0)).Unix.st_size in
+            check Alcotest.int "put_all reports the pack's size" size bytes;
+            let st = Store.stats s in
+            check Alcotest.int "three entries" 3 st.Store.entries;
+            check Alcotest.int "the pack counted once" size st.Store.bytes;
+            (* One link gone: the pack's bytes stay until its last. *)
+            Sys.remove (entry_file dir key0);
+            let st = Store.stats s in
+            check Alcotest.int "two entries" 2 st.Store.entries;
+            check Alcotest.int "bytes held by the other links" size
+              st.Store.bytes;
+            (* The ceiling is inclusive at exactly one pack's size. *)
+            let r =
+              Store.gc ~budget:{ Store.max_bytes = Some size; max_age_s = None } s
+            in
+            check Alcotest.int "nothing evicted at the ceiling" 0 r.Store.evicted;
+            check Alcotest.int "both links kept" 2 r.Store.remaining_entries;
+            let r =
+              Store.gc
+                ~budget:{ Store.max_bytes = Some (size - 1); max_age_s = None }
+                s
+            in
+            check Alcotest.int "one byte under evicts every link" 2
+              r.Store.evicted;
+            check Alcotest.int "and frees the pack once" size r.Store.freed_bytes;
+            check Alcotest.int "nothing left" 0 r.Store.remaining_bytes;
+            check Alcotest.int "no entries" 0 (Store.stats s).Store.entries));
+    Alcotest.test_case "a damaged link is quarantined, its siblings read on"
+      `Quick (fun () ->
+        with_temp_dir (fun dir ->
+            let s = open_store dir in
+            let entries = three () in
+            ignore (put_all_exn s entries);
+            let (ka, _), (kb, _), (kc, pc) =
+              match entries with
+              | [ a; b; c ] -> (a, b, c)
+              | _ -> assert false
+            in
+            (* ka: its link replaced by junk; kb: by a well-formed pack
+               that does not hold kb. *)
+            Sys.remove (entry_file dir ka);
+            rewrite (entry_file dir ka) "not a pack";
+            Sys.remove (entry_file dir kb);
+            rewrite (entry_file dir kb) (pack [ (kc, pc) ]);
+            check Alcotest.(option string) "junk link misses" None
+              (Store.get s ~key:ka);
+            check Alcotest.(option string) "foreign pack misses" None
+              (Store.get s ~key:kb);
+            check Alcotest.int "both links quarantined" 2
+              (Store.stats s).Store.quarantined;
+            check Alcotest.(option string) "the sibling reads on" (Some pc)
+              (Store.get s ~key:kc)));
+    Alcotest.test_case "a pack rewritten in place after a read is read again"
+      `Quick (fun () ->
+        with_temp_dir (fun dir ->
+            let s = open_store dir in
+            let ka = String.make 32 'a' and kb = String.make 32 'b' in
+            ignore (put_all_exn s [ (ka, "alpha"); (kb, "beta") ]);
+            check Alcotest.(option string) "first read" (Some "alpha")
+              (Store.get s ~key:ka);
+            (* Same inode, same size, new bytes; a backdated mtime keeps
+               the rewrite visible on filesystems with coarse clocks. *)
+            rewrite (entry_file dir ka) (pack [ (ka, "ALPHA"); (kb, "BETA") ]);
+            backdate dir ka 100.;
+            check Alcotest.(option string) "the rewrite, not the memo"
+              (Some "BETA") (Store.get s ~key:kb)));
+    Alcotest.test_case "a refused link falls back to a pack per entry" `Quick
+      (fun () ->
+        with_temp_dir (fun dir ->
+            let s = open_store dir in
+            let entries = three () in
+            (* The first link succeeds, the second is refused: the rest
+               are written one pack each. *)
+            Failpoint.with_armed "store.link" (Failpoint.Nth 2) (fun () ->
+                ignore (put_all_exn s entries));
+            let keys = List.map fst entries in
+            check Alcotest.int "three inodes" 3 (List.length (inodes dir keys));
+            let fresh = open_store dir in
+            List.iter
+              (fun (key, payload) ->
+                check Alcotest.(option string) "reads back" (Some payload)
+                  (Store.get fresh ~key))
+              entries;
+            check Alcotest.int "no staging left" 0
+              (Array.length (Sys.readdir (Filename.concat dir "tmp")))));
   ]
 
 (* --- incremental re-checking ------------------------------------------- *)
@@ -418,6 +555,58 @@ let recheck_tests =
                 check Alcotest.string (Fmt.str "bug %d cold" c.id) uncached cold;
                 check Alcotest.string (Fmt.str "bug %d warm" c.id) uncached warm)
               (Bugs.all ())));
+    Alcotest.test_case "a cold check writes one pack linked under every key"
+      `Quick (fun () ->
+        with_temp_cache (fun cache ->
+            let cold, _ = check_with ~cache (Option.get (Zoo.by_name "regression")) in
+            let misses = (result_stats cold).Entangle.Refine.cache_misses in
+            let keys = store_keys (Cache.dir cache) in
+            check Alcotest.int "one key per miss" misses (List.length keys);
+            check Alcotest.(list int) "one inode, one link per entry"
+              [ misses ]
+              (List.sort_uniq compare
+                 (List.map
+                    (fun key ->
+                      (Unix.stat (entry_file (Cache.dir cache) key)).Unix.st_nlink)
+                    keys));
+            check Alcotest.int "one inode" 1
+              (List.length (inodes (Cache.dir cache) keys));
+            let fresh = open_store (Cache.dir cache) in
+            List.iter
+              (fun key ->
+                if Store.get fresh ~key = None then
+                  Alcotest.failf "a fresh handle misses %s" key)
+              keys;
+            check Alcotest.int "stats count every key" misses
+              (Store.stats fresh).Store.entries));
+    Alcotest.test_case "a cold check stores its entries once, after its operators"
+      `Quick (fun () ->
+        with_temp_cache (fun cache ->
+            let cold, events =
+              check_with ~cache ~collect:true
+                (Option.get (Zoo.by_name "regression"))
+            in
+            let misses = (result_stats cold).Entangle.Refine.cache_misses in
+            let indexed = List.mapi (fun i ev -> (i, ev)) events in
+            let find p = List.filter (fun (_, ev) -> p ev) indexed in
+            let stores =
+              find (fun (ev : Trace.Event.t) ->
+                  ev.name = "cache-store" && ev.phase = Trace.Event.End)
+            in
+            let last_operator =
+              List.fold_left max (-1)
+                (List.map fst
+                   (find (fun (ev : Trace.Event.t) -> ev.cat = "operator")))
+            in
+            match stores with
+            | [ (i, ev) ] ->
+                check Alcotest.bool "after the last operator span" true
+                  (i > last_operator);
+                check Alcotest.(option int) "one entry per miss" (Some misses)
+                  (Trace.Event.arg_int ev "entries");
+                check Alcotest.bool "bytes written" true
+                  (Option.value ~default:0 (Trace.Event.arg_int ev "bytes") > 0)
+            | l -> Alcotest.failf "%d cache-store spans" (List.length l)));
     Alcotest.test_case "negative result is cached and replayed" `Quick
       (fun () ->
         (* Bug 3's Unmapped verdict saturates: provable absence must be
@@ -438,23 +627,22 @@ let recheck_tests =
         with_temp_cache (fun cache ->
             let inst () = Regression.build ~microbatches:2 () in
             let cold, _ = check_with ~cache (inst ()) in
-            (* Garble every stored payload (keep valid headers/keys so
-               the store layer accepts them and the failure lands in
-               certificate replay). *)
-            let store = open_store (Cache.dir cache) in
+            (* Garble every stored payload (keep well-formed packs that
+               hold their keys, so the store layer accepts them and the
+               failure lands in certificate replay). The entries share
+               one pack, so each link is replaced by a pack of its own
+               rather than rewritten through. *)
             let objects = Filename.concat (Cache.dir cache) "objects" in
             Array.iter
               (fun shard ->
                 let sdir = Filename.concat objects shard in
                 Array.iter
                   (fun key ->
-                    let oc = open_out (Filename.concat sdir key) in
-                    output_string oc
-                      (Store.version ^ "\n" ^ key ^ "\n(entry (garbage))");
-                    close_out oc)
+                    let path = Filename.concat sdir key in
+                    Sys.remove path;
+                    rewrite path (pack [ (key, "(entry (garbage))") ]))
                   (Sys.readdir sdir))
               (Sys.readdir objects);
-            ignore store;
             let damaged, _ = check_with ~cache (inst ()) in
             let ds = result_stats damaged in
             check Alcotest.string "verdict survives damage"
@@ -599,16 +787,81 @@ let key_tests =
               (key seeds)));
   ]
 
+(* --- the cone ------------------------------------------------------------- *)
+
+(* The reference: the frontier loop's wave fixpoint, which scans every
+   distributed node once per wave and loads those whose inputs are all
+   reached. *)
+let wave_cone gd ~anchors =
+  let t_rel = ref anchors and explored = Hashtbl.create 64 and acc = ref [] in
+  let continue = ref true in
+  while !continue do
+    let frontier =
+      List.filter
+        (fun n ->
+          (not (Hashtbl.mem explored (Node.id n)))
+          && List.for_all (fun t -> Tensor.Set.mem t !t_rel) (Node.inputs n))
+        (Graph.nodes gd)
+    in
+    if frontier = [] then continue := false
+    else
+      List.iter
+        (fun n ->
+          Hashtbl.replace explored (Node.id n) ();
+          acc := n :: !acc;
+          t_rel := Tensor.Set.add (Node.output n) !t_rel)
+        frontier
+  done;
+  !acc
+
+(* A distributed graph with what the zoo lacks: a node without inputs,
+   and nodes that use one tensor twice. *)
+let odd_graph () =
+  let shape = Shape.of_ints [ 2 ] in
+  let t name = Tensor.create ~name shape in
+  let x = t "x" and y = t "y" and k = t "k" and a = t "a" and b = t "b"
+  and c = t "c" and d = t "d" in
+  let node id op inputs output = { Node.id; op; inputs; output } in
+  Graph.unsafe_make ~name:"odd" ~inputs:[ x; y ] ~outputs:[ d ]
+    [
+      node 0 Op.Relu [] k;
+      node 1 Op.Mul [ x; x ] a;
+      node 2 Op.Add [ a; k ] b;
+      node 3 (Op.Concat { dim = 0 }) [ b; y; b; b ] c;
+      node 4 Op.Add [ c; c ] d;
+    ]
+
+let cone_tests =
+  let graphs =
+    lazy
+      (odd_graph ()
+      :: List.map
+           (fun name -> (Option.get (Zoo.by_name name)).Instance.gd)
+           Zoo.names)
+  in
+  let ids nodes = List.sort compare (List.map Node.id nodes) in
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:300
+         ~name:"the worklist cone is the wave loop's node set"
+         QCheck.(pair small_nat (list_of_size (QCheck.Gen.int_range 0 6) small_nat))
+         (fun (g, picks) ->
+           let graphs = Lazy.force graphs in
+           let gd = List.nth graphs (g mod List.length graphs) in
+           let tensors = Array.of_list (Graph.tensors gd) in
+           let anchors =
+             Tensor.Set.of_list
+               (List.map (fun i -> tensors.(i mod Array.length tensors)) picks)
+           in
+           ids (Cache.cone gd ~anchors) = ids (wave_cone gd ~anchors)));
+  ]
+
 (* --- retention: budgets, eviction, expiry -------------------------------- *)
 
 let put_exn s ~key payload =
   match Store.put s ~key payload with
   | Ok () -> ()
   | Error e -> Alcotest.failf "put: %s" e
-
-let backdate dir key seconds_ago =
-  let t = Unix.gettimeofday () -. seconds_ago in
-  Unix.utimes (entry_file dir key) t t
 
 let open_budgeted dir budget =
   match Store.open_ ~dir ~budget () with
@@ -766,11 +1019,6 @@ let retention_tests =
 
 (* --- portable archives -------------------------------------------------- *)
 
-let rewrite path text =
-  let oc = open_out path in
-  output_string oc text;
-  close_out oc
-
 let archive_tests =
   [
     Alcotest.test_case
@@ -874,6 +1122,42 @@ let archive_tests =
               (Store.get s ~key:(String.make 32 'a'));
             check Alcotest.bool "no traversal target was written" false
               (Sys.file_exists "/tmp/entangle-pwned")));
+    Alcotest.test_case "an archive imports as one pack, up to a bad entry"
+      `Quick (fun () ->
+        with_temp_dir (fun dir ->
+            let s = open_store dir in
+            let entries = three () in
+            List.iter (fun (key, payload) -> put_exn s ~key payload) entries;
+            let text, _ = Store.export_all s in
+            with_temp_dir (fun dir2 ->
+                let s2 = open_store dir2 in
+                (match Store.import_all s2 text with
+                | Ok (imported, _) -> check Alcotest.int "imported" 3 imported
+                | Error e -> Alcotest.failf "import: %s" e);
+                check Alcotest.int "one pack" 1
+                  (List.length (inodes dir2 (List.map fst entries))));
+            (* The middle entry's length is wrong: the one before it
+               lands, the one after it cannot be framed. *)
+            let record (key, payload) =
+              Fmt.str "%s\n%d\n%s\n" key (String.length payload) payload
+            in
+            let (ka, pa), (kb, _), (kc, pc) =
+              match entries with [ a; b; c ] -> (a, b, c) | _ -> assert false
+            in
+            let text =
+              Store.archive_header ^ "\n" ^ record (ka, pa)
+              ^ Fmt.str "%s\n999\nshort\n" kb
+              ^ record (kc, pc)
+            in
+            with_temp_dir (fun dir3 ->
+                let s3 = open_store dir3 in
+                (match Store.import_all s3 text with
+                | Ok _ -> Alcotest.fail "a misframed archive must not import"
+                | Error _ -> ());
+                check Alcotest.(option string) "the entry before it landed"
+                  (Some pa) (Store.get s3 ~key:ka);
+                check Alcotest.(option string) "the entry after it did not"
+                  None (Store.get s3 ~key:kc))));
     Alcotest.test_case "wrong payload length is caught at the faulty entry"
       `Quick (fun () ->
         (* A declared length that is in range but wrong would silently
@@ -913,6 +1197,18 @@ let archive_tests =
                 match Store.import_all s2 "some other file format\n" with
                 | Error _ -> ()
                 | Ok _ -> Alcotest.fail "foreign file must not import")));
+    Alcotest.test_case "an overlong payload length is a framing error"
+      `Quick (fun () ->
+        (* A length past the end of the text, however large, is an
+           [Error] rather than an escaping exception. *)
+        with_temp_dir (fun dir ->
+            match
+              Store.import_all (open_store dir)
+                (Fmt.str "%s\n%s\n%d\nxyz\n" Store.archive_header
+                   (String.make 32 'a') max_int)
+            with
+            | Error _ -> ()
+            | Ok _ -> Alcotest.fail "an overlong length must not import"));
     Alcotest.test_case "a huge archive header echoes a bounded excerpt"
       `Quick (fun () ->
         with_temp_dir (fun dir ->
@@ -995,12 +1291,41 @@ let archive_tests =
                                       Entangle_certexport.Cert_error.pp e))))));
   ]
 
+(* Words the minor heap allocates while [f] runs. *)
+let minor_words f =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
+let payload_tests =
+  [
+    Alcotest.test_case "a payload's mappings parse in linear allocation"
+      `Quick (fun () ->
+        let payload n =
+          "(entry mapped ("
+          ^ String.concat " " (List.init n (Fmt.str "(tensor t%d)"))
+          ^ ") ())"
+        in
+        let small = payload 1_000 and large = payload 4_000 in
+        let validate text () =
+          match Cache.validate_payload text with
+          | Ok () -> ()
+          | Error e -> Alcotest.fail e
+        in
+        let base = minor_words (validate small) in
+        let words = minor_words (validate large) in
+        if words >= 5. *. base then
+          Alcotest.failf "%.0f words, %.0f at a quarter the mappings" words base);
+  ]
+
 let suite =
   [
     ("cache.fingerprint", fingerprint_tests);
     ("cache.store", store_tests);
     ("cache.recheck", recheck_tests);
     ("cache.key", key_tests);
+    ("cache.cone", cone_tests);
     ("cache.retention", retention_tests);
     ("cache.archive", archive_tests);
+    ("cache.payload", payload_tests);
   ]

@@ -226,9 +226,50 @@ let graph_error_tests =
            with Invalid_argument _ -> true));
   ]
 
+(* Words the minor heap allocates while [f] runs. *)
+let minor_words f =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
+let linear_tests =
+  [
+    Alcotest.test_case "untrusted lists parse in linear allocation" `Quick
+      (fun () ->
+        (* A fold that appends each parsed item copies the list per
+           item: quadratic in a hostile file's widest list. *)
+        let wide n =
+          "(graph w (constraints) (inputs (x (shape 1) f32)) (nodes (y \
+           (concat 0) ("
+          ^ String.concat " " (List.init n (fun _ -> "x"))
+          ^ "))) (outputs y))"
+        in
+        let many n =
+          "(graph m (constraints) (inputs "
+          ^ String.concat " "
+              (List.init n (fun i -> Fmt.str "(x%d (shape 1) f32)" i))
+          ^ ") (nodes (y (relu) (x0))) (outputs y))"
+        in
+        let parse text () =
+          match Serial.graph_of_string text with
+          | Ok g -> g
+          | Error e -> Alcotest.fail e
+        in
+        List.iter
+          (fun (what, make) ->
+            let small = make 1_000 and large = make 4_000 in
+            let base = minor_words (parse small) in
+            let words = minor_words (parse large) in
+            if words >= 5. *. base then
+              Alcotest.failf "%s: %.0f words, %.0f at a quarter the size" what
+                words base)
+          [ ("a node 4x wider", wide); ("4x more graph inputs", many) ]);
+  ]
+
 let suite =
   [
     ("serial.sexp", sexp_tests);
+    ("serial.linear", linear_tests);
     ("serial.roundtrip", [ symdim_roundtrip ] @ op_roundtrip_tests);
     ( "serial.graphs",
       [
