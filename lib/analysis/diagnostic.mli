@@ -39,8 +39,6 @@ val count_warnings : t list -> int
 val sort : t list -> t list
 (** Errors first, then warnings, then infos; stable within a severity. *)
 
-val severity_to_string : severity -> string
-
 val pp : t Fmt.t
 (** [error[GRAPH004] graph gpt-seq: cycle through node 3]. *)
 

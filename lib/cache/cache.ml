@@ -121,10 +121,6 @@ let context (t : t) ~config_fp ~whole_graph ~rules:rs ~gs ~gd =
   else
     let gd_env = Fingerprint.graph_env gd in
     let gd_tensors = Graph.tensors gd in
-    let by_name = Hashtbl.create 64 in
-    List.iter
-      (fun tensor -> Hashtbl.replace by_name (Tensor.name tensor) tensor)
-      gd_tensors;
     (* The base covers everything the per-operator computation reads
        besides the operator, its seeds and its cone: the
        search-relevant configuration, the lemma corpus, the
@@ -156,7 +152,7 @@ let context (t : t) ~config_fp ~whole_graph ~rules:rs ~gs ~gd =
         gs_inputs = Tensor.Set.of_list (Graph.inputs gs);
         gd_tensors = Tensor.Set.of_list gd_tensors;
         gd_outputs = Tensor.Set.of_list (Graph.outputs gd);
-        resolve = Hashtbl.find_opt by_name;
+        resolve = Serial.tensor_by_name gd;
         gd;
         sources = List.filter (fun n -> Node.inputs n = []) (Graph.nodes gd);
         (* With the frontier off every operator loads the whole

@@ -43,9 +43,10 @@ type t
 (** A handle on an opened on-disk store. *)
 
 val create : ?dir:string -> ?budget:Store.budget -> unit -> (t, string) result
-(** Open (creating if needed) the store at [dir], defaulting to
-    {!Store.default_dir}; [budget] (default {!Store.env_budget})
-    bounds the store's size and entry age — see {!Store}. *)
+(** Open (creating if needed) the store at [dir], defaulting to the
+    directory {!Store.open_} defaults to; [budget] (default
+    {!Store.env_budget}) bounds the store's size and entry age — see
+    {!Store}. *)
 
 val dir : t -> string
 

@@ -76,14 +76,11 @@ val env_budget : unit -> budget
     (non-positive or unparsable values are ignored). The default of
     {!open_}. *)
 
-val default_dir : unit -> string
-(** [$ENTANGLE_CACHE_DIR], else [$XDG_CACHE_HOME/entangle], else
-    [$HOME/.cache/entangle], else a directory under the system temp
-    dir. *)
-
 val open_ : ?dir:string -> ?budget:budget -> unit -> (t, string) result
 (** Create (mkdir -p) and open the store; [dir] defaults to
-    {!default_dir}, [budget] to {!env_budget} (which is unbounded when
+    [$ENTANGLE_CACHE_DIR], else [$XDG_CACHE_HOME/entangle], else
+    [$HOME/.cache/entangle], else a directory under the system temp
+    dir; [budget] defaults to {!env_budget} (which is unbounded when
     neither variable is set — the pre-budget behavior). [Error] when
     the directory cannot be created or is not writable. *)
 

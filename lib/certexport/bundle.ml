@@ -232,10 +232,10 @@ let parse_manifest items =
    structural damage (CERT003): unresolvable leaves resolve to a fresh
    placeholder tensor and are recorded, so the caller can report scope
    errors with the offending names. *)
-let parse_exprs ~gd sexps =
+let parse_exprs ~gd_tensor sexps =
   let missing = ref [] in
   let resolve name =
-    match Serial.tensor_by_name gd name with
+    match gd_tensor name with
     | Some t -> Some t
     | None ->
         if not (List.mem name !missing) then missing := name :: !missing;
@@ -258,19 +258,19 @@ let parse_exprs ~gd sexps =
         "expression leaves not in the distributed graph: %s"
         (String.concat ", " (List.rev names))
 
-let parse_relation ~what ~resolve_target ~gd entries =
+let parse_relation ~what ~gs_tensor ~gd_tensor entries =
   List.fold_left
     (fun acc sx ->
       let* acc = acc in
       match sx with
       | Sexp.List (Sexp.Atom target :: exprs) -> (
-          match resolve_target target with
+          match gs_tensor target with
           | None ->
               err E.Leaf_out_of_scope
                 "%s entry targets %s, which is not in the sequential graph"
                 what (Sexp.excerpt (Sexp.Atom target))
           | Some t ->
-              let* es = parse_exprs ~gd exprs in
+              let* es = parse_exprs ~gd_tensor exprs in
               Ok ((t, es) :: acc))
       | _ -> err E.Manifest_malformed "malformed %s entry" what)
     (Ok []) entries
@@ -351,22 +351,23 @@ let of_sexp top =
       (Ok []) ps
     |> Result.map List.rev
   in
-  let resolve_gs name = Serial.tensor_by_name gs name in
+  let gs_tensor = Serial.tensor_by_name gs
+  and gd_tensor = Serial.tensor_by_name gd in
   let* inputs, outputs =
     match (find_field "input" (payload "relations"), find_field "output" (payload "relations")) with
     | Some ins, Some outs ->
         let* inputs =
-          parse_relation ~what:"input-relation" ~resolve_target:resolve_gs ~gd ins
+          parse_relation ~what:"input-relation" ~gs_tensor ~gd_tensor ins
         in
         let* outputs =
-          parse_relation ~what:"output-relation" ~resolve_target:resolve_gs ~gd outs
+          parse_relation ~what:"output-relation" ~gs_tensor ~gd_tensor outs
         in
         Ok (inputs, outputs)
     | _ -> err E.Manifest_malformed "relations section needs input and output lists"
   in
   let* operators =
     let* entries =
-      parse_relation ~what:"operator" ~resolve_target:resolve_gs ~gd
+      parse_relation ~what:"operator" ~gs_tensor ~gd_tensor
         (payload "operators")
     in
     Ok

@@ -87,9 +87,10 @@ let check_static (b : Bundle.t) =
     check_coverage "output relation" (List.map fst b.outputs) (Graph.outputs b.gs)
   in
   let node_outputs = List.map Node.output (Graph.nodes b.gs) in
+  let gs_tensor = Serial.tensor_by_name b.gs in
   let covered_ops =
     List.filter_map
-      (fun (e : Bundle.operator_entry) -> Serial.tensor_by_name b.gs e.op_output)
+      (fun (e : Bundle.operator_entry) -> gs_tensor e.op_output)
       b.operators
   in
   let* () = check_coverage "operator entries" covered_ops node_outputs in
@@ -129,7 +130,7 @@ let check_static (b : Bundle.t) =
   List.fold_left
     (fun acc (e : Bundle.operator_entry) ->
       let* () = acc in
-      match Serial.tensor_by_name b.gs e.op_output with
+      match gs_tensor e.op_output with
       | None ->
           err E.Leaf_out_of_scope
             "operator entry %s is not a sequential tensor" e.op_output

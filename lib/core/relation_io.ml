@@ -19,20 +19,19 @@ let to_string relation = Sexp.to_string (to_sexp relation)
 
 let of_sexp ~gs ~gd = function
   | Sexp.List (Sexp.Atom "relation" :: entries) ->
+      let gs_tensor = Serial.tensor_by_name gs
+      and resolve = Serial.tensor_by_name gd in
       List.fold_left
         (fun acc entry ->
           let* acc = acc in
           match entry with
           | Sexp.List [ Sexp.Atom name; expr ] -> (
-              match Serial.tensor_by_name gs name with
+              match gs_tensor name with
               | None ->
                   err "unknown sequential tensor %s"
                     (Sexp.excerpt (Sexp.Atom name))
               | Some t ->
-                  let* e =
-                    Serial.expr_of_sexp ~resolve:(Serial.tensor_by_name gd)
-                      expr
-                  in
+                  let* e = Serial.expr_of_sexp ~resolve expr in
                   Ok (Relation.add acc t e))
           | s -> err "malformed relation entry %s" (Sexp.excerpt s))
         (Ok Relation.empty) entries

@@ -15,9 +15,5 @@ val pp_failure : Graph.t -> Refine.failure Fmt.t
     internal checker errors; under [keep_going] every additional
     localized fault and the skipped dependents are listed too. *)
 
-val pp_fault : Graph.t -> Refine.fault Fmt.t
-(** One localized fault, with its verdict, input relations and
-    upstream operators. *)
-
 val success_to_string : Graph.t -> Refine.success -> string
 val failure_to_string : Graph.t -> Refine.failure -> string

@@ -34,9 +34,6 @@ val whole_input : t -> Tensor.t -> Tensor.t
 (** Declare a single non-partitioned copy with an identity relation
     entry. *)
 
-val relate : t -> Tensor.t -> Expr.t -> unit
-(** Record an explicit input-relation entry. *)
-
 (** {1 Collectives} *)
 
 val all_reduce : t -> Tensor.t list -> Tensor.t list

@@ -67,16 +67,8 @@ val activate_spec : string -> (unit, string) result
     to right; an [off] entry disarms. Returns a parse error without
     applying the offending entry. *)
 
-val activate_from_env : unit -> (unit, string) result
-(** Apply the [ENTANGLE_FAILPOINTS] spec, if the variable is set. Also
-    run once at library load, so embedders need not call it. *)
-
-val env_var : string
-
 val clear : unit -> unit
 (** Disarm every failpoint and drop pending triggers and counters. *)
-
-val clear_one : string -> unit
 
 val with_armed : string -> trigger -> (unit -> 'a) -> 'a
 (** [with_armed name trigger f] arms [name], runs [f], and disarms

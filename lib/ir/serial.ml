@@ -223,8 +223,14 @@ let op_of_sexp = function
 
 (* --- graphs ------------------------------------------------------------ *)
 
-let tensor_by_name g name =
-  List.find_opt (fun t -> String.equal (Tensor.name t) name) (Graph.tensors g)
+let tensor_by_name g =
+  let index = Hashtbl.create 64 in
+  List.iter
+    (fun t ->
+      let name = Tensor.name t in
+      if not (Hashtbl.mem index name) then Hashtbl.add index name t)
+    (Graph.tensors g);
+  Hashtbl.find_opt index
 
 let check_unique_names g =
   let names = List.map Tensor.name (Graph.tensors g) in

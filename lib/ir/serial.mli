@@ -35,7 +35,10 @@ val graph_of_sexp : Sexp.t -> (Graph.t, string) result
 val graph_of_string : string -> (Graph.t, string) result
 
 val tensor_by_name : Graph.t -> string -> Tensor.t option
-(** Lookup used when resolving relation files against parsed graphs;
+(** Lookup used when resolving relation files against parsed graphs.
+    [tensor_by_name g] builds a name index over {!Graph.tensors} once:
+    apply it to [g] alone and resolve every name through the result.
+    On a duplicate name the first tensor in {!Graph.tensors} order wins;
     graph serialization fails on duplicate tensor names, so the lookup
     is unambiguous for graphs that round-tripped. *)
 

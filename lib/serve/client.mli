@@ -56,16 +56,6 @@ val request : t -> Protocol.request -> (Protocol.response, error) result
     checked internally. Not for [Check_batch] — use {!check_batch},
     which consumes the whole response stream. *)
 
-val send : t -> Protocol.request -> (int, error) result
-(** Write one request frame without waiting for the response; returns
-    the assigned request id. The pipelining primitive — pair with
-    {!read_response}. *)
-
-val read_response : t -> id:int -> (Protocol.response, error) result
-(** Read the next response frame and check it answers [id]. The server
-    answers strictly in request order, so responses to pipelined
-    requests must be read in the order the requests were sent. *)
-
 val pipeline :
   t -> Protocol.request list -> (Protocol.response list, error) result
 (** Write the request frames back-to-back and read the responses in

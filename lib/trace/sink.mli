@@ -11,7 +11,8 @@
     Hot call sites additionally guard with [if Sink.enabled sink then
     ...] so argument lists are never allocated either — with the no-op
     sink the instrumented hot path costs one load and one branch (the
-    property the [counters] micro-benchmark in [bench/] verifies). *)
+    [trace.sink] test asserts that emitting into {!null} allocates
+    nothing). *)
 
 type t
 

@@ -38,9 +38,9 @@ let with_temp_dir f =
   in
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
-let with_temp_cache f =
+let with_temp_cache ?budget f =
   with_temp_dir (fun dir ->
-      match Cache.create ~dir () with
+      match Cache.create ~dir ?budget () with
       | Error e -> Alcotest.failf "cannot open temp cache: %s" e
       | Ok cache -> f cache)
 
@@ -449,10 +449,13 @@ let store_tests =
 
 (* --- incremental re-checking ------------------------------------------- *)
 
-let check_with ?cache ?(collect = false) inst =
+(* The [cache.recheck] suite is what `dune build @cache-smoke` runs. *)
+
+let check_with ?cache ?(collect = false) ?(config = Entangle.Config.default)
+    inst =
   let collector = if collect then Some (Trace.Collect.create ()) else None in
   let config =
-    Entangle.Config.default
+    config
     |> Entangle.Config.with_cache cache
     |> Entangle.Config.with_trace
          (match collector with
@@ -555,6 +558,52 @@ let recheck_tests =
                 check Alcotest.string (Fmt.str "bug %d cold" c.id) uncached cold;
                 check Alcotest.string (Fmt.str "bug %d warm" c.id) uncached warm)
               (Bugs.all ())));
+    Alcotest.test_case "a search-config change misses, and both keys coexist"
+      `Quick (fun () ->
+        with_temp_cache (fun cache ->
+            let inst () = Regression.build ~microbatches:2 () in
+            let first = Entangle.Config.default in
+            let changed = Entangle.Config.with_escalation [ 2 ] first in
+            let cold, _ = check_with ~cache ~config:first (inst ()) in
+            let other, _ = check_with ~cache ~config:changed (inst ()) in
+            let os = result_stats other in
+            check Alcotest.int "changed config: no hits" 0
+              os.Entangle.Refine.cache_hits;
+            check Alcotest.int "changed config: one miss per operator"
+              os.Entangle.Refine.operators_processed
+              os.Entangle.Refine.cache_misses;
+            check Alcotest.string "changed config: same verdict"
+              (verdict_summary cold) (verdict_summary other);
+            List.iter
+              (fun (what, config) ->
+                let warm, _ = check_with ~cache ~config (inst ()) in
+                let ws = result_stats warm in
+                check Alcotest.int
+                  (what ^ " config re-checked: every operator a hit")
+                  ws.Entangle.Refine.operators_processed
+                  ws.Entangle.Refine.cache_hits)
+              [ ("changed", changed); ("first", first) ]));
+    Alcotest.test_case "with the frontier off, warm hits every operator"
+      `Slow (fun () ->
+        with_temp_cache (fun cache ->
+            let config = Entangle.Config.no_frontier in
+            let inst () = Gpt.build ~layers:1 ~degree:2 ~heads:4 () in
+            let uncached, _ = check_with ~config (inst ()) in
+            let cold, _ = check_with ~cache ~config (inst ()) in
+            let cs = result_stats cold in
+            check Alcotest.int "cold: no hits" 0 cs.Entangle.Refine.cache_hits;
+            check Alcotest.int "cold: one miss per operator"
+              cs.Entangle.Refine.operators_processed
+              cs.Entangle.Refine.cache_misses;
+            let warm, _ = check_with ~cache ~config (inst ()) in
+            let ws = result_stats warm in
+            check Alcotest.int "warm: every operator a hit"
+              ws.Entangle.Refine.operators_processed
+              ws.Entangle.Refine.cache_hits;
+            check Alcotest.int "warm: zero saturation iterations" 0
+              ws.Entangle.Refine.saturation_iterations;
+            check Alcotest.string "warm: the uncached verdict"
+              (verdict_summary uncached) (verdict_summary warm)));
     Alcotest.test_case "a cold check writes one pack linked under every key"
       `Quick (fun () ->
         with_temp_cache (fun cache ->

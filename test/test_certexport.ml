@@ -17,21 +17,26 @@ let check = Alcotest.check
 
 (* --- fixtures ----------------------------------------------------------- *)
 
+(* The bundle of a checked instance; [None] when it does not refine. *)
+let export (inst : Instance.t) =
+  match Instance.check inst with
+  | Error _ -> None
+  | Ok success -> (
+      match
+        Entangle.Cert_export.bundle ~producer:"test-certexport"
+          ~gs:inst.Instance.gs ~gd:inst.Instance.gd ~env:inst.Instance.env
+          ~input_relation:inst.Instance.input_relation success
+      with
+      | Error e -> Alcotest.failf "%s: export failed: %s" inst.Instance.name e
+      | Ok b -> Some b)
+
 (* One checked zoo instance, exported once: the reference bundle the
    round-trip and tamper tests mutate. *)
 let reference =
   lazy
-    (let inst = Option.get (Zoo.by_name "regression") in
-     match Instance.check inst with
-     | Error _ -> Alcotest.fail "regression must refine"
-     | Ok success -> (
-         match
-           Entangle.Cert_export.bundle ~producer:"test-certexport"
-             ~gs:inst.Instance.gs ~gd:inst.Instance.gd ~env:inst.Instance.env
-             ~input_relation:inst.Instance.input_relation success
-         with
-         | Error e -> Alcotest.failf "export failed: %s" e
-         | Ok b -> b))
+    (match export (Option.get (Zoo.by_name "regression")) with
+    | None -> Alcotest.fail "regression must refine"
+    | Some b -> b)
 
 let reference_text = lazy (Bundle.to_string (Lazy.force reference))
 let code_of_error (e : Cert_error.t) = Cert_error.code_string e.Cert_error.code
@@ -150,6 +155,19 @@ let roundtrip_tests =
               (r.Verify.outputs_checked > 0);
             check Alcotest.bool "expressions evaluated" true
               (r.Verify.exprs_replayed > 0));
+    Alcotest.test_case "every refining zoo entry exports a verifying bundle"
+      `Slow (fun () ->
+        List.iter
+          (fun name ->
+            match export (Option.get (Zoo.by_name name)) with
+            | None -> ()
+            | Some b -> (
+                match Verify.check_string (Bundle.to_string b) with
+                | Ok r ->
+                    check Alcotest.bool (name ^ ": operators checked") true
+                      (r.Verify.operators > 0)
+                | Error e -> Alcotest.failf "%s: %a" name Cert_error.pp e))
+          Zoo.names);
     Alcotest.test_case "serialization is deterministic" `Quick (fun () ->
         let b = Lazy.force reference in
         check Alcotest.string "same bytes" (Bundle.to_string b)

@@ -7,4 +7,4 @@ let () =
    @ Test_models.suite @ Test_autodiff.suite @ Test_serial.suite @ Test_fuzz.suite @ Test_report.suite
    @ Test_analysis.suite @ Test_verify.suite @ Test_trace.suite
    @ Test_resilience.suite @ Test_cache.suite
-   @ Test_serve.suite @ Test_certexport.suite)
+   @ Test_serve.suite @ Test_certexport.suite @ Test_perf_gate.suite)

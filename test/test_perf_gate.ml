@@ -1,0 +1,91 @@
+(* The search-counter gate: `dune runtest` runs it with every other
+   suite, and `dune build @perf-gate` runs it alone.
+
+   Re-runs every `default` record of BENCH_egraph.json and requires the
+   verdict and the saturation counters to equal the committed ones, so a
+   change that claims "counters unchanged" is held to it. The file is
+   the only list of instances: a zoo record matches the zoo entry of the
+   same instance name, and "gpt-d<D>l<L>" rebuilds that cell of the
+   Figure-4 sweep. Checks run with the default configuration, as
+   `bench/main.exe ablation` runs them. Wall time and allocation are
+   not checked. *)
+
+open Entangle_models
+module Json = Entangle_trace.Json
+
+let bench_file = "../BENCH_egraph.json"
+
+let instance_of zoo model =
+  match Scanf.sscanf_opt model "gpt-d%ul%u%!" (fun d l -> (d, l)) with
+  | Some (degree, layers) -> Some (Gpt.build ~layers ~degree ~heads:8 ())
+  | None -> List.find_opt (fun i -> i.Instance.name = model) zoo
+
+let counters result =
+  let verdict, (s : Entangle.Refine.stats) =
+    match result with
+    | Ok (ok : Entangle.Refine.success) -> ("refines", ok.stats)
+    | Error (f : Entangle.Refine.failure) -> ("FAILED", f.stats)
+  in
+  let int n = Json.Num (float_of_int n) in
+  [
+    ("verdict", Json.Str verdict);
+    ("iterations", int s.saturation_iterations);
+    ("matches", int s.matches_examined);
+    ("unions", int s.unions_applied);
+    ("nodes_peak", int s.egraph_nodes_peak);
+    ("classes_peak", int s.egraph_classes_peak);
+  ]
+
+let show = function
+  | Some (Json.Str s) -> s
+  | Some (Json.Num n) -> Printf.sprintf "%.0f" n
+  | Some _ -> "a non-counter"
+  | None -> "missing"
+
+let default_records () =
+  let text = In_channel.with_open_bin bench_file In_channel.input_all in
+  match Json.parse text with
+  | Error e -> Alcotest.failf "%s: %s" bench_file e
+  | Ok doc -> (
+      match Json.member "runs" doc with
+      | Some (Json.Arr runs) ->
+          List.filter
+            (fun r -> Json.member "config" r = Some (Json.Str "default"))
+            runs
+      | _ -> Alcotest.failf "%s: no runs array" bench_file)
+
+(* One line per counter of [record] that a re-check does not give. *)
+let mismatches zoo record =
+  let model = show (Json.member "model" record) in
+  match instance_of zoo model with
+  | None -> [ Fmt.str "%s: no such instance" model ]
+  | Some inst ->
+      List.filter_map
+        (fun (field, now) ->
+          let pinned = Json.member field record in
+          if pinned = Some now then None
+          else
+            Some
+              (Fmt.str "%s: %s is %s, pinned %s" model field (show (Some now))
+                 (show pinned)))
+        (counters (Instance.check inst))
+
+let suite =
+  [
+    ( "perf_gate",
+      [
+        Alcotest.test_case "default records' counters match BENCH_egraph.json"
+          `Slow (fun () ->
+            let records = default_records () in
+            if records = [] then
+              Alcotest.failf "%s: no default records" bench_file;
+            let zoo = List.filter_map Zoo.by_name Zoo.names in
+            match List.concat_map (mismatches zoo) records with
+            | [] -> ()
+            | found ->
+                Alcotest.failf
+                  "%d mismatches over %d default records of %s:\n%s"
+                  (List.length found) (List.length records) bench_file
+                  (String.concat "\n" found));
+      ] );
+  ]

@@ -264,6 +264,42 @@ let linear_tests =
               Alcotest.failf "%s: %.0f words, %.0f at a quarter the size" what
                 words base)
           [ ("a node 4x wider", wide); ("4x more graph inputs", many) ]);
+    Alcotest.test_case "a relation's entries resolve in linear allocation"
+      `Quick (fun () ->
+        (* Resolving each name by a scan of the graph's tensors makes
+           the parse quadratic in the relation's entries. *)
+        let graph name suffix n =
+          let x i = Fmt.str "x%d%s" i suffix in
+          match
+            Serial.graph_of_string
+              (Fmt.str "(graph %s (constraints) (inputs %s) (nodes (y%s (relu) \
+                        (%s))) (outputs y%s))"
+                 name
+                 (String.concat " "
+                    (List.init n (fun i -> Fmt.str "(%s (shape 1) f32)" (x i))))
+                 suffix (x 0) suffix)
+          with
+          | Ok g -> g
+          | Error e -> Alcotest.fail e
+        in
+        let parse n =
+          let gs = graph "s" "" n and gd = graph "d" "_d" n in
+          let text =
+            "(relation "
+            ^ String.concat " "
+                (List.init n (fun i -> Fmt.str "(x%d (tensor x%d_d))" i i))
+            ^ ")"
+          in
+          minor_words (fun () ->
+              match Entangle.Relation_io.of_string ~gs ~gd text with
+              | Ok r -> r
+              | Error e -> Alcotest.fail e)
+        in
+        let base = parse 1_000 in
+        let words = parse 4_000 in
+        if words >= 5. *. base then
+          Alcotest.failf "%.0f words, %.0f at a quarter the entries" words
+            base);
   ]
 
 let suite =

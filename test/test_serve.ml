@@ -1,14 +1,18 @@
-(* Wire-protocol units for the resident checker service: framing edge
-   cases, handshake negotiation, lossless request/response round-trips
-   (including the hex-float statistics encoding), and a small
-   end-to-end session against a server running in its own domain. The
-   heavyweight fidelity and warm-cache acceptance runs live in the
-   @serve-smoke bench alias; these tests pin the grammar itself. *)
+(* Tests for the resident checker service: framing edge cases,
+   handshake negotiation, lossless request/response round-trips
+   (including the hex-float statistics encoding), and daemons running
+   in their own domain: sessions, remote checks against local runs, a
+   warm cache on the daemon's own trace stream, and byzantine clients
+   and injected faults (the chaos suite). `dune build @serve-smoke`,
+   `@chaos-smoke` and `@cert-smoke` select suites of this file. *)
 
+open Entangle_models
 module Sexp = Entangle_ir.Sexp
 module P = Entangle_serve.Protocol
 module Srv = Entangle_serve.Server
 module Cl = Entangle_serve.Client
+module F = Entangle_failpoint.Failpoint
+module Trace = Entangle_trace
 
 let check = Alcotest.check
 
@@ -479,15 +483,20 @@ let temp_socket tag =
     (Filename.get_temp_dir_name ())
     (Fmt.str "entangle-test-%s-%d.sock" tag (Unix.getpid ()))
 
-let with_server ?(tag = "serve") ?max_clients ?io_timeout_s f =
+(* Run [f server socket] against a daemon in its own domain, then stop
+   the daemon (unless [f] drained it already), join it and remove its
+   lock file. Returns [f]'s result. *)
+let with_server ?(tag = "serve") ?config ?cache ?max_clients ?io_timeout_s
+    ?(signals = false) f =
   let socket = temp_socket tag in
   (try Sys.remove socket with Sys_error _ -> ());
   match
-    Srv.create ~name:"test-daemon" ?max_clients ?io_timeout_s ~socket ()
+    Srv.create ~name:"test-daemon" ?config ?cache ?max_clients ?io_timeout_s
+      ~socket ()
   with
   | Error e -> Alcotest.failf "Server.create: %s" (Srv.error_message e)
   | Ok server ->
-      let d = Domain.spawn (fun () -> Srv.run server) in
+      let d = Domain.spawn (fun () -> Srv.run ~signals server) in
       Fun.protect
         ~finally:(fun () ->
           (* The shutdown connect can transiently lose an admission
@@ -502,9 +511,49 @@ let with_server ?(tag = "serve") ?max_clients ?io_timeout_s f =
                 stop (n - 1)
             | Error _ -> ()
           in
-          stop 100;
-          Domain.join d)
+          if not (Srv.draining server) then stop 100;
+          Domain.join d;
+          try Sys.remove (socket ^ ".lock") with Sys_error _ -> ())
         (fun () -> f server socket)
+
+let with_client ?client socket f =
+  match Cl.connect ?client ~timeout_s:10. ~socket () with
+  | Error e -> Alcotest.failf "connect: %s" (Cl.error_message e)
+  | Ok c -> Fun.protect ~finally:(fun () -> Cl.close c) (fun () -> f c)
+
+(* Poll [p] every 20 ms for up to 10 s: for what the daemon does
+   asynchronously, such as timing a stalled read out. *)
+let eventually p =
+  let rec go n =
+    if p () then true
+    else if n = 0 then false
+    else begin
+      Unix.sleepf 0.02;
+      go (n - 1)
+    end
+  in
+  go 500
+
+(* Dial [socket] and handshake by hand, then run [f] on the raw frame
+   stream: the shape of a client that misbehaves once admitted. *)
+let with_raw_client ~client socket f =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX socket);
+      let io = P.Io.of_fd fd in
+      let deadline = Some (Unix.gettimeofday () +. 60.) in
+      let handshake =
+        Result.bind
+          (P.Io.write_frame ?deadline io
+             (P.hello_to_string { P.protocol = P.protocol_version; client }))
+          (fun () -> P.Io.read_frame ?deadline io)
+      in
+      match handshake with
+      | Ok _ -> f io
+      | Error e ->
+          Alcotest.failf "%s handshake: %s" client (P.Io.error_message e))
 
 let end_to_end_tests =
   [
@@ -525,252 +574,193 @@ let end_to_end_tests =
                 Alcotest.fail "future protocol was welcomed"
             | Ok (P.Busy _) -> Alcotest.fail "future protocol got busy"
             | Error e -> Alcotest.failf "raw_hello: %s" e);
-            match Cl.connect ~client:"unit-test" ~socket () with
-            | Error e -> Alcotest.failf "connect: %s" (Cl.error_message e)
-            | Ok c ->
-                Fun.protect
-                  ~finally:(fun () -> Cl.close c)
-                  (fun () ->
-                    (match Cl.ping c with
-                    | Ok () -> ()
-                    | Error e -> Alcotest.failf "ping: %s" (Cl.error_message e));
-                    (* A check the server cannot even start — garbage
-                       graphs — must come back as a structured
-                       bad-request, not a dropped connection. *)
-                    (match
-                       Cl.check c ~gs:(Sexp.atom "garbage")
-                         ~gd:(Sexp.atom "garbage")
-                         ~relation:(Sexp.atom "garbage") ()
-                     with
-                    | Ok (P.Error_reply { code = P.Bad_request; _ }) -> ()
-                    | Ok _ -> Alcotest.fail "garbage graphs were accepted"
-                    | Error e ->
-                        Alcotest.failf "check transport: %s"
-                          (Cl.error_message e));
-                    (* The connection is still usable afterwards. *)
-                    match Cl.ping c with
-                    | Ok () -> ()
-                    | Error e ->
-                        Alcotest.failf "ping after bad request: %s"
-                          (Cl.error_message e))));
+            with_client ~client:"unit-test" socket (fun c ->
+                (match Cl.ping c with
+                | Ok () -> ()
+                | Error e -> Alcotest.failf "ping: %s" (Cl.error_message e));
+                (* A check the server cannot even start — garbage
+                   graphs — must come back as a structured
+                   bad-request, not a dropped connection. *)
+                (match
+                   Cl.check c ~gs:(Sexp.atom "garbage")
+                     ~gd:(Sexp.atom "garbage")
+                     ~relation:(Sexp.atom "garbage") ()
+                 with
+                | Ok (P.Error_reply { code = P.Bad_request; _ }) -> ()
+                | Ok _ -> Alcotest.fail "garbage graphs were accepted"
+                | Error e ->
+                    Alcotest.failf "check transport: %s" (Cl.error_message e));
+                (* The connection is still usable afterwards. *)
+                match Cl.ping c with
+                | Ok () -> ()
+                | Error e ->
+                    Alcotest.failf "ping after bad request: %s"
+                      (Cl.error_message e))));
     Alcotest.test_case "batch: items stream in order with contained faults"
       `Slow (fun () ->
         with_server ~tag:"batch" (fun _server socket ->
-            match Cl.connect ~socket () with
-            | Error e -> Alcotest.failf "connect: %s" (Cl.error_message e)
-            | Ok c ->
-                Fun.protect
-                  ~finally:(fun () -> Cl.close c)
-                  (fun () ->
-                    (* Unreadable instances: each must come back as its
-                       own per-item bad-request, in order, with the
-                       stream terminated by the full count. *)
-                    let bad name =
-                      {
-                        P.gs = Sexp.atom name;
-                        gd = Sexp.atom name;
-                        relation = Sexp.atom name;
-                      }
-                    in
-                    match
-                      Cl.check_batch c
-                        ~instances:[ bad "alpha"; bad "beta"; bad "gamma" ]
-                        ()
-                    with
-                    | Error e ->
-                        Alcotest.failf "check_batch: %s" (Cl.error_message e)
-                    | Ok items ->
-                        check Alcotest.int "one item per instance" 3
-                          (List.length items);
-                        List.iter
-                          (fun item ->
-                            match item with
-                            | P.Error_reply { code = P.Bad_request; _ } -> ()
-                            | _ ->
-                                Alcotest.fail
-                                  "expected a per-item bad-request")
-                          items)));
+            with_client socket (fun c ->
+                (* Unreadable instances: each must come back as its own
+                   per-item bad-request, in order, with the stream
+                   terminated by the full count. *)
+                let bad name =
+                  {
+                    P.gs = Sexp.atom name;
+                    gd = Sexp.atom name;
+                    relation = Sexp.atom name;
+                  }
+                in
+                match
+                  Cl.check_batch c
+                    ~instances:[ bad "alpha"; bad "beta"; bad "gamma" ]
+                    ()
+                with
+                | Error e ->
+                    Alcotest.failf "check_batch: %s" (Cl.error_message e)
+                | Ok items ->
+                    check Alcotest.int "one item per instance" 3
+                      (List.length items);
+                    List.iter
+                      (function
+                        | P.Error_reply { code = P.Bad_request; _ } -> ()
+                        | _ -> Alcotest.fail "expected a per-item bad-request")
+                      items)));
     Alcotest.test_case "pipeline: responses arrive in request order" `Slow
       (fun () ->
         with_server ~tag:"pipeline" (fun _server socket ->
-            match Cl.connect ~socket () with
-            | Error e -> Alcotest.failf "connect: %s" (Cl.error_message e)
-            | Ok c ->
-                Fun.protect
-                  ~finally:(fun () -> Cl.close c)
-                  (fun () ->
-                    (* Five requests written back-to-back before any
-                       reply is read; the heavy/faulty one in the
-                       middle must not reorder the stream. *)
-                    let garbage_check =
-                      P.Check
-                        {
-                          options = P.default_options;
-                          gs = Sexp.atom "garbage";
-                          gd = Sexp.atom "garbage";
-                          relation = Sexp.atom "garbage";
-                        }
-                    in
-                    (match
-                       Cl.pipeline c
-                         [
-                           P.Ping;
-                           P.Describe;
-                           garbage_check;
-                           P.Server_stats;
-                           P.Ping;
-                         ]
-                     with
-                    | Error e ->
-                        Alcotest.failf "pipeline: %s" (Cl.error_message e)
-                    | Ok responses -> (
-                        match responses with
-                        | [
-                         P.Pong;
-                         P.Described _;
-                         P.Error_reply { code = P.Bad_request; _ };
-                         P.Server_stats_reply _;
-                         P.Pong;
-                        ] ->
-                            ()
-                        | other ->
-                            Alcotest.failf
-                              "responses out of order or wrong arity (%d)"
-                              (List.length other)));
-                    (* A multi-frame streamer cannot ride a pipeline:
-                       its reply accounting would desynchronize. *)
-                    (match
-                       Cl.pipeline c
-                         [
-                           P.Ping;
-                           P.Check_batch
-                             { options = P.default_options; instances = [] };
-                         ]
-                     with
-                    | Ok _ -> Alcotest.fail "check-batch pipelined"
-                    | Error _ -> ());
-                    (* A batch far past the in-flight bound (16
-                       frames): the client must interleave drains with
-                       sends and still hand back every response in
-                       order. *)
-                    (match
-                       Cl.pipeline c (List.init 50 (fun _ -> P.Ping))
-                     with
-                    | Error e ->
-                        Alcotest.failf "long pipeline: %s"
-                          (Cl.error_message e)
-                    | Ok responses ->
-                        check Alcotest.int "every ping answered" 50
-                          (List.length responses);
-                        List.iter
-                          (function
-                            | P.Pong -> ()
-                            | _ -> Alcotest.fail "non-pong in ping pipeline")
-                          responses);
-                    (* The connection is still usable afterwards. *)
-                    match Cl.ping c with
-                    | Ok () -> ()
-                    | Error e ->
-                        Alcotest.failf "ping after pipeline: %s"
-                          (Cl.error_message e))));
+            with_client socket (fun c ->
+                (* Five requests written back-to-back before any reply is
+                   read; the heavy/faulty one in the middle must not
+                   reorder the stream. *)
+                let garbage_check =
+                  P.Check
+                    {
+                      options = P.default_options;
+                      gs = Sexp.atom "garbage";
+                      gd = Sexp.atom "garbage";
+                      relation = Sexp.atom "garbage";
+                    }
+                in
+                (match
+                   Cl.pipeline c
+                     [
+                       P.Ping;
+                       P.Describe;
+                       garbage_check;
+                       P.Server_stats;
+                       P.Ping;
+                     ]
+                 with
+                | Error e -> Alcotest.failf "pipeline: %s" (Cl.error_message e)
+                | Ok
+                    [
+                      P.Pong;
+                      P.Described _;
+                      P.Error_reply { code = P.Bad_request; _ };
+                      P.Server_stats_reply _;
+                      P.Pong;
+                    ] ->
+                    ()
+                | Ok other ->
+                    Alcotest.failf "responses out of order or wrong arity (%d)"
+                      (List.length other));
+                (* A multi-frame streamer cannot ride a pipeline: its
+                   reply accounting would desynchronize. *)
+                (match
+                   Cl.pipeline c
+                     [
+                       P.Ping;
+                       P.Check_batch
+                         { options = P.default_options; instances = [] };
+                     ]
+                 with
+                | Ok _ -> Alcotest.fail "check-batch pipelined"
+                | Error _ -> ());
+                (* A batch far past the in-flight bound (16 frames): the
+                   client must interleave drains with sends and still
+                   hand back every response in order. *)
+                (match Cl.pipeline c (List.init 50 (fun _ -> P.Ping)) with
+                | Error e ->
+                    Alcotest.failf "long pipeline: %s" (Cl.error_message e)
+                | Ok responses ->
+                    check Alcotest.int "every ping answered" 50
+                      (List.length responses);
+                    List.iter
+                      (function
+                        | P.Pong -> ()
+                        | _ -> Alcotest.fail "non-pong in ping pipeline")
+                      responses);
+                (* The connection is still usable afterwards. *)
+                match Cl.ping c with
+                | Ok () -> ()
+                | Error e ->
+                    Alcotest.failf "ping after pipeline: %s"
+                      (Cl.error_message e))));
     Alcotest.test_case "server-stats: counters served over the wire" `Slow
       (fun () ->
         with_server ~tag:"stats" (fun server socket ->
-            match Cl.connect ~socket () with
-            | Error e -> Alcotest.failf "connect: %s" (Cl.error_message e)
-            | Ok c ->
-                Fun.protect
-                  ~finally:(fun () -> Cl.close c)
-                  (fun () ->
-                    (match Cl.ping c with
-                    | Ok () -> ()
-                    | Error e -> Alcotest.failf "ping: %s" (Cl.error_message e));
-                    match Cl.server_stats c with
-                    | Ok (P.Server_stats_reply s) ->
-                        check Alcotest.bool "accepted at least this client"
-                          true (s.P.accepted >= 1);
-                        check Alcotest.bool "served at least the ping" true
-                          (s.P.served >= 1);
-                        check Alcotest.int "wire counters match in-process"
-                          (Srv.stats server).P.accepted s.P.accepted
-                    | Ok _ -> Alcotest.fail "unexpected reply to server-stats"
-                    | Error e ->
-                        Alcotest.failf "server_stats: %s" (Cl.error_message e))));
+            with_client socket (fun c ->
+                (match Cl.ping c with
+                | Ok () -> ()
+                | Error e -> Alcotest.failf "ping: %s" (Cl.error_message e));
+                match Cl.server_stats c with
+                | Ok (P.Server_stats_reply s) ->
+                    check Alcotest.bool "accepted at least this client" true
+                      (s.P.accepted >= 1);
+                    check Alcotest.bool "served at least the ping" true
+                      (s.P.served >= 1);
+                    check Alcotest.int "wire counters match in-process"
+                      (Srv.stats server).P.accepted s.P.accepted
+                | Ok _ -> Alcotest.fail "unexpected reply to server-stats"
+                | Error e ->
+                    Alcotest.failf "server_stats: %s" (Cl.error_message e))));
     Alcotest.test_case "admission: over-limit clients get a busy frame" `Slow
       (fun () ->
         with_server ~tag:"busy" ~max_clients:1 (fun _server socket ->
-            match Cl.connect ~socket () with
-            | Error e -> Alcotest.failf "connect: %s" (Cl.error_message e)
-            | Ok first ->
-                (* [first] holds the only slot: close it on every path,
-                   or the shutdown in [with_server] is refused as busy
-                   and the daemon is never stopped. *)
-                Fun.protect
-                  ~finally:(fun () -> Cl.close first)
-                  (fun () ->
-                    let turned_away ?client label =
-                      match Cl.connect ?client ~timeout_s:10. ~socket () with
-                      | Ok c ->
-                          Cl.close c;
-                          Alcotest.fail "a client was admitted over the limit"
-                      | Error e ->
-                          check Alcotest.string label "busy"
-                            (Cl.kind_name e.Cl.kind)
-                    in
-                    turned_away "structured busy rejection";
-                    (* A hello larger than the socket buffers is still
-                       being written when the daemon hangs up after its
-                       busy frame, so the write always breaks: the
-                       client must report the frame, not the pipe. *)
-                    turned_away ~client:(String.make (4 lsl 20) 'x')
-                      "busy even when the hello write breaks");
-                (* Once the slot frees the daemon admits again; the
-                   release is asynchronous, so poll briefly. *)
-                let rec readmitted n =
-                  match Cl.connect ~timeout_s:10. ~socket () with
+            (* The first client holds the only slot: [with_client]
+               closes it on every path, or the shutdown in
+               [with_server] is refused as busy and the daemon is
+               never stopped. *)
+            with_client socket (fun _first ->
+                let turned_away ?client label =
+                  match Cl.connect ?client ~timeout_s:10. ~socket () with
                   | Ok c ->
                       Cl.close c;
-                      true
-                  | Error _ when n > 0 ->
-                      Unix.sleepf 0.02;
-                      readmitted (n - 1)
-                  | Error _ -> false
+                      Alcotest.fail "a client was admitted over the limit"
+                  | Error e ->
+                      check Alcotest.string label "busy"
+                        (Cl.kind_name e.Cl.kind)
                 in
-                check Alcotest.bool "slot frees after disconnect" true
-                  (readmitted 100)));
+                turned_away "structured busy rejection";
+                (* A hello larger than the socket buffers is still being
+                   written when the daemon hangs up after its busy
+                   frame, so the write always breaks: the client must
+                   report the frame, not the pipe. *)
+                turned_away ~client:(String.make (4 lsl 20) 'x')
+                  "busy even when the hello write breaks");
+            (* Once the slot frees the daemon admits again; the release
+               is asynchronous, so poll. *)
+            check Alcotest.bool "slot frees after disconnect" true
+              (eventually (fun () ->
+                   match Cl.connect ~timeout_s:10. ~socket () with
+                   | Ok c ->
+                       Cl.close c;
+                       true
+                   | Error _ -> false))));
     Alcotest.test_case "slow loris: a stalled frame costs one timeout" `Slow
       (fun () ->
         with_server ~tag:"loris" ~io_timeout_s:0.2 (fun server socket ->
-            let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-            Unix.connect fd (Unix.ADDR_UNIX socket);
-            let io = P.Io.of_fd fd in
-            let dl = Some (Unix.gettimeofday () +. 10.) in
-            ignore
-              (P.Io.write_frame ?deadline:dl io
-                 (P.hello_to_string
-                    { P.protocol = P.protocol_version; client = "loris" }));
-            ignore (P.Io.read_frame ?deadline:dl io);
-            (* Two digits of a length prefix, then silence: the server
-               must cut the connection at its I/O deadline, not hold a
-               handler thread hostage. *)
-            ignore (P.Io.write_raw ?deadline:dl io "12");
-            let rec wait_timeout n =
-              if (Srv.stats server).P.timed_out >= 1 then true
-              else if n = 0 then false
-              else begin
-                Unix.sleepf 0.05;
-                wait_timeout (n - 1)
-              end
-            in
-            check Alcotest.bool "timeout counted" true (wait_timeout 100);
-            (try Unix.close fd with Unix.Unix_error _ -> ());
+            with_raw_client ~client:"loris" socket (fun io ->
+                (* Two digits of a length prefix, then silence: the
+                   server must cut the connection at its I/O deadline,
+                   not hold a handler thread hostage. *)
+                ignore (P.Io.write_raw io "12");
+                check Alcotest.bool "timeout counted" true
+                  (eventually (fun () -> (Srv.stats server).P.timed_out >= 1)));
             (* And the daemon still answers well-behaved clients. *)
-            match Cl.connect ~timeout_s:10. ~socket () with
-            | Ok c ->
+            with_client socket (fun c ->
                 check Alcotest.bool "daemon survives the loris" true
-                  (Cl.ping c = Ok ());
-                Cl.close c
-            | Error e -> Alcotest.failf "connect: %s" (Cl.error_message e)));
+                  (Cl.ping c = Ok ()))));
   ]
 
 (* --- retired options ------------------------------------------------------ *)
@@ -782,30 +772,18 @@ let end_to_end_tests =
 
 (* Send one raw request frame on a fresh connection; return the reply. *)
 let raw_request ~socket frame =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      Unix.connect fd (Unix.ADDR_UNIX socket);
-      let io = P.Io.of_fd fd in
+  with_raw_client ~client:"retired-options" socket (fun io ->
       let deadline = Some (Unix.gettimeofday () +. 60.) in
-      let ( let* ) r f =
-        match r with
-        | Ok v -> f v
-        | Error e -> Alcotest.failf "raw request: %s" (P.Io.error_message e)
+      let reply =
+        Result.bind (P.Io.write_frame ?deadline io frame) (fun () ->
+            P.Io.read_frame ?deadline io)
       in
-      let* () =
-        P.Io.write_frame ?deadline io
-          (P.hello_to_string
-             { P.protocol = P.protocol_version; client = "retired-options" })
-      in
-      let* _welcome = P.Io.read_frame ?deadline io in
-      let* () = P.Io.write_frame ?deadline io frame in
-      let* raw = P.Io.read_frame ?deadline io in
-      match P.response_of_string raw with
-      | Ok (_, resp) -> resp
-      | Error e -> Alcotest.failf "response_of_string: %s" e)
-
+      match reply with
+      | Error e -> Alcotest.failf "raw request: %s" (P.Io.error_message e)
+      | Ok raw -> (
+          match P.response_of_string raw with
+          | Ok (_, resp) -> resp
+          | Error e -> Alcotest.failf "response_of_string: %s" e))
 let replace_all ~sub ~by s =
   let n = String.length sub and len = String.length s in
   let b = Buffer.create len in
@@ -837,16 +815,16 @@ let retired_option_tests =
   [
     Alcotest.test_case "a check carrying (jobs 4) gets the same reply" `Slow
       (fun () ->
-        let module I = Entangle_models.Instance in
-        let inst = Entangle_models.Regression.build () in
+        let inst = Regression.build () in
         let check_frame =
           P.request_to_string ~id:1
             (P.Check
                {
                  options = P.default_options;
-                 gs = Entangle_ir.Serial.graph_to_sexp inst.I.gs;
-                 gd = Entangle_ir.Serial.graph_to_sexp inst.I.gd;
-                 relation = Entangle.Relation_io.to_sexp inst.I.input_relation;
+                 gs = Entangle_ir.Serial.graph_to_sexp inst.Instance.gs;
+                 gd = Entangle_ir.Serial.graph_to_sexp inst.Instance.gd;
+                 relation =
+                   Entangle.Relation_io.to_sexp inst.Instance.input_relation;
                })
         in
         let jobs_frame =
@@ -913,6 +891,393 @@ let race_tests =
         | _ -> ());
   ]
 
+(* --- the daemon against local runs --------------------------------------- *)
+
+(* The options and the wire form of a check of [inst]. *)
+let options_for ?namespace (inst : Instance.t) =
+  {
+    P.default_options with
+    P.family = Some (Entangle_lemmas.Registry.family_name inst.Instance.family);
+    namespace;
+  }
+
+let wire (inst : Instance.t) =
+  {
+    P.gs = Entangle_ir.Serial.graph_to_sexp inst.Instance.gs;
+    gd = Entangle_ir.Serial.graph_to_sexp inst.Instance.gd;
+    relation = Entangle.Relation_io.to_sexp inst.Instance.input_relation;
+  }
+
+let check_request ?namespace inst =
+  let { P.gs; gd; relation } = wire inst in
+  P.Check { options = options_for ?namespace inst; gs; gd; relation }
+
+let remote_check ?namespace client (inst : Instance.t) =
+  match Cl.request client (check_request ?namespace inst) with
+  | Ok (P.Checked r) -> r
+  | Ok (P.Error_reply { message; _ }) ->
+      Alcotest.failf "%s: daemon error: %s" inst.Instance.name message
+  | Ok _ -> Alcotest.failf "%s: not a check reply" inst.Instance.name
+  | Error e -> Alcotest.failf "%s: %s" inst.Instance.name (Cl.error_message e)
+
+let verdict_tag = function
+  | Ok _ -> "refines"
+  | Error (f : Entangle.Refine.failure) -> (
+      match f.verdict with
+      | Entangle.Refine.Unmapped _ -> "unmapped"
+      | Entangle.Refine.Inconclusive _ -> "inconclusive"
+      | Entangle.Refine.Internal _ -> "internal")
+
+(* Statistics as the wire renders them, wall time zeroed: two runs of
+   one check agree on the rest. *)
+let stats_text (s : Entangle.Refine.stats) =
+  Sexp.to_string (P.stats_to_sexp { s with Entangle.Refine.wall_time_s = 0. })
+
+let daemon_tests =
+  let gpt () = Gpt.build ~layers:1 ~degree:2 () in
+  [
+    Alcotest.test_case "remote checks equal local ones; no cache verbs" `Slow
+      (fun () ->
+        with_server ~tag:"fidelity" (fun _server socket ->
+            with_client socket (fun client ->
+                List.iter
+                  (fun (inst : Instance.t) ->
+                    let name = inst.Instance.name in
+                    let local = Instance.check inst in
+                    let remote = remote_check client inst in
+                    check Alcotest.string (name ^ ": verdict")
+                      (verdict_tag local) remote.P.verdict;
+                    check Alcotest.int (name ^ ": exit code")
+                      (Entangle.Refine.exit_code local) remote.P.exit_code;
+                    check Alcotest.string
+                      (name ^ ": stats apart from wall time")
+                      (stats_text (Test_cache.result_stats local))
+                      (stats_text remote.P.stats))
+                  ([ Regression.build ~microbatches:2 (); gpt () ]
+                  @ List.map
+                      (fun id -> (Bugs.case id).Bugs.instance)
+                      [ 1; 6; 7 ]);
+                match Cl.cache_stats client with
+                | Ok (P.Error_reply { code = P.Bad_request; _ }) -> ()
+                | _ ->
+                    Alcotest.fail
+                      "uncached daemon: cache-stats is not a bad-request")));
+    Alcotest.test_case "a warm re-check: zero saturation on the daemon's trace"
+      `Slow (fun () ->
+        Test_cache.with_temp_cache (fun cache ->
+            let collector = Trace.Collect.create () in
+            let config =
+              Entangle.Config.default
+              |> Entangle.Config.with_trace (Trace.Collect.sink collector)
+            in
+            let spans cat =
+              List.length
+                (List.filter
+                   (fun (e : Trace.Event.t) -> e.cat = cat)
+                   (Trace.Collect.events collector))
+            in
+            with_server ~tag:"warm" ~config ~cache (fun _server socket ->
+                with_client socket (fun client ->
+                    let cold = remote_check client (gpt ()) in
+                    let ops =
+                      cold.P.stats.Entangle.Refine.operators_processed
+                    in
+                    check Alcotest.int "cold: no hits" 0
+                      cold.P.stats.Entangle.Refine.cache_hits;
+                    check Alcotest.int "cold: one miss per operator" ops
+                      cold.P.stats.Entangle.Refine.cache_misses;
+                    let cold_iterations = spans "iteration" in
+                    check Alcotest.bool "cold: iteration events on the trace"
+                      true (cold_iterations > 0);
+                    let warm = remote_check client (gpt ()) in
+                    check Alcotest.int "warm: every operator a hit" ops
+                      warm.P.stats.Entangle.Refine.cache_hits;
+                    check Alcotest.int "warm: zero iterations in the reply" 0
+                      warm.P.stats.Entangle.Refine.saturation_iterations;
+                    check Alcotest.int "warm: no iteration event on the trace"
+                      cold_iterations (spans "iteration");
+                    check Alcotest.string "warm: same verdict" cold.P.verdict
+                      warm.P.verdict;
+                    check Alcotest.int "warm: exit code" 0 warm.P.exit_code;
+                    check Alcotest.bool "cat:serve spans on the trace" true
+                      (spans "serve" > 0)))));
+    Alcotest.test_case "namespaces are isolated; cache verbs over the wire"
+      `Slow (fun () ->
+        Test_cache.with_temp_cache (fun cache ->
+            with_server ~tag:"namespaces" ~cache (fun _server socket ->
+                with_client socket (fun client ->
+                    let shared = remote_check client (gpt ()) in
+                    let ops =
+                      shared.P.stats.Entangle.Refine.operators_processed
+                    in
+                    let tenant =
+                      remote_check client ~namespace:"tenant-b" (gpt ())
+                    in
+                    check Alcotest.int "fresh namespace: no hits" 0
+                      tenant.P.stats.Entangle.Refine.cache_hits;
+                    check Alcotest.int "fresh namespace: one miss per operator"
+                      ops tenant.P.stats.Entangle.Refine.cache_misses;
+                    let again =
+                      remote_check client ~namespace:"tenant-b" (gpt ())
+                    in
+                    check Alcotest.int "its re-check: every operator a hit" ops
+                      again.P.stats.Entangle.Refine.cache_hits;
+                    (match Cl.cache_stats client with
+                    | Ok (P.Cache_stats_reply r) ->
+                        check Alcotest.int
+                          "cache-stats counts both namespaces' entries"
+                          (2 * ops) r.P.entries
+                    | _ -> Alcotest.fail "cache-stats: no stats reply");
+                    match Cl.cache_clear client with
+                    | Ok (P.Cache_cleared n) ->
+                        check Alcotest.int "cache-clear removes every entry"
+                          (2 * ops) n
+                    | _ -> Alcotest.fail "cache-clear: no cleared reply"))));
+    Alcotest.test_case "a byte-budgeted daemon store stays within budget"
+      `Slow (fun () ->
+        let budget =
+          { Entangle_cache.Store.max_bytes = Some 200; max_age_s = None }
+        in
+        Test_cache.with_temp_cache ~budget (fun cache ->
+            with_server ~tag:"budget" ~cache (fun _server socket ->
+                with_client socket (fun client ->
+                    let r = remote_check client (Regression.build ()) in
+                    check Alcotest.int "the check still refines" 0
+                      r.P.exit_code;
+                    match Cl.cache_stats client with
+                    | Ok (P.Cache_stats_reply s) ->
+                        check Alcotest.(option int) "the budget in force"
+                          (Some 200) s.P.max_bytes;
+                        check Alcotest.bool "bytes within the budget" true
+                          (s.P.bytes <= 200);
+                        check Alcotest.bool "the sweep evicted entries" true
+                          (s.P.evicted_entries > 0)
+                    | _ -> Alcotest.fail "cache-stats: no stats reply"))));
+  ]
+
+let cert_tests =
+  [
+    Alcotest.test_case "a truncated cert-push is rejected as CERT001" `Quick
+      (fun () ->
+        let text = Lazy.force Test_certexport.reference_text in
+        with_server ~tag:"cert" (fun _server socket ->
+            with_client socket (fun client ->
+                match
+                  Cl.cert_push client
+                    ~bundle:(String.sub text 0 (String.length text / 2))
+                with
+                | Ok v ->
+                    check Alcotest.bool "rejected" false v.P.accepted;
+                    check Alcotest.(option string) "code" (Some "CERT001")
+                      v.P.cert_code
+                | Error e ->
+                    Alcotest.failf "cert-push: %s" (Cl.error_message e))));
+  ]
+
+(* --- chaos: byzantine clients and injected faults ------------------------ *)
+
+(* Byzantine clients write into sockets the daemon closed on purpose,
+   and a drained daemon no longer ignores SIGPIPE for the process: each
+   chaos case ignores it, and restores the disposition it found. *)
+let chaos_case name f =
+  Alcotest.test_case name `Slow (fun () ->
+      let previous = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+      Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigpipe previous) f)
+
+let ladder =
+  {
+    Cl.default_retry with
+    Cl.retries = 8;
+    timeout_s = Some 10.;
+    jitter_seed = 0x5eed;
+  }
+
+let chaos_tests =
+  [
+    chaos_case "a torn reply frame: the retry ladder absorbs it" (fun () ->
+        with_server ~tag:"torn" (fun _server socket ->
+            F.with_armed "serve.frame.write" (F.Nth 1) (fun () ->
+                match Cl.call ~retry:ladder ~socket P.Ping with
+                | Ok P.Pong -> ()
+                | Ok _ -> Alcotest.fail "not a pong"
+                | Error e -> Alcotest.failf "ping: %s" (Cl.error_message e))));
+    chaos_case "an accept failure is survived and counted" (fun () ->
+        with_server ~tag:"accept" (fun server socket ->
+            F.with_armed "serve.accept" (F.Nth 1) (fun () ->
+                with_client socket (fun c ->
+                    check Alcotest.bool "the pending connection is served" true
+                      (Cl.ping c = Ok ())));
+            check Alcotest.int "accept failures" 1
+              (Srv.stats server).P.accept_failures));
+    chaos_case "six clients, three byzantine: verdicts and counters hold"
+      (fun () ->
+        let reg = Regression.build ~microbatches:2 () in
+        let baseline = Instance.check reg in
+        let same_as_local what (r : P.check_reply) =
+          check Alcotest.int (what ^ ": exit code")
+            (Entangle.Refine.exit_code baseline) r.P.exit_code;
+          check Alcotest.string (what ^ ": stats apart from wall time")
+            (stats_text (Test_cache.result_stats baseline))
+            (stats_text r.P.stats)
+        in
+        with_server ~tag:"soak" ~max_clients:8 ~io_timeout_s:1.0
+          (fun server socket ->
+            let checks = ref [] in
+            let batch = ref None in
+            let garbage_reply = ref None in
+            let crash_kinds = ref [] in
+            let clients =
+              [
+                (* well-behaved: three checks, each riding the ladder *)
+                (fun () ->
+                  for _ = 1 to 3 do
+                    match Cl.call ~retry:ladder ~socket (check_request reg) with
+                    | Ok (P.Checked r) -> checks := r :: !checks
+                    | Ok _ | Error _ -> ()
+                  done);
+                (* well-behaved: one streamed batch, retried whole *)
+                (fun () ->
+                  let options = options_for reg in
+                  let instances =
+                    [
+                      wire (Regression.build ~microbatches:2 ());
+                      wire (Regression.build ());
+                    ]
+                  in
+                  let rec attempt n =
+                    let r =
+                      Result.bind (Cl.connect ~timeout_s:10. ~socket ())
+                        (fun c ->
+                          Fun.protect
+                            ~finally:(fun () -> Cl.close c)
+                            (fun () -> Cl.check_batch c ~options ~instances ()))
+                    in
+                    match r with
+                    | Ok items -> batch := Some items
+                    | Error _ when n > 0 ->
+                        Thread.delay 0.1;
+                        attempt (n - 1)
+                    | Error _ -> ()
+                  in
+                  attempt 5);
+                (* slow loris: stalls inside a frame's length prefix
+                   until the daemon times the read out *)
+                (fun () ->
+                  with_raw_client ~client:"loris" socket (fun io ->
+                      ignore (P.Io.write_raw io "12");
+                      ignore
+                        (eventually (fun () ->
+                             (Srv.stats server).P.timed_out >= 1))));
+                (* mid-request disconnect: half a frame, then gone *)
+                (fun () ->
+                  with_raw_client ~client:"disconnect" socket (fun io ->
+                      let frame =
+                        P.encode_frame (P.request_to_string ~id:7 P.Ping)
+                      in
+                      ignore
+                        (P.Io.write_raw io
+                           (String.sub frame 0 (String.length frame / 2)))));
+                (* garbage: a well-framed payload that is not a request *)
+                (fun () ->
+                  with_raw_client ~client:"garbage" socket (fun io ->
+                      let deadline = Some (Unix.gettimeofday () +. 10.) in
+                      ignore
+                        (P.Io.write_frame ?deadline io "(no such request)");
+                      garbage_reply :=
+                        Result.to_option (P.Io.read_frame ?deadline io)));
+                (* handler crash: every describe dispatch is armed *)
+                (fun () ->
+                  with_client socket (fun c ->
+                      for _ = 1 to 2 do
+                        match Cl.describe c with
+                        | Error e -> crash_kinds := e.Cl.kind :: !crash_kinds
+                        | Ok _ -> ()
+                      done));
+              ]
+            in
+            F.with_armed "serve.dispatch.describe" (F.Every 1) (fun () ->
+                List.map (fun c -> Thread.create c ()) clients
+                |> List.iter Thread.join);
+            check Alcotest.int "repeated checks: all verdicts" 3
+              (List.length !checks);
+            List.iter (same_as_local "repeated check") !checks;
+            (match !batch with
+            | Some [ P.Checked a; P.Checked b ] ->
+                same_as_local "first batch item" a;
+                check Alcotest.int "second batch item: exit code" 0
+                  b.P.exit_code
+            | Some _ -> Alcotest.fail "batch: not two checked items in order"
+            | None -> Alcotest.fail "batch: no reply");
+            (match Option.map P.response_of_string !garbage_reply with
+            | Some (Ok (0, P.Error_reply { code = P.Bad_request; _ })) -> ()
+            | _ -> Alcotest.fail "garbage: no structured bad-request");
+            check Alcotest.bool "handler crash: structured internal errors"
+              true
+              (!crash_kinds <> []
+              && List.for_all (fun k -> k = Cl.App) !crash_kinds);
+            match Cl.call ~retry:ladder ~socket P.Server_stats with
+            | Ok (P.Server_stats_reply s) ->
+                check Alcotest.bool "accepted covers every client" true
+                  (s.P.accepted >= 9);
+                check Alcotest.bool "the slow loris cost a timeout" true
+                  (s.P.timed_out >= 1);
+                check Alcotest.int "nobody rejected busy" 0 s.P.rejected_busy
+            | _ -> Alcotest.fail "server-stats: no stats reply"));
+    chaos_case "SIGTERM drains the daemon and unlinks its socket" (fun () ->
+        let server, socket, idle =
+          with_server ~tag:"drain" ~signals:true (fun server socket ->
+              match Cl.connect ~timeout_s:10. ~socket () with
+              | Error e -> Alcotest.failf "connect: %s" (Cl.error_message e)
+              | Ok idle ->
+                  Unix.kill (Unix.getpid ()) Sys.sigterm;
+                  if eventually (fun () -> Srv.draining server) then
+                    (server, socket, idle)
+                  else begin
+                    Cl.close idle;
+                    Alcotest.fail "SIGTERM did not start a drain"
+                  end)
+        in
+        Fun.protect
+          ~finally:(fun () -> Cl.close idle)
+          (fun () ->
+            check Alcotest.bool "socket file unlinked" false
+              (Sys.file_exists socket);
+            let s = Srv.stats server in
+            check Alcotest.bool "the idle connection was drained" true
+              (s.P.drained >= 1);
+            check Alcotest.int "no connection active" 0 s.P.active;
+            check Alcotest.bool "the idle client sees a dead connection" true
+              (Result.is_error (Cl.ping idle))));
+    chaos_case "admission: the ladder wins once the only slot frees"
+      (fun () ->
+        let rejected, socket =
+          with_server ~tag:"ladder" ~max_clients:1 (fun server socket ->
+              with_client socket (fun first ->
+                  (* The ladder's first attempt finds the slot taken;
+                     its first backoff frees it. *)
+                  let freed = ref false in
+                  let sleep d =
+                    if not !freed then begin
+                      freed := true;
+                      Cl.close first
+                    end;
+                    Unix.sleepf d
+                  in
+                  let retry = { ladder with Cl.sleep } in
+                  (match Cl.call ~retry ~socket P.Ping with
+                  | Ok P.Pong -> ()
+                  | Ok _ -> Alcotest.fail "not a pong"
+                  | Error e -> Alcotest.failf "ping: %s" (Cl.error_message e));
+                  (match Cl.call ~retry:ladder ~socket P.Shutdown with
+                  | Ok P.Bye -> ()
+                  | _ -> Alcotest.fail "shutdown not acknowledged");
+                  ((Srv.stats server).P.rejected_busy, socket)))
+        in
+        check Alcotest.bool "the rejection was counted" true (rejected >= 1);
+        check Alcotest.bool "socket unlinked after the drain" false
+          (Sys.file_exists socket));
+  ]
+
 let suite =
   [
     ("serve.framing", framing_tests);
@@ -922,4 +1287,7 @@ let suite =
     ("serve.end_to_end", end_to_end_tests);
     ("serve.retired_options", retired_option_tests);
     ("serve.race", race_tests);
+    ("serve.daemon", daemon_tests);
+    ("serve.cert", cert_tests);
+    ("serve.chaos", chaos_tests);
   ]

@@ -289,8 +289,32 @@ let property_tests =
   in
   [ QCheck_alcotest.to_alcotest sink_transparent ]
 
+(* The disabled sink's promise to hot call sites: emitting into it
+   builds no event, reads no clock and allocates nothing. *)
+let sink_tests =
+  [
+    Alcotest.test_case "the null sink allocates nothing" `Quick (fun () ->
+        let module Sink = Trace.Sink in
+        check Alcotest.bool "null is disabled" false (Sink.enabled Sink.null);
+        let args = [ ("i", Trace.Event.Int 1) ] in
+        let some_args = Some args in
+        let body () = () in
+        let emit () =
+          for _ = 1 to 1_000_000 do
+            Sink.span Sink.null ~cat:"test" "span" body;
+            Sink.counter Sink.null ~args ~cat:"test" "counter";
+            Sink.instant Sink.null ?args:some_args ~cat:"test" "instant"
+          done
+        in
+        let before = Gc.minor_words () in
+        emit ();
+        check (Alcotest.float 0.) "minor words over 3M calls" 0.
+          (Gc.minor_words () -. before));
+  ]
+
 let suite =
   [
+    ("trace.sink", sink_tests);
     ("trace.golden", golden_tests);
     ("trace.stats", stats_tests);
     ("trace.chrome", chrome_tests);
