@@ -249,10 +249,10 @@ module J = Entangle_trace.Jsonw
 (* A fixed-precision number, so the committed document stays readable. *)
 let fixed digits x = J.Raw (Printf.sprintf "%.*f" digits x)
 
-let json_record ?name inst config_name secs result =
+let json_record ?name ?alloc_words inst config_name secs result =
   let s = result_stats result in
   J.Obj
-    [
+    ([
       ("model", J.Str (Option.value name ~default:inst.Instance.name));
       ("config", J.Str config_name);
       ("time_s", fixed 4 secs);
@@ -268,6 +268,30 @@ let json_record ?name inst config_name secs result =
       ("cache_hits", J.Int s.Entangle.Refine.cache_hits);
       ("cache_misses", J.Int s.Entangle.Refine.cache_misses);
     ]
+    @
+    match alloc_words with
+    | Some w -> [ ("alloc_words", J.Int w) ]
+    | None -> [])
+
+(* A default-configuration check, timed, with the words [Refine.check]
+   allocates: the rule list is built before the count starts. A minor
+   collection on each side makes the count exact; without them a native
+   program's count drifts by up to ~10^5 words from one check to the
+   next. The perf gate (test/test_perf_gate.ml) counts a re-check the
+   same way. *)
+let counted_check inst =
+  let t0 = Unix.gettimeofday () in
+  let rules = Entangle_lemmas.Registry.rules_for_model inst.Instance.family in
+  Gc.minor ();
+  let bytes0 = Gc.allocated_bytes () in
+  let result =
+    Entangle.Refine.check ~rules ~gs:inst.Instance.gs ~gd:inst.Instance.gd
+      ~input_relation:inst.Instance.input_relation ()
+  in
+  let secs = Unix.gettimeofday () -. t0 in
+  Gc.minor ();
+  let bytes = Gc.allocated_bytes () -. bytes0 in
+  (secs, int_of_float (bytes /. float_of_int (Sys.word_size / 8)), result)
 
 let bench_egraph_json = "BENCH_egraph.json"
 let bench_trace_json = "BENCH_trace.json"
@@ -338,8 +362,8 @@ let ablation () =
   Fmt.pr "%-50s %8s %10s %8s %8s %s@." "instance" "time (s)" "iterations"
     "matches" "unions" "verdict";
   let counters ?name inst =
-    let secs, result = time_check inst in
-    push (json_record ?name inst "default" secs result);
+    let secs, alloc_words, result = counted_check inst in
+    push (json_record ?name ~alloc_words inst "default" secs result);
     let s = result_stats result in
     Fmt.pr "%-50s %8.2f %10d %8d %8d %s@."
       (Option.value name ~default:inst.Instance.name)
@@ -459,7 +483,7 @@ let ablation () =
     (J.to_string
        (J.Obj
           [
-            ("schema", J.Str "entangle-bench-egraph/5");
+            ("schema", J.Str "entangle-bench-egraph/6");
             ("cert_recheck_s", fixed 6 cert_recheck_s);
             ("cert_export_s", fixed 6 cert_export_s);
             ("cert_verify_s", fixed 6 cert_verify_s);

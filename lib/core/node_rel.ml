@@ -67,12 +67,12 @@ let compute ~config ?deadline ~sink ~rules ~gd ~gd_tensors ~relation ~seeds v =
          one-iteration [Runner.run] calls below, so every round after
          the first re-matches only classes dirtied since the rule's
          previous search. *)
-      let state = Runner.create_state () in
+      let state = Runner.create_state rules in
       let rounds_used = ref 0 in
       let one_round ~confirm =
         incr rounds_used;
         Runner.run ~limits:round_limits ~confirm_saturation:confirm
-          ?invariant_check ~sink ~state g rules
+          ?invariant_check ~sink ~state g (Runner.rules rules)
       in
       let have_mapping () =
         Option.is_some (Extract.best_clean g ~leaf_ok:is_gd base)

@@ -30,7 +30,7 @@ val compute :
   config:Config.t ->
   ?deadline:float ->
   sink:Entangle_trace.Sink.t ->
-  rules:Rule.t list ->
+  rules:Runner.index ->
   gd:Graph.t ->
   gd_tensors:Tensor.Set.t ->
   relation:Relation.t ->
@@ -41,7 +41,8 @@ val compute :
     the relation), not a refinement failure — the latter is an [Ok] with
     empty [mappings].
 
-    [gd_tensors] is the set of [gd]'s tensors, built once per check.
+    [rules] is the lemma rule list's scheduling index and [gd_tensors]
+    the set of [gd]'s tensors, each built once per check.
     [seeds] are the relation entries loaded into the e-graph, in order:
     the mappings of [v]'s inputs and of every sequential graph input, as
     {!Refine.check} selects them for both this search and its cache

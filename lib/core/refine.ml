@@ -232,6 +232,9 @@ let check ?(config = Config.default) ?rules ~gs ~gd ~input_relation () =
      independent of how much of the model was already processed. *)
   let gs_inputs = Tensor.Set.of_list (Graph.inputs gs) in
   let gd_tensors = Tensor.Set.of_list (Graph.tensors gd) in
+  (* What the saturation scheduler reads of each rule, derived once for
+     the whole check rather than once per operator's e-graph. *)
+  let rule_index = Runner.index rules in
   let seeds_of v relation =
     let inputs = Node.inputs v in
     List.filter
@@ -327,7 +330,7 @@ let check ?(config = Config.default) ?rules ~gs ~gd ~input_relation () =
       in
       match
         Node_rel.compute ~config:cfg ?deadline:(attempt_deadline ()) ~sink
-          ~rules ~gd ~gd_tensors ~relation ~seeds v
+          ~rules:rule_index ~gd ~gd_tensors ~relation ~seeds v
       with
       | Ok o -> Ok o
       | Error msg -> Error (Unmapped msg)

@@ -45,14 +45,72 @@ type report = {
   tripped : budget option;
 }
 
+(* Root operator family of a rule's left-hand side, used to index rules
+   so matching skips classes that contain no node of that family. *)
+let root_family (rule : Rule.t) =
+  match rule.lhs with
+  | Pattern.P (Pattern.Fixed op, _) -> Some (Entangle_ir.Op.name op)
+  | Pattern.P (Pattern.Family { family; _ }, _) -> Some family
+  | Pattern.P (Pattern.Bound _, _) | Pattern.V _ | Pattern.C _ -> None
+
+(* What the scheduler reads of one rule on every visit. None of it
+   depends on the e-graph, so {!index} derives it once per rule list. *)
+type entry = {
+  rule : Rule.t;
+  family : string option;  (** root family, see {!root_family} *)
+  global : bool;
+      (** the application outcome depends on global e-graph state:
+          constrained rules ([Check_only] targets can materialize
+          anywhere) and rules whose applier declares itself [nonlocal].
+          Both re-apply their whole accumulated match cache whenever
+          they run (see {!state}), so their global conditions are
+          re-evaluated on old matches too. *)
+  conditional : bool;
+      (** delta matching needs class-level blanket re-admission (see
+          {!Ematch.match_class_delta}): a conditional applier whose old
+          outcomes are neither syntactically determined nor re-applied
+          from the cache, and always a non-linear pattern, where a union
+          of two bound classes creates genuinely new substitutions
+          (never cached, touching no new node) out of the
+          repeated-variable constraint. *)
+}
+
+type index = { rules : Rule.t list; entries : entry array }
+
+let rules ix = ix.rules
+
+let index rules =
+  let entry (rule : Rule.t) =
+    let global = rule.constrained || rule.nonlocal in
+    let conditional =
+      ((match rule.applier with
+       | Rule.Conditional _ -> true
+       | Rule.Syntactic _ -> false)
+      && not global)
+      || not (Pattern.linear rule.lhs)
+    in
+    { rule; family = root_family rule; global; conditional }
+  in
+  { rules; entries = Array.of_list (List.map entry rules) }
+
 (* Per-rule scheduling state, persistent across [run] calls so drivers
    that saturate one iteration at a time (Node_rel) still match
-   incrementally between rounds. *)
-type rule_state = {
-  mutable last_gen : int;  (** e-graph generation of the last search; -1 = never searched *)
-  mutable times_banned : int;
-  mutable banned_until : int;  (** first iteration the rule may run again *)
-  mutable cached_matches : (Id.t * Subst.t) list;
+   incrementally between rounds. Each array holds one slot per rule,
+   at the rule's position in the rule list, NOT keyed by its name: rule
+   names are shared across a lemma's arity variants and directions, and
+   aliasing their scheduling state would make every variant after the
+   first see an empty dirty set on its (supposedly full) first
+   search. *)
+type state = {
+  match_limit : int;
+  ban_length : int;
+  index : index;
+  last_gen : int array;
+      (** e-graph generation of the rule's last search; -1 = never
+          searched *)
+  times_banned : int array;
+  banned_until : int array;  (** first iteration the rule may run again *)
+  cached_matches : (Id.t * Subst.t) list array;
       (** Globally-dependent rules only: every substitution collected
           so far. Match sets are monotone (the e-graph only grows and
           merges, and bindings canonicalize through the union-find), so
@@ -61,46 +119,21 @@ type rule_state = {
           equivalent to a full one: the application is what is global
           (a [Check_only] target may have materialized anywhere since),
           not the matching. *)
-}
-
-type state = {
-  match_limit : int;
-  ban_length : int;
-  (* Keyed by the rule's position in the rule list, NOT its name: rule
-     names are shared across a lemma's arity variants and directions,
-     and aliasing their scheduling state would make every variant after
-     the first see an empty dirty set on its (supposedly full) first
-     search. *)
-  rule_states : (int, rule_state) Hashtbl.t;
   mutable iteration : int;  (** global iteration counter across runs *)
-  mutable indexed : (Rule.t list * (int * string option * Rule.t) list) option;
-      (** the rule list of the last run, and each rule with its position
-          and root family: built once per state, not once per run *)
 }
 
-let create_state ?(match_limit = 1000) ?(ban_length = 5) () =
+let create_state ?(match_limit = 1000) ?(ban_length = 5) index =
+  let n = Array.length index.entries in
   {
     match_limit;
     ban_length;
-    rule_states = Hashtbl.create 64;
+    index;
+    last_gen = Array.make n (-1);
+    times_banned = Array.make n 0;
+    banned_until = Array.make n 0;
+    cached_matches = Array.make n [];
     iteration = 0;
-    indexed = None;
   }
-
-let rule_state st idx =
-  match Hashtbl.find_opt st.rule_states idx with
-  | Some rs -> rs
-  | None ->
-      let rs =
-        {
-          last_gen = -1;
-          times_banned = 0;
-          banned_until = 0;
-          cached_matches = [];
-        }
-      in
-      Hashtbl.replace st.rule_states idx rs;
-      rs
 
 module Sink = Entangle_trace.Sink
 module Event = Entangle_trace.Event
@@ -139,29 +172,21 @@ let apply_bounded ~limits rule g matches =
    with Exit -> ());
   !hits
 
-(* Root operator family of a rule's left-hand side, used to index rules
-   so matching skips classes that contain no node of that family. *)
-let root_family (rule : Rule.t) =
-  match rule.lhs with
-  | Pattern.P (Pattern.Fixed op, _) -> Some (Entangle_ir.Op.name op)
-  | Pattern.P (Pattern.Family { family; _ }, _) -> Some family
-  | Pattern.P (Pattern.Bound _, _) | Pattern.V _ | Pattern.C _ -> None
-
 (* Candidate classes for one rule's search. A rule's first search
    consults the e-graph's incrementally maintained family index (or
    every class when the rule's root is not family-headed); every later
    search restricts to classes modified since the rule's last one. *)
-let candidates g fam rs =
-  if rs.last_gen < 0 then
+let candidates g fam last_gen =
+  if last_gen < 0 then
     match fam with
     | None -> Egraph.class_ids g
     | Some f -> Egraph.classes_with_family g f
   else
     match fam with
-    | None -> Egraph.classes_modified_since g rs.last_gen
+    | None -> Egraph.classes_modified_since g last_gen
     | Some f ->
         List.filter
-          (fun cls -> Egraph.modified_at g cls > rs.last_gen)
+          (fun cls -> Egraph.modified_at g cls > last_gen)
           (Egraph.classes_with_family g f)
 
 (* Collect a rule's matches class by class, stopping once the cap is
@@ -261,7 +286,7 @@ let lap split ~work t0 add =
    local as anyone's, so the cool-down delta-collects fresh
    substitutions and re-applies the accumulated cache
    ([cached_matches]) instead of re-matching from scratch. *)
-let pass ~limits ~sink ~split st g indexed ~full =
+let pass ~limits ~sink ~split st g ~full =
   let total_matches = ref 0 and total_hits = ref 0 in
   (* [complete]: this pass left no candidate unexamined that could
      reveal new work — a zero-hit complete pass is a genuine fixpoint.
@@ -270,24 +295,17 @@ let pass ~limits ~sink ~split st g indexed ~full =
   let searched = ref 0 and full_searches = ref 0 and delta_searches = ref 0 in
   let truncations = ref 0 and banned_count = ref 0 and deferred_count = ref 0 in
   let new_bans = ref 0 in
-  List.iter
-    (fun (idx, fam, rule) ->
-      let rs = rule_state st idx in
-      let banned = (not full) && st.iteration < rs.banned_until in
-      (* Rules whose application outcome depends on global e-graph
-         state: constrained rules ([Check_only] targets can materialize
-         anywhere) and rules whose applier declares itself [nonlocal].
-         Both re-apply their whole accumulated match cache whenever they
-         run (below), so their global conditions are re-evaluated on old
-         matches too. Constrained rules are additionally deferred to
-         cool-down passes: their Check_only applications only ratify
-         equalities between existing terms, so firing them once per
-         fixpoint candidate reaches the same saturated e-graph as firing
-         them every iteration, without paying their match collection
-         each pass. Nonlocal rules are NOT deferred — they build terms
-         that can unblock drivers which declare failure between
-         iterations, before any cool-down. *)
-      let global = rule.Rule.constrained || rule.Rule.nonlocal in
+  Array.iteri
+    (fun i { rule; family; global; conditional } ->
+      let banned = (not full) && st.iteration < st.banned_until.(i) in
+      (* Constrained rules are deferred to cool-down passes: their
+         Check_only applications only ratify equalities between
+         existing terms, so firing them once per fixpoint candidate
+         reaches the same saturated e-graph as firing them every
+         iteration, without paying their match collection each pass.
+         Nonlocal rules are NOT deferred — they build terms that can
+         unblock drivers which declare failure between iterations,
+         before any cool-down. *)
       let deferred = (not full) && rule.Rule.constrained in
       if banned || deferred then begin
         if banned then incr banned_count else incr deferred_count;
@@ -295,108 +313,107 @@ let pass ~limits ~sink ~split st g indexed ~full =
       end
       else begin
         (* Globally-dependent rules search their delta and re-apply
-           [cached_matches] (see {!rule_state}): equivalent to a full
+           [cached_matches] (see {!state}): equivalent to a full
            search, so no full candidate set is forced even at
            cool-down. *)
-        let was_full = rs.last_gen < 0 in
-        let classes = candidates g fam rs in
+        let last_gen = st.last_gen.(i) in
+        let was_full = last_gen < 0 in
+        let classes = candidates g family last_gen in
         incr searched;
         if was_full then incr full_searches else incr delta_searches;
-        let threshold =
-          min max_matches_per_rule (st.match_limit lsl min rs.times_banned 20)
-        in
-        (* One extra slot to observe the overflow. *)
-        let cap = threshold + 1 in
-        let since = if was_full then None else Some rs.last_gen in
-        (* Class-level blanket re-admission (see
-           {!Ematch.match_class_delta}) is needed when a conditional
-           applier's old outcomes are neither syntactically determined
-           nor re-applied from the cache — and always for non-linear
-           patterns, where a union of two bound classes creates
-           genuinely new substitutions (never cached, touching no new
-           node) out of the repeated-variable constraint. *)
-        let conditional =
-          ((match rule.Rule.applier with
-           | Rule.Conditional _ -> true
-           | Rule.Syntactic _ -> false)
-          && not global)
-          || not (Pattern.linear rule.Rule.lhs)
-        in
-        let work = classes <> [] in
-        let t0 = clock split ~work in
-        let ms, class_truncated =
-          collect rule classes ~cap ~since ~conditional g
-        in
-        lap split ~work t0 (fun sp dt -> sp.collect_s <- sp.collect_s +. dt);
-        let n = List.length ms in
-        total_matches := !total_matches + n;
-        if (not full) && n > threshold then begin
-          (* egg-style backoff: the rule overflowed its match budget;
-             ban it for a ban length that doubles with every overflow
-             and discard the matches. Its [last_gen] is left untouched
-             so the skipped dirty classes are revisited on unban. *)
-          rs.times_banned <- rs.times_banned + 1;
-          rs.banned_until <-
-            st.iteration + (st.ban_length lsl min (rs.times_banned - 1) 20);
-          incr new_bans;
-          complete := false;
-          if Sink.enabled sink then
-            Sink.instant sink "rule-ban" ~cat:"rule"
-              ~args:
-                [
-                  ("rule", Event.Str rule.Rule.name);
-                  ("banned_until", Event.Int rs.banned_until);
-                  ("matches", Event.Int n);
-                  ("threshold", Event.Int threshold);
-                ];
-          Log.debug (fun m ->
-              m "rule %s banned until iteration %d (%d matches > %d)"
-                rule.Rule.name rs.banned_until n threshold)
-        end
+        if classes = [] && not global then
+          (* A local rule with no candidate class: an empty collect
+             neither bans nor truncates, and there is no cache to
+             re-apply, so all a search would do is advance the rule's
+             generation. *)
+          st.last_gen.(i) <- Egraph.generation g
         else begin
-          (* A collect that hit its cap (or a class that hit the
-             per-class match budget) may have dropped matches: apply
-             what was gathered but leave [last_gen] untouched so the
-             remainder is revisited, and refuse to call the pass
-             complete. *)
-          if n >= cap || class_truncated then begin
-            incr truncations;
-            complete := false
-          end
-          else rs.last_gen <- Egraph.generation g;
-          let to_apply =
-            if global then begin
-              (* A full collect is the complete current match set, so it
-                 replaces the cache (a truncated one is replaced too —
-                 [last_gen] stayed at -1, so the next search is again
-                 full). A delta collect appends; a truncated delta may
-                 append the same substitution twice on the retry, which
-                 only wastes an idempotent re-application. *)
-              if was_full then rs.cached_matches <- ms
-              else rs.cached_matches <- List.rev_append ms rs.cached_matches;
-              rs.cached_matches
-            end
-            else ms
+          let times_banned = st.times_banned.(i) in
+          let threshold =
+            min max_matches_per_rule (st.match_limit lsl min times_banned 20)
           in
-          let work = to_apply <> [] in
+          (* One extra slot to observe the overflow. *)
+          let cap = threshold + 1 in
+          let since = if was_full then None else Some last_gen in
+          let work = classes <> [] in
           let t0 = clock split ~work in
-          let hits = apply_bounded ~limits rule g to_apply in
-          lap split ~work t0 (fun sp dt -> sp.apply_s <- sp.apply_s +. dt);
-          total_hits := !total_hits + hits;
-          (* The per-rule hit record the old [?hit_counter] hashtable
-             used to carry: one instant event per rule per pass that
-             actually merged classes. *)
-          if hits > 0 && Sink.enabled sink then
-            Sink.instant sink "rule-hit" ~cat:"rule"
-              ~args:
-                [
-                  ("rule", Event.Str rule.Rule.name);
-                  ("hits", Event.Int hits);
-                  ("matches", Event.Int n);
-                ]
+          let ms, class_truncated =
+            collect rule classes ~cap ~since ~conditional g
+          in
+          lap split ~work t0 (fun sp dt -> sp.collect_s <- sp.collect_s +. dt);
+          let n = List.length ms in
+          total_matches := !total_matches + n;
+          if (not full) && n > threshold then begin
+            (* egg-style backoff: the rule overflowed its match budget;
+               ban it for a ban length that doubles with every overflow
+               and discard the matches. Its [last_gen] is left untouched
+               so the skipped dirty classes are revisited on unban. *)
+            st.times_banned.(i) <- times_banned + 1;
+            st.banned_until.(i) <-
+              st.iteration + (st.ban_length lsl min times_banned 20);
+            incr new_bans;
+            complete := false;
+            if Sink.enabled sink then
+              Sink.instant sink "rule-ban" ~cat:"rule"
+                ~args:
+                  [
+                    ("rule", Event.Str rule.Rule.name);
+                    ("banned_until", Event.Int st.banned_until.(i));
+                    ("matches", Event.Int n);
+                    ("threshold", Event.Int threshold);
+                  ];
+            Log.debug (fun m ->
+                m "rule %s banned until iteration %d (%d matches > %d)"
+                  rule.Rule.name st.banned_until.(i) n threshold)
+          end
+          else begin
+            (* A collect that hit its cap (or a class that hit the
+               per-class match budget) may have dropped matches: apply
+               what was gathered but leave [last_gen] untouched so the
+               remainder is revisited, and refuse to call the pass
+               complete. *)
+            if n >= cap || class_truncated then begin
+              incr truncations;
+              complete := false
+            end
+            else st.last_gen.(i) <- Egraph.generation g;
+            let to_apply =
+              if global then begin
+                (* A full collect is the complete current match set, so it
+                   replaces the cache (a truncated one is replaced too —
+                   [last_gen] stayed at -1, so the next search is again
+                   full). A delta collect appends; a truncated delta may
+                   append the same substitution twice on the retry, which
+                   only wastes an idempotent re-application. *)
+                let cached =
+                  if was_full then ms
+                  else List.rev_append ms st.cached_matches.(i)
+                in
+                st.cached_matches.(i) <- cached;
+                cached
+              end
+              else ms
+            in
+            let work = to_apply <> [] in
+            let t0 = clock split ~work in
+            let hits = apply_bounded ~limits rule g to_apply in
+            lap split ~work t0 (fun sp dt -> sp.apply_s <- sp.apply_s +. dt);
+            total_hits := !total_hits + hits;
+            (* The per-rule hit record the old [?hit_counter] hashtable
+               used to carry: one instant event per rule per pass that
+               actually merged classes. *)
+            if hits > 0 && Sink.enabled sink then
+              Sink.instant sink "rule-hit" ~cat:"rule"
+                ~args:
+                  [
+                    ("rule", Event.Str rule.Rule.name);
+                    ("hits", Event.Int hits);
+                    ("matches", Event.Int n);
+                  ]
+          end
         end
       end)
-    indexed;
+    st.index.entries;
   {
     p_matches = !total_matches;
     p_hits = !total_hits;
@@ -411,18 +428,18 @@ let pass ~limits ~sink ~split st g indexed ~full =
   }
 
 let unban_all st =
-  Hashtbl.iter (fun _ rs -> rs.banned_until <- 0) st.rule_states
+  Array.fill st.banned_until 0 (Array.length st.banned_until) 0
 
 let run ?(limits = default_limits) ?(confirm_saturation = true)
     ?(sink = Sink.null) ?invariant_check ?state g rules =
-  let st = match state with Some s -> s | None -> create_state () in
-  let indexed =
-    match st.indexed with
-    | Some (rules', indexed) when rules' == rules -> indexed
-    | _ ->
-        let indexed = List.mapi (fun i r -> (i, root_family r, r)) rules in
-        st.indexed <- Some (rules, indexed);
-        indexed
+  let st =
+    match state with
+    | None -> create_state (index rules)
+    | Some st ->
+        let own = st.index.rules in
+        if not (own == rules || List.equal ( == ) own rules) then
+          invalid_arg "Runner.run: the state indexes another rule list";
+        st
   in
   let matches_total = ref 0 and unions_total = ref 0 in
   let finish ?tripped iter saturated =
@@ -514,7 +531,7 @@ let run ?(limits = default_limits) ?(confirm_saturation = true)
         end
         else None
       in
-      let p = pass ~limits ~sink ~split st g indexed ~full:false in
+      let p = pass ~limits ~sink ~split st g ~full:false in
       settle split;
       matches_total := !matches_total + p.p_matches;
       unions_total := !unions_total + p.p_hits;
@@ -561,7 +578,7 @@ let run ?(limits = default_limits) ?(confirm_saturation = true)
            empty complete cool-down is a genuine fixpoint. *)
         Sink.instant sink "cooldown" ~cat:"iteration";
         unban_all st;
-        let p2 = pass ~limits ~sink ~split st g indexed ~full:true in
+        let p2 = pass ~limits ~sink ~split st g ~full:true in
         settle split;
         matches_total := !matches_total + p2.p_matches;
         unions_total := !unions_total + p2.p_hits;

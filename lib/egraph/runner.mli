@@ -83,16 +83,32 @@ type report = {
           is genuine saturation. *)
 }
 
+type index
+(** A rule list with what the scheduler reads of each rule on every
+    visit: its position, its root operator family, whether its
+    application depends on global e-graph state (constrained or
+    [nonlocal]), and whether its delta matching must re-admit whole
+    classes (a conditional local applier, or a non-linear pattern).
+    None of it depends on an e-graph, so one index serves every
+    {!state} that saturates with the list: the checker builds one per
+    check and shares it across the fresh e-graph of every operator. *)
+
+val index : Rule.t list -> index
+
+val rules : index -> Rule.t list
+(** The list [index] was built from. *)
+
 type state
 (** Scheduler and incremental-matching state: per-rule last-search
-    generations, match caches and ban status, and a global iteration
+    generations, match caches and ban status, held in arrays indexed
+    by the rule's position in its {!index}, and a global iteration
     counter. Persistent across {!run} calls so
     drivers that saturate one iteration at a time (the checker's
     round-by-round loop) still match incrementally between rounds.
-    A state is tied to one e-graph and one rule set; do not reuse it
+    A state is tied to one e-graph and one rule list; do not reuse it
     across e-graphs (generations are per-graph). *)
 
-val create_state : ?match_limit:int -> ?ban_length:int -> unit -> state
+val create_state : ?match_limit:int -> ?ban_length:int -> index -> state
 (** Defaults: [match_limit = 1000], [ban_length = 5] (egg's defaults
     for the backoff scheduler). *)
 
@@ -130,4 +146,6 @@ val run :
     ([Entangle_analysis.Egraph_check.runner_hook]).
 
     [state] carries scheduling decisions across calls; omitting it
-    creates a fresh default state per call. *)
+    creates a fresh default state per call. A state runs only the rules
+    of its own index: [rules] must be that list, or one holding the
+    same rules in the same order, else [Invalid_argument]. *)

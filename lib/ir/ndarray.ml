@@ -88,25 +88,40 @@ let broadcast_dims a b =
       else if y = 1 then x
       else invalid_arg "Ndarray: broadcast mismatch")
 
-(* Offset into [t] of a broadcast result index [idx] (over result rank
-   [n]): trailing dims align; size-1 dims of [t] contribute stride 0. *)
-let bcast_offset t n idx =
+(* Strides of [t] over a broadcast result of rank [n]: trailing dims
+   align; the missing leading dims and size-1 dims of [t] contribute
+   stride 0. *)
+let bcast_strides t n =
   let r = Array.length t.dims in
   let s = strides_of t.dims in
-  let off = ref 0 in
-  for i = 0 to r - 1 do
-    let j = idx.(n - r + i) in
-    if t.dims.(i) <> 1 then off := !off + (s.(i) * j)
-  done;
-  !off
+  Array.init n (fun i ->
+      let j = i - (n - r) in
+      if j < 0 || t.dims.(j) = 1 then 0 else s.(j))
 
+let same_dims a b =
+  Array.length a = Array.length b && Array.for_all2 Int.equal a b
+
+(* [f] sees the operand pairs in the result's row-major order whichever
+   path runs: when both operands already have the result's shape, the
+   offsets into them are the result's own. *)
 let map2 f a b =
   let dims = broadcast_dims a.dims b.dims in
   let out = { dims; data = Array.make (numel_of dims) 0. } in
-  let n = Array.length dims in
-  iter_indices dims (fun off idx ->
-      out.data.(off) <-
-        f a.data.(bcast_offset a n idx) b.data.(bcast_offset b n idx));
+  if same_dims a.dims dims && same_dims b.dims dims then
+    for off = 0 to Array.length out.data - 1 do
+      out.data.(off) <- f a.data.(off) b.data.(off)
+    done
+  else begin
+    let n = Array.length dims in
+    let sa = bcast_strides a n and sb = bcast_strides b n in
+    iter_indices dims (fun off idx ->
+        let oa = ref 0 and ob = ref 0 in
+        for i = 0 to n - 1 do
+          oa := !oa + (sa.(i) * idx.(i));
+          ob := !ob + (sb.(i) * idx.(i))
+        done;
+        out.data.(off) <- f a.data.(!oa) b.data.(!ob))
+  end;
   out
 
 let add = map2 ( +. )

@@ -133,32 +133,99 @@ let name = function
   | Hlo_slice _ -> "hlo_slice"
   | Hlo_concatenate _ -> "hlo_concatenate"
 
+(* [name(a,b,...)]: the key of an operator with attributes. Integers,
+   booleans, rationals and constant dimensions print with
+   [string_of_int]/[string_of_bool], byte for byte what the [Format]
+   directives they replace printed; symbolic dimensions, shapes holding
+   one, and floats still go through their printers. *)
+let call name args = String.concat "" [ name; "("; String.concat "," args; ")" ]
+let int = string_of_int
+
+let dim d =
+  if Symdim.is_const d then int (Symdim.const_part d) else Symdim.to_string d
+
+let rat r =
+  if Rat.den r = 1 then int (Rat.num r)
+  else int (Rat.num r) ^ "/" ^ int (Rat.den r)
+
 let key op =
   match op with
-  | Scale r -> Fmt.str "scale(%a)" Rat.pp r
-  | Concat { dim } -> Fmt.str "concat(%d)" dim
-  | Hlo_concatenate { dim } -> Fmt.str "hlo_concatenate(%d)" dim
-  | Slice { dim; start; stop } ->
-      Fmt.str "slice(%d,%a,%a)" dim Symdim.pp start Symdim.pp stop
-  | Hlo_slice { dim; start; stop } ->
-      Fmt.str "hlo_slice(%d,%a,%a)" dim Symdim.pp start Symdim.pp stop
-  | Transpose { dim0; dim1 } -> Fmt.str "transpose(%d,%d)" dim0 dim1
-  | Reshape { shape } -> Fmt.str "reshape(%a)" Shape.pp shape
-  | Pad { dim; before; after } ->
-      Fmt.str "pad(%d,%a,%a)" dim Symdim.pp before Symdim.pp after
-  | Reduce_sum { dim; keepdim } -> Fmt.str "reduce_sum(%d,%b)" dim keepdim
-  | Reduce_mean { dim; keepdim } -> Fmt.str "reduce_mean(%d,%b)" dim keepdim
-  | Reduce_max { dim; keepdim } -> Fmt.str "reduce_max(%d,%b)" dim keepdim
-  | Softmax { dim } -> Fmt.str "softmax(%d)" dim
-  | Layernorm { eps } -> Fmt.str "layernorm(%h)" eps
-  | Rmsnorm { eps } -> Fmt.str "rmsnorm(%h)" eps
-  | Reduce_scatter { dim; index; count } ->
-      Fmt.str "reduce_scatter(%d,%d,%d)" dim index count
-  | All_gather { dim } -> Fmt.str "all_gather(%d)" dim
+  | Scale r -> call "scale" [ rat r ]
+  | Concat { dim = d } -> call "concat" [ int d ]
+  | Hlo_concatenate { dim = d } -> call "hlo_concatenate" [ int d ]
+  | Slice { dim = d; start; stop } ->
+      call "slice" [ int d; dim start; dim stop ]
+  | Hlo_slice { dim = d; start; stop } ->
+      call "hlo_slice" [ int d; dim start; dim stop ]
+  | Transpose { dim0; dim1 } -> call "transpose" [ int dim0; int dim1 ]
+  | Reshape { shape } ->
+      call "reshape" [ "[" ^ String.concat ", " (List.map dim shape) ^ "]" ]
+  | Pad { dim = d; before; after } ->
+      call "pad" [ int d; dim before; dim after ]
+  | Reduce_sum { dim = d; keepdim } ->
+      call "reduce_sum" [ int d; string_of_bool keepdim ]
+  | Reduce_mean { dim = d; keepdim } ->
+      call "reduce_mean" [ int d; string_of_bool keepdim ]
+  | Reduce_max { dim = d; keepdim } ->
+      call "reduce_max" [ int d; string_of_bool keepdim ]
+  | Softmax { dim = d } -> call "softmax" [ int d ]
+  | Layernorm { eps } -> Printf.sprintf "layernorm(%h)" eps
+  | Rmsnorm { eps } -> Printf.sprintf "rmsnorm(%h)" eps
+  | Reduce_scatter { dim = d; index; count } ->
+      call "reduce_scatter" [ int d; int index; int count ]
+  | All_gather { dim = d } -> call "all_gather" [ int d ]
   | _ -> name op
 
-let equal a b = String.equal (key a) (key b)
-let compare a b = String.compare (key a) (key b)
+(* [equal] answers from the fields wherever the key is injective in
+   them, and from the keys elsewhere. Constant dimensions print as their
+   integers, but a symbol may be named like an integer, so dimensions
+   that are not all constant compare keys. Keys of different
+   constructors differ (see op.mli), so their names decide. *)
+let const = Symdim.is_const
+let same d e = Symdim.const_part d = Symdim.const_part e
+
+let equal a b =
+  a == b
+  ||
+  match (a, b) with
+  | Scale r, Scale s -> Rat.num r = Rat.num s && Rat.den r = Rat.den s
+  | Concat { dim = d }, Concat { dim = e }
+  | Hlo_concatenate { dim = d }, Hlo_concatenate { dim = e }
+  | Softmax { dim = d }, Softmax { dim = e }
+  | All_gather { dim = d }, All_gather { dim = e } ->
+      d = e
+  | Transpose { dim0; dim1 }, Transpose { dim0 = e0; dim1 = e1 } ->
+      dim0 = e0 && dim1 = e1
+  | Reduce_sum { dim = d; keepdim = k }, Reduce_sum { dim = e; keepdim = l }
+  | Reduce_mean { dim = d; keepdim = k }, Reduce_mean { dim = e; keepdim = l }
+  | Reduce_max { dim = d; keepdim = k }, Reduce_max { dim = e; keepdim = l } ->
+      d = e && Bool.equal k l
+  | ( Reduce_scatter { dim = d; index = i; count = c },
+      Reduce_scatter { dim = e; index = j; count = n } ) ->
+      d = e && i = j && c = n
+  | ( Slice { dim = d; start = s; stop = t },
+      Slice { dim = e; start = u; stop = v } )
+  | ( Hlo_slice { dim = d; start = s; stop = t },
+      Hlo_slice { dim = e; start = u; stop = v } )
+  | ( Pad { dim = d; before = s; after = t },
+      Pad { dim = e; before = u; after = v } )
+    when const s && const t && const u && const v ->
+      d = e && same s u && same t v
+  | Reshape { shape = s }, Reshape { shape = t }
+    when List.for_all const s && List.for_all const t ->
+      List.equal same s t
+  | _ -> String.equal (name a) (name b) && String.equal (key a) (key b)
+
+(* Keys order first by name: two names differ before either ends, or
+   one is a prefix of the other and its key continues with "(", which
+   sorts before every name character. *)
+let compare a b =
+  if equal a b then 0
+  else
+    match String.compare (name a) (name b) with
+    | 0 -> String.compare (key a) (key b)
+    | c -> c
+
 let hash op = Hashtbl.hash (key op)
 let pp ppf op = Fmt.string ppf (key op)
 

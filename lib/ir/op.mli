@@ -87,11 +87,23 @@ val name : t -> string
 val key : t -> string
 (** Canonical string embedding attributes; [key a = key b] iff the two
     operators are semantically the same kernel. Used for hashing and
-    ordering in the e-graph. *)
+    ordering in the e-graph. An operator without attributes keys as its
+    {!name}; one with attributes as [name(a,b,...)], e.g.
+    ["slice(0,0,s)"]. *)
 
 val equal : t -> t -> bool
+(** [String.equal (key a) (key b)], answered from the constructor and
+    its fields where the key is injective in them. That rests on two
+    facts about {!name}: no name contains ['('], and each constructor
+    has its own name. So keys of different constructors differ. *)
+
 val compare : t -> t -> int
+(** [String.compare (key a) (key b)]. Operators of different
+    constructors order by name, which gives the same answer because
+    every name character sorts after ['(']. *)
+
 val hash : t -> int
+(** [Hashtbl.hash (key op)]. *)
 
 val infer_shape :
   Constraint_store.t -> t -> Shape.t list -> (Shape.t, string) result

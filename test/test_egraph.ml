@@ -492,7 +492,10 @@ let runner_tests =
         (* Three matches against a budget of two: the rule overflows and
            gets banned; the cool-down pass must still reach the full
            saturated e-graph. *)
-        let state = Runner.create_state ~match_limit:2 ~ban_length:1 () in
+        let state =
+          Runner.create_state ~match_limit:2 ~ban_length:1
+            (Runner.index [ rule ])
+        in
         let c = Entangle_trace.Collect.create () in
         let report =
           Runner.run ~sink:(Entangle_trace.Collect.sink c) ~state g [ rule ]
@@ -522,7 +525,7 @@ let runner_tests =
             (Pattern.p Op.Neg [ Pattern.v "x" ])
             (Pattern.p Op.Exp [ Pattern.v "x" ])
         in
-        let state = Runner.create_state () in
+        let state = Runner.create_state (Runner.index [ rule ]) in
         let r1 = Runner.run ~confirm_saturation:false ~state g [ rule ] in
         check Alcotest.bool "candidate, not confirmed" false
           r1.Runner.saturated;
@@ -532,6 +535,19 @@ let runner_tests =
         check Alcotest.bool "confirmed" true r2.Runner.saturated;
         check Alcotest.bool "constrained rule fired" true
           (Egraph.equiv g na ea));
+    Alcotest.test_case "a state runs only the rules it indexes" `Quick
+      (fun () ->
+        let g = Egraph.create () in
+        ignore (Egraph.add_op g Op.Neg [ Egraph.add_leaf g (tensor "a") ]);
+        let neg = Pattern.p Op.Neg [ Pattern.v "x" ] in
+        let r1 = Rule.make "r1" neg (Pattern.v "x") in
+        let r2 = Rule.make "r2" neg (Pattern.v "x") in
+        let state = Runner.create_state (Runner.index [ r1 ]) in
+        Alcotest.check_raises "another rule list"
+          (Invalid_argument "Runner.run: the state indexes another rule list")
+          (fun () -> ignore (Runner.run ~state g [ r2 ]));
+        check Alcotest.bool "an equal list of the same rules runs" true
+          (Runner.run ~state g [ r1 ]).Runner.saturated);
   ]
 
 (* The reference the runner is checked against: apply every match of
@@ -612,8 +628,10 @@ let scheduler_equivalence_property =
          List.for_all
            (fun state -> build (runner state) = reference)
            [
-             (fun () -> Runner.create_state ());
-             (fun () -> Runner.create_state ~match_limit:4 ~ban_length:1 ());
+             (fun () -> Runner.create_state (Runner.index rules));
+             (fun () ->
+               Runner.create_state ~match_limit:4 ~ban_length:1
+                 (Runner.index rules));
            ]))
 
 let extract_tests =

@@ -5,6 +5,7 @@ open Entangle_symbolic
 open Entangle_ir
 
 let check = Alcotest.check
+let qtest = QCheck_alcotest.to_alcotest
 let sd = Symdim.of_int
 let store = Constraint_store.add_positive Constraint_store.empty "s"
 let s = Symdim.sym "s"
@@ -302,12 +303,139 @@ let expr_tests =
         check Alcotest.bool "error" true (Result.is_error (Expr.infer_shape store bad)));
   ]
 
+(* --- operator comparisons ------------------------------------------------ *)
+
+(* The [Format]-based key [Op.key] used to build, kept as the reference
+   its faster construction must reproduce byte for byte. *)
+let reference_key (op : Op.t) =
+  match op with
+  | Scale r -> Fmt.str "scale(%a)" Rat.pp r
+  | Concat { dim } -> Fmt.str "concat(%d)" dim
+  | Hlo_concatenate { dim } -> Fmt.str "hlo_concatenate(%d)" dim
+  | Slice { dim; start; stop } ->
+      Fmt.str "slice(%d,%a,%a)" dim Symdim.pp start Symdim.pp stop
+  | Hlo_slice { dim; start; stop } ->
+      Fmt.str "hlo_slice(%d,%a,%a)" dim Symdim.pp start Symdim.pp stop
+  | Transpose { dim0; dim1 } -> Fmt.str "transpose(%d,%d)" dim0 dim1
+  | Reshape { shape } -> Fmt.str "reshape(%a)" Shape.pp shape
+  | Pad { dim; before; after } ->
+      Fmt.str "pad(%d,%a,%a)" dim Symdim.pp before Symdim.pp after
+  | Reduce_sum { dim; keepdim } -> Fmt.str "reduce_sum(%d,%b)" dim keepdim
+  | Reduce_mean { dim; keepdim } -> Fmt.str "reduce_mean(%d,%b)" dim keepdim
+  | Reduce_max { dim; keepdim } -> Fmt.str "reduce_max(%d,%b)" dim keepdim
+  | Softmax { dim } -> Fmt.str "softmax(%d)" dim
+  | Layernorm { eps } -> Fmt.str "layernorm(%h)" eps
+  | Rmsnorm { eps } -> Fmt.str "rmsnorm(%h)" eps
+  | Reduce_scatter { dim; index; count } ->
+      Fmt.str "reduce_scatter(%d,%d,%d)" dim index count
+  | All_gather { dim } -> Fmt.str "all_gather(%d)" dim
+  | _ -> Op.name op
+
+(* Small pools, so two draws often coincide. The symbols include one
+   named like an integer and one holding the key's separator. *)
+let gen_int = QCheck.Gen.int_range (-3) 3
+
+let gen_symdim =
+  QCheck.Gen.oneofl
+    [
+      sd 0; sd 1; sd (-1); sd 2; sd 12; s; Symdim.sym "2"; Symdim.sym "a,b";
+      Symdim.add s (sd 1); Symdim.sub (Symdim.mul_int 2 s) (sd 1);
+      Symdim.neg s;
+    ]
+
+let gen_rat =
+  QCheck.Gen.(
+    map2 (fun n d -> Rat.make n d) gen_int
+      (oneofl [ 1; 2; 3; -2; -1 ]))
+
+let gen_eps =
+  QCheck.Gen.oneofl [ 0.; -0.; 1e-5; 1e-6; -1e-5; Float.nan; Float.infinity ]
+
+(* Every constructor, in declaration order, with random attributes. *)
+let gen_constructor k =
+  let open QCheck.Gen in
+  let dim f = map f gen_int in
+  let slice f = map3 f gen_int gen_symdim gen_symdim in
+  let reduce f = map2 f gen_int bool in
+  match k with
+  | 0 -> return Op.Add | 1 -> return Op.Sub | 2 -> return Op.Mul
+  | 3 -> return Op.Div | 4 -> return Op.Maximum | 5 -> return Op.Pow
+  | 6 -> return Op.Neg | 7 -> return Op.Exp | 8 -> return Op.Log
+  | 9 -> return Op.Sqrt | 10 -> return Op.Rsqrt | 11 -> return Op.Relu
+  | 12 -> return Op.Gelu | 13 -> return Op.Silu | 14 -> return Op.Tanh
+  | 15 -> return Op.Sigmoid | 16 -> return Op.Square
+  | 17 -> map (fun r -> Op.Scale r) gen_rat
+  | 18 -> return Op.Matmul | 19 -> return Op.Identity
+  | 20 -> dim (fun dim -> Op.Concat { dim })
+  | 21 -> slice (fun dim start stop -> Op.Slice { dim; start; stop })
+  | 22 -> map2 (fun dim0 dim1 -> Op.Transpose { dim0; dim1 }) gen_int gen_int
+  | 23 ->
+      map
+        (fun shape -> Op.Reshape { shape })
+        (list_size (int_range 0 3) gen_symdim)
+  | 24 -> slice (fun dim before after -> Op.Pad { dim; before; after })
+  | 25 -> return Op.Sum_n
+  | 26 -> reduce (fun dim keepdim -> Op.Reduce_sum { dim; keepdim })
+  | 27 -> reduce (fun dim keepdim -> Op.Reduce_mean { dim; keepdim })
+  | 28 -> reduce (fun dim keepdim -> Op.Reduce_max { dim; keepdim })
+  | 29 -> dim (fun dim -> Op.Softmax { dim })
+  | 30 -> map (fun eps -> Op.Layernorm { eps }) gen_eps
+  | 31 -> map (fun eps -> Op.Rmsnorm { eps }) gen_eps
+  | 32 -> return Op.Embedding | 33 -> return Op.Rope
+  | 34 -> return Op.Mse_loss | 35 -> return Op.Cross_entropy
+  | 36 -> return Op.All_reduce
+  | 37 ->
+      map3 (fun dim index count -> Op.Reduce_scatter { dim; index; count })
+        gen_int gen_int gen_int
+  | 38 -> dim (fun dim -> Op.All_gather { dim })
+  | 39 -> return Op.Swiglu_fused | 40 -> return Op.Hlo_dot
+  | 41 -> slice (fun dim start stop -> Op.Hlo_slice { dim; start; stop })
+  | _ -> dim (fun dim -> Op.Hlo_concatenate { dim })
+
+let constructors = 43
+
+(* Mostly two operators of one constructor, where the attributes
+   decide, and now and then two of any. *)
+let gen_op_pair =
+  let open QCheck.Gen in
+  let any = int_range 0 (constructors - 1) in
+  any >>= fun k ->
+  frequency [ (4, return k); (1, any) ] >>= fun k' ->
+  pair (gen_constructor k) (gen_constructor k')
+
+let op_comparison_tests =
+  [
+    qtest
+      (QCheck.Test.make ~name:"op comparisons match the Format-based key"
+         ~count:3000
+         (QCheck.make
+            ~print:(fun (a, b) -> reference_key a ^ " vs " ^ reference_key b)
+            gen_op_pair)
+         (fun (a, b) ->
+           let ka = reference_key a and kb = reference_key b in
+           String.equal (Op.key a) ka
+           && String.equal (Op.key b) kb
+           && Bool.equal (Op.equal a b) (String.equal ka kb)
+           && Int.equal
+                (Int.compare (Op.compare a b) 0)
+                (Int.compare (String.compare ka kb) 0)
+           && Int.equal (Op.hash a) (Hashtbl.hash ka)));
+    Alcotest.test_case "every constructor is generated" `Quick (fun () ->
+        let names =
+          List.init constructors (fun k ->
+              Op.name (QCheck.Gen.generate1 (gen_constructor k)))
+        in
+        check Alcotest.int "distinct names" constructors
+          (List.length (List.sort_uniq String.compare names)));
+  ]
+
 let suite =
   [
     ("ir.dtype", dtype_tests);
     ("ir.shape", shape_tests);
     ("ir.op-shape", op_shape_tests);
     ("ir.op-identity", op_identity_tests);
+    ("ir.op-compare", op_comparison_tests);
     ("ir.graph", graph_tests);
     ("ir.expr", expr_tests);
   ]

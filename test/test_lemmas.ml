@@ -59,7 +59,7 @@ let scenario_limits =
    like "mean of replicas collapses", whose sums keep the e-graph
    growing for the remaining iterations, over a minute of matching. *)
 let saturate_until_equiv ~rules g a b =
-  let state = Runner.create_state () in
+  let state = Runner.create_state (Runner.index rules) in
   let one = { scenario_limits with Runner.max_iterations = 1 } in
   let rec go i =
     if i < scenario_limits.Runner.max_iterations && not (Egraph.equiv g a b)

@@ -94,9 +94,80 @@ let basic_tests =
 let st = Random.State.make [| 7 |]
 let rand dims = Ndarray.random st dims
 
+(* The operand pairs [map2 f a b] must hand [f], in the result's
+   row-major order, derived one element at a time: the result index
+   with its leading dimensions dropped to the operand's rank, and 0 on
+   the operand's size-1 dimensions. *)
+let reference_pairs a b =
+  let da = Ndarray.dims a and db = Ndarray.dims b in
+  let n = max (List.length da) (List.length db) in
+  let pad d = List.init (n - List.length d) (fun _ -> 1) @ d in
+  let dims = List.map2 max (pad da) (pad db) in
+  let rec indices = function
+    | [] -> [ [] ]
+    | d :: rest ->
+        List.concat_map
+          (fun i -> List.map (List.cons i) (indices rest))
+          (List.init d Fun.id)
+  in
+  let operand t d idx =
+    let drop = n - List.length d in
+    Ndarray.get t
+      (List.map2
+         (fun k j -> if k = 1 then 0 else j)
+         d
+         (List.filteri (fun i _ -> i >= drop) idx))
+  in
+  ( dims,
+    List.map (fun idx -> (operand a da idx, operand b db idx)) (indices dims) )
+
+(* A result shape and two operands that broadcast to it: each drops
+   some leading dimensions and turns some others into 1. Entries are
+   distinct, so a pair names the positions it came from. *)
+let gen_broadcast =
+  let open QCheck.Gen in
+  list_size (int_range 0 4) (int_range 1 3) >>= fun dims ->
+  let operand =
+    int_range 0 (List.length dims) >>= fun drop ->
+    flatten_l
+      (List.filteri (fun i _ -> i >= drop) dims
+      |> List.map (fun d -> map (fun one -> if one then 1 else d) bool))
+  in
+  pair operand operand
+
+let same_bits x y =
+  Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let numbered base dims =
+  let next = ref base in
+  Ndarray.init dims (fun _ ->
+      next := !next +. 1.;
+      !next)
+
 let property_tests =
   let gen_dims = QCheck.(pair (int_range 1 4) (int_range 1 4)) in
   [
+    qtest
+      (QCheck.Test.make ~name:"map2 hands f the per-element broadcast pairs"
+         ~count:300
+         (QCheck.make ~print:QCheck.Print.(pair (list int) (list int))
+            gen_broadcast)
+         (fun (da, db) ->
+           let a = numbered 0. da and b = numbered 1000. db in
+           let f x y = x -. (2. *. y) in
+           let seen = ref [] in
+           let out =
+             Ndarray.map2
+               (fun x y ->
+                 seen := (x, y) :: !seen;
+                 f x y)
+               a b
+           in
+           let dims, pairs = reference_pairs a b in
+           Ndarray.dims out = dims
+           && List.rev !seen = pairs
+           && List.equal same_bits (Ndarray.to_flat_list out)
+                (List.map (fun (x, y) -> f x y) pairs)));
     qtest
       (QCheck.Test.make ~name:"broadcast add commutes" ~count:50 gen_dims
          (fun (m, n) ->

@@ -3,12 +3,14 @@
 
    Re-runs every `default` record of BENCH_egraph.json and requires the
    verdict and the saturation counters to equal the committed ones, so a
-   change that claims "counters unchanged" is held to it. The file is
-   the only list of instances: a zoo record matches the zoo entry of the
-   same instance name, and "gpt-d<D>l<L>" rebuilds that cell of the
-   Figure-4 sweep. Checks run with the default configuration, as
-   `bench/main.exe ablation` runs them. Wall time and allocation are
-   not checked. *)
+   change that claims "counters unchanged" is held to it, and the words
+   the check allocates to stay within 5% above the record's
+   [alloc_words]. The file is the only list of instances: a zoo record
+   matches the zoo entry of the same instance name, and "gpt-d<D>l<L>"
+   rebuilds that cell of the Figure-4 sweep. Checks run with the default
+   configuration, as `bench/main.exe ablation` runs them, and count
+   allocation the same way (see [counted_check] there). Wall time is not
+   checked. *)
 
 open Entangle_models
 module Json = Entangle_trace.Json
@@ -19,6 +21,23 @@ let instance_of zoo model =
   match Scanf.sscanf_opt model "gpt-d%ul%u%!" (fun d l -> (d, l)) with
   | Some (degree, layers) -> Some (Gpt.build ~layers ~degree ~heads:8 ())
   | None -> List.find_opt (fun i -> i.Instance.name = model) zoo
+
+(* Allocation may exceed its pin by this fraction. *)
+let alloc_band = 0.05
+
+(* The words [Refine.check] allocates, the rule list built before,
+   counted between two minor collections, which make the count exact. *)
+let counted_check (inst : Instance.t) =
+  let rules = Entangle_lemmas.Registry.rules_for_model inst.family in
+  Gc.minor ();
+  let bytes0 = Gc.allocated_bytes () in
+  let result =
+    Entangle.Refine.check ~rules ~gs:inst.gs ~gd:inst.gd
+      ~input_relation:inst.input_relation ()
+  in
+  Gc.minor ();
+  let bytes = Gc.allocated_bytes () -. bytes0 in
+  (int_of_float (bytes /. float_of_int (Sys.word_size / 8)), result)
 
 let counters result =
   let verdict, (s : Entangle.Refine.stats) =
@@ -54,12 +73,25 @@ let default_records () =
             runs
       | _ -> Alcotest.failf "%s: no runs array" bench_file)
 
-(* One line per counter of [record] that a re-check does not give. *)
+(* One line per counter of [record] that a re-check does not give, and
+   one if it allocates more than [alloc_band] above its pin. *)
 let mismatches zoo record =
   let model = show (Json.member "model" record) in
   match instance_of zoo model with
   | None -> [ Fmt.str "%s: no such instance" model ]
   | Some inst ->
+      let words, result = counted_check inst in
+      let alloc =
+        match Json.member "alloc_words" record with
+        | Some (Json.Num pin) ->
+            if float_of_int words <= pin *. (1. +. alloc_band) then []
+            else
+              [
+                Fmt.str "%s: alloc_words is %d, pinned %.0f (over %.0f%% above)"
+                  model words pin (alloc_band *. 100.);
+              ]
+        | pinned -> [ Fmt.str "%s: alloc_words pinned %s" model (show pinned) ]
+      in
       List.filter_map
         (fun (field, now) ->
           let pinned = Json.member field record in
@@ -68,7 +100,8 @@ let mismatches zoo record =
             Some
               (Fmt.str "%s: %s is %s, pinned %s" model field (show (Some now))
                  (show pinned)))
-        (counters (Instance.check inst))
+        (counters result)
+      @ alloc
 
 let suite =
   [

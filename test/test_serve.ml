@@ -483,11 +483,35 @@ let temp_socket tag =
     (Filename.get_temp_dir_name ())
     (Fmt.str "entangle-test-%s-%d.sock" tag (Unix.getpid ()))
 
-(* Run [f server socket] against a daemon in its own domain, then stop
-   the daemon (unless [f] drained it already), join it and remove its
-   lock file. Returns [f]'s result. *)
+(* Run [f ()] while [server], bound to [socket], runs in its own
+   domain, then stop the daemon (unless [f] drained it already), join it
+   and remove its lock file, whether [f] returns or raises. Returns
+   [f]'s result. *)
+let serving ?(signals = false) server socket f =
+  let d = Domain.spawn (fun () -> Srv.run ~signals server) in
+  Fun.protect
+    ~finally:(fun () ->
+      (* The shutdown connect can transiently lose an admission race
+         (e.g. against a just-closed client's handler still holding its
+         slot), so retry briefly — a single ignored failure here would
+         leave Domain.join waiting forever. *)
+      let rec stop n =
+        match Cl.connect ~timeout_s:10. ~socket () with
+        | Ok c -> ignore (Cl.shutdown c)
+        | Error _ when n > 0 ->
+            Unix.sleepf 0.05;
+            stop (n - 1)
+        | Error _ -> ()
+      in
+      if not (Srv.draining server) then stop 100;
+      Domain.join d;
+      try Sys.remove (socket ^ ".lock") with Sys_error _ -> ())
+    f
+
+(* Run [f server socket] against a fresh daemon, as {!serving} runs
+   it. *)
 let with_server ?(tag = "serve") ?config ?cache ?max_clients ?io_timeout_s
-    ?(signals = false) f =
+    ?signals f =
   let socket = temp_socket tag in
   (try Sys.remove socket with Sys_error _ -> ());
   match
@@ -495,26 +519,7 @@ let with_server ?(tag = "serve") ?config ?cache ?max_clients ?io_timeout_s
       ~socket ()
   with
   | Error e -> Alcotest.failf "Server.create: %s" (Srv.error_message e)
-  | Ok server ->
-      let d = Domain.spawn (fun () -> Srv.run ~signals server) in
-      Fun.protect
-        ~finally:(fun () ->
-          (* The shutdown connect can transiently lose an admission
-             race (e.g. against a just-closed client's handler still
-             holding its slot), so retry briefly — a single ignored
-             failure here would leave Domain.join waiting forever. *)
-          let rec stop n =
-            match Cl.connect ~timeout_s:10. ~socket () with
-            | Ok c -> ignore (Cl.shutdown c)
-            | Error _ when n > 0 ->
-                Unix.sleepf 0.05;
-                stop (n - 1)
-            | Error _ -> ()
-          in
-          if not (Srv.draining server) then stop 100;
-          Domain.join d;
-          try Sys.remove (socket ^ ".lock") with Sys_error _ -> ())
-        (fun () -> f server socket)
+  | Ok server -> serving ?signals server socket (fun () -> f server socket)
 
 let with_client ?client socket f =
   match Cl.connect ?client ~timeout_s:10. ~socket () with
@@ -869,8 +874,15 @@ let race_tests =
         in
         let a = contender () and b = contender () in
         let results = [ Domain.join a; Domain.join b ] in
-        let winners = List.filter Result.is_ok results in
-        check Alcotest.int "exactly one winner" 1 (List.length winners);
+        (* Serve and drain every winner before judging, so neither its
+           socket nor its lock file outlives the test, whatever the
+           checks below find. *)
+        List.iter
+          (function
+            | Ok server -> serving server socket ignore | Error _ -> ())
+          results;
+        check Alcotest.int "exactly one winner" 1
+          (List.length (List.filter Result.is_ok results));
         (match
            List.find_opt
              (function Error (Srv.In_use _) -> true | _ -> false)
@@ -878,17 +890,8 @@ let race_tests =
          with
         | Some _ -> ()
         | None -> Alcotest.fail "loser's error was not In_use");
-        (* Drain the winner so nothing leaks into later tests. *)
-        match winners with
-        | [ Ok server ] ->
-            let d = Domain.spawn (fun () -> Srv.run server) in
-            (match Cl.connect ~socket () with
-            | Ok c -> ignore (Cl.shutdown c)
-            | Error _ -> ());
-            Domain.join d;
-            check Alcotest.bool "socket removed after drain" false
-              (Sys.file_exists socket)
-        | _ -> ());
+        check Alcotest.bool "socket removed after drain" false
+          (Sys.file_exists socket));
   ]
 
 (* --- the daemon against local runs --------------------------------------- *)
