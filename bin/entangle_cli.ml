@@ -29,7 +29,6 @@ module Output_opts = struct
     failpoints : string option;
     cache_dir : string option;
     no_cache : bool;
-    cache_verify : bool;
     cache_max_bytes : int option;
     cache_max_age_s : float option;
     remote : string option;
@@ -128,12 +127,6 @@ module Output_opts = struct
       in
       Arg.(value & flag & info [ "no-cache" ] ~doc)
     in
-    let cache_verify =
-      let doc =
-        "On every cache hit, run the full search anyway and cross-check          the cached verdict (slow; for cache debugging)."
-      in
-      Arg.(value & flag & info [ "cache-verify" ] ~doc)
-    in
     let cache_max_bytes =
       let doc =
         "Byte budget for the certificate cache: when the store grows \
@@ -206,7 +199,7 @@ module Output_opts = struct
         & info [ "namespace" ] ~docv:"NAME" ~doc)
     in
     let make verbose json trace profile deadline op_deadline keep_going
-        no_retries failpoints cache_dir no_cache cache_verify cache_max_bytes
+        no_retries failpoints cache_dir no_cache cache_max_bytes
         cache_max_age_s remote remote_retries remote_timeout_s namespace =
       {
         verbose;
@@ -220,7 +213,6 @@ module Output_opts = struct
         failpoints;
         cache_dir;
         no_cache;
-        cache_verify;
         cache_max_bytes;
         cache_max_age_s;
         remote;
@@ -232,7 +224,7 @@ module Output_opts = struct
     Term.(
       const make $ verbose $ json $ trace $ profile $ deadline $ op_deadline
       $ keep_going $ no_retries $ failpoints $ cache_dir $ no_cache
-      $ cache_verify $ cache_max_bytes $ cache_max_age_s $ remote
+      $ cache_max_bytes $ cache_max_age_s $ remote
       $ remote_retries $ remote_timeout_s $ namespace)
 
   (* Set up the sinks the options ask for, run [f] with the combined
@@ -325,7 +317,6 @@ module Output_opts = struct
     |> Entangle.Config.with_op_deadline o.op_deadline
     |> Entangle.Config.with_keep_going o.keep_going
     |> Entangle.Config.with_cache cache
-    |> Entangle.Config.with_cache_verify o.cache_verify
     |> Entangle.Config.with_cache_namespace
          (Option.value o.namespace ~default:"")
     |> fun c ->

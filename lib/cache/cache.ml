@@ -27,12 +27,9 @@ type ctx = {
   base_fp : string;
   gs_env : Fingerprint.env;
   gd_env : Fingerprint.env;
-  gs_inputs : Tensor.Set.t;
-  gd_tensors : Tensor.Set.t;
-  gd_outputs : Tensor.Set.t;
   resolve : string -> Tensor.t option;
+  gs : Graph.t;
   gd : Graph.t;
-  sources : Node.t list;  (** distributed nodes without inputs *)
   whole_cone : string option;
   mutable inputs_memo : ((Tensor.t * Expr.t list) list * string) option;
   batch : (string, string) Hashtbl.t;
@@ -120,7 +117,6 @@ let context (t : t) ~config_fp ~whole_graph ~rules:rs ~gs ~gd =
   if has_duplicate_names gd then None
   else
     let gd_env = Fingerprint.graph_env gd in
-    let gd_tensors = Graph.tensors gd in
     (* The base covers everything the per-operator computation reads
        besides the operator, its seeds and its cone: the
        search-relevant configuration, the lemma corpus, the
@@ -149,12 +145,9 @@ let context (t : t) ~config_fp ~whole_graph ~rules:rs ~gs ~gd =
         base_fp;
         gs_env = Fingerprint.graph_env gs;
         gd_env;
-        gs_inputs = Tensor.Set.of_list (Graph.inputs gs);
-        gd_tensors = Tensor.Set.of_list gd_tensors;
-        gd_outputs = Tensor.Set.of_list (Graph.outputs gd);
         resolve = Serial.tensor_by_name gd;
+        gs;
         gd;
-        sources = List.filter (fun n -> Node.inputs n = []) (Graph.nodes gd);
         (* With the frontier off every operator loads the whole
            distributed graph: one cone for the whole check. *)
         whole_cone =
@@ -164,45 +157,6 @@ let context (t : t) ~config_fp ~whole_graph ~rules:rs ~gs ~gd =
         batch = Hashtbl.create 64;
       }
 
-(* The distributed cone: the node set the frontier loop (Listing 3)
-   would load, replayed as a pure tensor-set fixpoint — the loop's
-   membership tests never consult the e-graph, so the loaded set is a
-   function of the anchor tensors and the distributed graph alone. The
-   loop scans every node once per wave; the same least fixpoint comes
-   from a worklist over the consumers index that counts down each
-   node's distinct inputs not yet available, in time proportional to
-   the cone. Nodes without inputs load in the loop's first wave, so
-   they seed the worklist with the anchors. *)
-let cone_from gd ~sources ~anchors =
-  let available = Hashtbl.create 64 and waiting = Hashtbl.create 64 in
-  let acc = ref [] in
-  let rec make_available t =
-    if not (Hashtbl.mem available (Tensor.id t)) then begin
-      Hashtbl.replace available (Tensor.id t) ();
-      List.iter arrive (Graph.consumers gd t)
-    end
-  (* One of [n]'s distinct inputs became available. *)
-  and arrive n =
-    let missing =
-      match Hashtbl.find_opt waiting (Node.id n) with
-      | Some k -> k - 1
-      | None -> List.length (Node.distinct_inputs n) - 1
-    in
-    Hashtbl.replace waiting (Node.id n) missing;
-    if missing = 0 then load n
-  and load n =
-    acc := n :: !acc;
-    make_available (Node.output n)
-  in
-  Tensor.Set.iter make_available anchors;
-  List.iter load sources;
-  !acc
-
-let cone gd ~anchors =
-  cone_from gd
-    ~sources:(List.filter (fun n -> Node.inputs n = []) (Graph.nodes gd))
-    ~anchors
-
 (* Does [seeds] hold exactly the graph-input entries [memo], in order,
    each with physically the same mapping list? A relation shares the
    entries no operator rebinds, so within one check this holds for every
@@ -210,7 +164,7 @@ let cone gd ~anchors =
 let rec same_inputs ctx memo = function
   | [] -> ( match memo with [] -> true | _ :: _ -> false)
   | (t, es) :: seeds -> (
-      if not (Tensor.Set.mem t ctx.gs_inputs) then same_inputs ctx memo seeds
+      if not (Graph.is_input ctx.gs t) then same_inputs ctx memo seeds
       else
         match memo with
         | (t', es') :: memo ->
@@ -224,7 +178,7 @@ let inputs_fp ctx seeds =
   | Some (memo, fp) when same_inputs ctx memo seeds -> fp
   | _ ->
       let inputs =
-        List.filter (fun (t, _) -> Tensor.Set.mem t ctx.gs_inputs) seeds
+        List.filter (fun (t, _) -> Graph.is_input ctx.gs t) seeds
       in
       let fp = seeds_fp ctx inputs in
       ctx.inputs_memo <- Some (inputs, fp);
@@ -239,23 +193,10 @@ let key ctx ~seeds v =
     match ctx.whole_cone with
     | Some fp -> fp
     | None ->
-        (* Cone anchors: the distributed leaves of the mappings of [v]'s
-           inputs, mirroring the frontier loop's initial T_rel. *)
-        let anchors =
-          List.fold_left
-            (fun acc (_, es) ->
-              List.fold_left
-                (fun acc e ->
-                  List.fold_left
-                    (fun acc leaf ->
-                      if Tensor.Set.mem leaf ctx.gd_tensors then
-                        Tensor.Set.add leaf acc
-                      else acc)
-                    acc (Expr.leaves e))
-                acc es)
-            Tensor.Set.empty own
-        in
-        nodes_fp ctx.gd_env (cone_from ctx.gd ~sources:ctx.sources ~anchors)
+        (* What the frontier search loads for these seeds (see
+           [Node_rel.compute]), through the same two calls. *)
+        let anchors = Graph.anchors ctx.gd (List.map snd own) in
+        nodes_fp ctx.gd_env (List.concat (Graph.cone ctx.gd ~anchors))
   in
   hex
     (Fingerprint.strings
@@ -311,36 +252,21 @@ let validate_payload payload =
 let replay ctx v entry =
   match entry with
   | Unmapped -> Ok Unmapped
-  | Mapped { mappings; output_mappings } ->
-      let store = Graph.constraints ctx.gd in
-      let out_shape = Tensor.shape (Node.output v) in
-      let check_expr ~outputs_only e =
-        if not (Expr.is_clean e) then
-          err "cached expression %a is not clean" Expr.pp e
-        else if
-          outputs_only
-          && not
-               (List.for_all
-                  (fun leaf -> Tensor.Set.mem leaf ctx.gd_outputs)
-                  (Expr.leaves e))
-        then
-          err "cached output mapping %a has a non-output leaf" Expr.pp e
-        else
-          let* shape = Expr.infer_shape store e in
-          if Shape.equal store shape out_shape then Ok ()
-          else
-            err "cached expression %a has shape %a, operator output has %a"
-              Expr.pp e Shape.pp shape Shape.pp out_shape
+  | Mapped { mappings; output_mappings } -> (
+      let check ~what ~in_scope ~scope_name es =
+        Entangle_certexport.Verify.check_exprs ~what ~target:(Node.output v)
+          ~in_scope ~scope_name ~constraints:(Graph.constraints ctx.gd) es
       in
-      let rec all ~outputs_only = function
-        | [] -> Ok ()
-        | e :: rest ->
-            let* () = check_expr ~outputs_only e in
-            all ~outputs_only rest
-      in
-      let* () = all ~outputs_only:false mappings in
-      let* () = all ~outputs_only:true output_mappings in
-      Ok entry
+      match
+        let* () =
+          check ~what:"cached mapping" ~in_scope:(Graph.mem_tensor ctx.gd)
+            ~scope_name:"distributed tensors" mappings
+        in
+        check ~what:"cached output mapping" ~in_scope:(Graph.is_output ctx.gd)
+          ~scope_name:"distributed outputs" output_mappings
+      with
+      | Ok () -> Ok entry
+      | Error e -> Error (Entangle_certexport.Cert_error.to_string e))
 
 let find ctx ~key v =
   match Store.get ctx.store ~key with

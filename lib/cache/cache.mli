@@ -15,11 +15,11 @@
     - the operator's Merkle fingerprint over the sequential graph
       (op + attributes + transitive input structure and shapes);
     - the operator's own seeds: the mapping sets of its inputs;
-    - the distributed {e cone}: the node set the frontier loop (paper
-      Listing 3) would load for those seeds — the fixpoint is a pure
-      tensor-set computation, so it is replayed here without building
-      an e-graph. With the frontier off it is the whole distributed
-      graph, hashed once per check.
+    - the distributed {e cone}: the node set the frontier search (paper
+      Listing 3) loads for those seeds, computed by the same
+      {!Graph.cone} call from the same {!Graph.anchors}, without an
+      e-graph. With the frontier off it is the whole distributed graph,
+      hashed once per check.
 
     The per-check parts are hashed on the context's first {!key} call
     and reused while later calls pass the same sequential-input
@@ -29,8 +29,10 @@
 
     A hit does not blindly trust the stored expressions: the
     certificate is {e replayed} against the current graphs — leaves
-    resolved by name, cleanliness checked, shapes re-inferred under the
-    current constraint store and compared to the operator's output.
+    resolved by name, then the bundle verifier's expression check
+    ({!Entangle_certexport.Verify.check_exprs}): cleanliness, output
+    mappings over distributed outputs only, and shapes re-inferred
+    under the current constraint store against the operator's output.
     Any mismatch degrades to {!Replay_failed} and the caller falls back
     to the normal search. Verdicts that say nothing about the model
     ([Inconclusive], [Internal]) are never cached; [Unmapped] {e is}
@@ -95,12 +97,6 @@ val key :
     sequential-input tensors, in the same order, with physically the
     same mapping lists as the call that computed it; otherwise it is
     recomputed. *)
-
-val cone : Graph.t -> anchors:Tensor.Set.t -> Node.t list
-(** The distributed nodes the frontier loop would load from [anchors],
-    in no particular order: the least node set closed under loading
-    every node whose inputs are all anchors or outputs of loaded nodes
-    (so every node without inputs). {!key} hashes it. *)
 
 val find : ctx -> key:string -> Node.t -> [ `Hit of entry | `Miss | `Replay_failed of string ]
 (** Look up and replay-validate an entry for operator [v]. Entries

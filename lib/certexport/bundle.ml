@@ -233,12 +233,15 @@ let parse_manifest items =
    placeholder tensor and are recorded, so the caller can report scope
    errors with the offending names. *)
 let parse_exprs ~gd_tensor sexps =
-  let missing = ref [] in
+  let missing = ref [] and seen = Hashtbl.create 8 in
   let resolve name =
     match gd_tensor name with
     | Some t -> Some t
     | None ->
-        if not (List.mem name !missing) then missing := name :: !missing;
+        if not (Hashtbl.mem seen name) then begin
+          Hashtbl.replace seen name ();
+          missing := name :: !missing
+        end;
         Some (Tensor.create ~name Shape.scalar)
   in
   let* es =
@@ -256,7 +259,7 @@ let parse_exprs ~gd_tensor sexps =
   | names ->
       err E.Leaf_out_of_scope
         "expression leaves not in the distributed graph: %s"
-        (String.concat ", " (List.rev names))
+        (E.names (List.rev names))
 
 let parse_relation ~what ~gs_tensor ~gd_tensor entries =
   List.fold_left

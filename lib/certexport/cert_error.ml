@@ -39,3 +39,12 @@ type t = { code : code; detail : string }
 let make code detail = { code; detail }
 let pp ppf e = Fmt.pf ppf "%s (%s): %s" (code_string e.code) (mnemonic e.code) e.detail
 let to_string e = Fmt.str "%a" pp e
+
+let named = 3
+
+let names ns =
+  let module Sexp = Entangle_ir.Sexp in
+  let shown = List.filteri (fun i _ -> i < named) ns in
+  let rest = List.length ns - List.length shown in
+  String.concat ", " (List.map (fun n -> Sexp.excerpt (Sexp.atom n)) shown)
+  ^ if rest > 0 then Fmt.str " and %d more" rest else ""

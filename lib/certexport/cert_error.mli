@@ -52,3 +52,9 @@ type t = { code : code; detail : string }
 val make : code -> string -> t
 val pp : t Fmt.t
 val to_string : t -> string
+
+val names : string list -> string
+(** The first three names, each rendered as {!Entangle_ir.Sexp.excerpt}
+    renders an atom (so at most 200 bytes), then how many more there
+    are: a detail that names tensors of a hostile bundle stays
+    bounded. *)

@@ -51,9 +51,7 @@ let check_coverage what covered required =
       err E.Incomplete "%s misses %s" what
         (String.concat ", " (List.map Tensor.name ts))
 
-let in_set set t = List.exists (Tensor.equal t) set
-
-let check_exprs ~what ~target ~scope ~scope_name ~constraints es =
+let check_exprs ~what ~target ~in_scope ~scope_name ~constraints es =
   List.fold_left
     (fun acc e ->
       let* () = acc in
@@ -62,14 +60,19 @@ let check_exprs ~what ~target ~scope ~scope_name ~constraints es =
         else err E.Unclean "%s: %a is not clean" what Expr.pp e
       in
       let* () =
-        match List.filter (fun l -> not (in_set scope l)) (Expr.leaves e) with
+        match List.filter (fun l -> not (in_scope l)) (Expr.leaves e) with
         | [] -> Ok ()
         | ls ->
             err E.Leaf_out_of_scope "%s: leaves %s are not %s" what
-              (String.concat ", " (List.map Tensor.name ls))
+              (E.names (List.map Tensor.name ls))
               scope_name
       in
-      match Expr.infer_shape constraints e with
+      (* Inference raises on some ill-formed terms (an axis out of range
+         for the rank); from an untrusted bundle or cache entry that is
+         a shape error, not a crash. *)
+      match
+        try Expr.infer_shape constraints e with Invalid_argument m -> Error m
+      with
       | Error m -> err E.Shape_mismatch "%s: shape inference failed: %s" what m
       | Ok sh ->
           if Shape.equal constraints sh (Tensor.shape target) then Ok ()
@@ -104,16 +107,14 @@ let check_static (b : Bundle.t) =
       (Ok ()) b.operators
   in
   let constraints = Graph.constraints b.gd in
-  let gd_inputs = Graph.inputs b.gd
-  and gd_outputs = Graph.outputs b.gd
-  and gd_tensors = Graph.tensors b.gd in
   let* () =
     List.fold_left
       (fun acc (t, es) ->
         let* () = acc in
         check_exprs
           ~what:(Fmt.str "input relation for %s" (Tensor.name t))
-          ~target:t ~scope:gd_inputs ~scope_name:"distributed inputs"
+          ~target:t ~in_scope:(Graph.is_input b.gd)
+          ~scope_name:"distributed inputs"
           ~constraints es)
       (Ok ()) b.inputs
   in
@@ -123,7 +124,8 @@ let check_static (b : Bundle.t) =
         let* () = acc in
         check_exprs
           ~what:(Fmt.str "output relation for %s" (Tensor.name t))
-          ~target:t ~scope:gd_outputs ~scope_name:"distributed outputs"
+          ~target:t ~in_scope:(Graph.is_output b.gd)
+          ~scope_name:"distributed outputs"
           ~constraints es)
       (Ok ()) b.outputs
   in
@@ -137,7 +139,8 @@ let check_static (b : Bundle.t) =
       | Some t ->
           check_exprs
             ~what:(Fmt.str "operator entry %s" e.op_output)
-            ~target:t ~scope:gd_tensors ~scope_name:"distributed tensors"
+            ~target:t ~in_scope:(Graph.mem_tensor b.gd)
+            ~scope_name:"distributed tensors"
             ~constraints e.op_mappings)
     (Ok ()) b.operators
 

@@ -27,6 +27,22 @@ type report = {
   seed : int;
 }
 
+val check_exprs :
+  what:string ->
+  target:Tensor.t ->
+  in_scope:(Tensor.t -> bool) ->
+  scope_name:string ->
+  constraints:Entangle_symbolic.Constraint_store.t ->
+  Expr.t list ->
+  (unit, Cert_error.t) result
+(** The static checks one mapping list of [target] must pass, first
+    failure wins: every expression is clean ([CERT007]), every leaf is
+    [in_scope] ([CERT008], naming at most three of the leaves that are
+    not, as {!Cert_error.names} does) and every inferred shape is
+    provably [target]'s ([CERT009]). [what] and [scope_name] word the
+    detail. {!check} runs it on every relation and operator entry of a
+    bundle, and the certificate cache on every hit. *)
+
 val replay :
   env:Interp.env ->
   gs:Graph.t ->

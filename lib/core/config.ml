@@ -5,14 +5,12 @@ let default_escalation = [ 2; 4 ]
 type t = {
   frontier_optimization : bool;
   limits : Runner.limits;
-  check_egraph_invariants : bool;
   trace : Entangle_trace.Sink.t;
   op_deadline_s : float option;
   check_deadline_s : float option;
   escalation : int list;
   keep_going : bool;
   cache : Entangle_cache.Cache.t option;
-  cache_verify : bool;
   cache_namespace : string;
 }
 
@@ -20,14 +18,12 @@ let default =
   {
     frontier_optimization = true;
     limits = Runner.default_limits;
-    check_egraph_invariants = false;
     trace = Entangle_trace.Sink.null;
     op_deadline_s = None;
     check_deadline_s = None;
     escalation = default_escalation;
     keep_going = false;
     cache = None;
-    cache_verify = false;
     cache_namespace = "";
   }
 
@@ -43,7 +39,6 @@ let with_check_deadline check_deadline_s t = { t with check_deadline_s }
 let with_escalation escalation t = { t with escalation }
 let with_keep_going keep_going t = { t with keep_going }
 let with_cache cache t = { t with cache }
-let with_cache_verify cache_verify t = { t with cache_verify }
 let with_cache_namespace cache_namespace t = { t with cache_namespace }
 
 (* What the certificate cache must key on: every configuration field
@@ -51,9 +46,8 @@ let with_cache_namespace cache_namespace t = { t with cache_namespace }
    whether saturation completes. Wall-clock and heap budgets are
    excluded on purpose — exhausting them yields an [Inconclusive]
    verdict, which is never cached, so they cannot change a cached
-   outcome. [keep_going], [trace] and [check_egraph_invariants] do not
-   influence the search either (the invariant audit can only raise,
-   which is an uncacheable [Internal] verdict). *)
+   outcome. [keep_going] and [trace] do not influence the search
+   either. *)
 let search_fingerprint t =
   Fmt.str "search/2;frontier=%b;iters=%d;nodes=%d;classes=%d;esc=%s"
     t.frontier_optimization t.limits.Runner.max_iterations

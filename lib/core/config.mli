@@ -17,9 +17,6 @@ type t = {
       (** Section 4.3.1: iteratively grow the related subgraph of the
           distributed graph instead of loading all of it. *)
   limits : Runner.limits;  (** saturation budget per operator *)
-  check_egraph_invariants : bool;
-      (** Audit e-graph invariants ({!Entangle_analysis.Egraph_check})
-          after every saturation iteration. Expensive; debug only. *)
   trace : Entangle_trace.Sink.t;
       (** Where structured trace events go: per-operator spans,
           per-iteration saturation counters, per-rule hit events and
@@ -64,12 +61,6 @@ type t = {
           the stored certificate instead of re-searching (see
           {!Entangle_cache.Cache}). [None] (the default) disables
           caching entirely — the pre-cache behavior. *)
-  cache_verify : bool;
-      (** Paranoia mode: on a cache hit, run the full search anyway
-          and cross-check the cached verdict against the fresh one; a
-          disagreement is treated as a replay failure (the fresh
-          result wins and overwrites the entry). Costs a full search
-          per operator; for cache debugging. *)
   cache_namespace : string;
       (** Partition of the certificate-cache key space. A non-empty
           namespace is mixed into every cache key's base fingerprint,
@@ -97,7 +88,6 @@ val with_check_deadline : float option -> t -> t
 val with_escalation : int list -> t -> t
 val with_keep_going : bool -> t -> t
 val with_cache : Entangle_cache.Cache.t option -> t -> t
-val with_cache_verify : bool -> t -> t
 
 val with_cache_namespace : string -> t -> t
 (** See {!t.cache_namespace}; [""] restores the shared namespace. *)
@@ -106,6 +96,6 @@ val search_fingerprint : t -> string
 (** A stable rendering of every field that can change what the
     per-operator search finds (frontier toggle, discrete limits,
     escalation ladder) — part of every certificate-cache key, so
-    changing any such knob soundly invalidates. Wall-clock/heap budgets and the diagnostics fields are
-    excluded: they can only produce [Inconclusive]/[Internal] verdicts,
-    which are never cached. *)
+    changing any such knob soundly invalidates. Wall-clock/heap budgets
+    are excluded: they can only produce [Inconclusive] verdicts, which
+    are never cached. *)

@@ -19,7 +19,7 @@ let load_definition g node =
   in
   ignore (Egraph.union g out def)
 
-let compute ~config ?deadline ~sink ~rules ~gd ~gd_tensors ~relation ~seeds v =
+let compute ~config ?deadline ~sink ~rules ~gd ~relation ~seeds v =
   let store = Graph.constraints gd in
   let g = Egraph.create ~constraints:store () in
   let limits =
@@ -53,14 +53,9 @@ let compute ~config ?deadline ~sink ~rules ~gd ~gd_tensors ~relation ~seeds v =
             exprs)
         seeds;
       Egraph.rebuild g;
-      let is_gd t = Tensor.Set.mem t gd_tensors in
+      let is_gd = Graph.mem_tensor gd in
       let round_limits =
         { limits with Runner.max_iterations = 1 }
-      in
-      let invariant_check =
-        if config.Config.check_egraph_invariants then
-          Some Entangle_analysis.Egraph_check.runner_hook
-        else None
       in
       (* One scheduler state for all of this operator's rounds: the
          per-rule last-search generations survive across the
@@ -71,66 +66,40 @@ let compute ~config ?deadline ~sink ~rules ~gd ~gd_tensors ~relation ~seeds v =
       let rounds_used = ref 0 in
       let one_round ~confirm =
         incr rounds_used;
-        Runner.run ~limits:round_limits ~confirm_saturation:confirm
-          ?invariant_check ~sink ~state g (Runner.rules rules)
+        Runner.run ~limits:round_limits ~confirm_saturation:confirm ~sink
+          ~state g (Runner.rules rules)
       in
       let have_mapping () =
         Option.is_some (Extract.best_clean g ~leaf_ok:is_gd base)
       in
       if config.Config.frontier_optimization then
         Sink.span sink ~cat:"phase" "frontier" (fun () ->
-            (* Listing 3: iteratively load the distributed subgraph
-               related to v. T_rel starts from the tensors appearing in
-               the relation's mappings for v's inputs (the cone anchors)
-               and grows through each loaded node's output, so
-               exploration is bounded by the downstream cone of v's
-               inputs rather than the whole distributed graph. *)
-            let t_rel =
-              ref
-                (List.fold_left
-                   (fun acc t ->
-                     List.fold_left
-                       (fun acc expr ->
-                         List.fold_left
-                           (fun acc leaf ->
-                             if is_gd leaf then Tensor.Set.add leaf acc
-                             else acc)
-                           acc (Expr.leaves expr))
-                       acc (Relation.find relation t))
-                   Tensor.Set.empty (Node.inputs v))
+            (* Listing 3: load the distributed subgraph related to v,
+               the cone of the tensors its inputs' mappings reach, wave
+               by wave. T_rel, which the trace reports, is the anchors
+               plus the outputs loaded so far. *)
+            let anchors =
+              Graph.anchors gd
+                (List.map (Relation.find relation) (Node.inputs v))
             in
-            let explored = Hashtbl.create 64 in
-            let wave = ref 0 in
-            let continue = ref true in
-            while !continue do
-              let frontier =
-                List.filter
-                  (fun n ->
-                    (not (Hashtbl.mem explored (Node.id n)))
-                    && List.for_all
-                         (fun t -> Tensor.Set.mem t !t_rel)
-                         (Node.inputs n))
-                  (Graph.nodes gd)
-              in
-              if frontier = [] then continue := false
-              else begin
-                List.iter
-                  (fun n ->
-                    Hashtbl.replace explored (Node.id n) ();
-                    load_definition g n;
-                    t_rel := Tensor.Set.add (Node.output n) !t_rel)
-                  frontier;
-                incr wave;
-                if Sink.enabled sink then
+            let t_rel = ref anchors in
+            List.iteri
+              (fun i wave ->
+                List.iter (load_definition g) wave;
+                if Sink.enabled sink then begin
+                  t_rel :=
+                    List.fold_left
+                      (fun acc n -> Tensor.Set.add (Node.output n) acc)
+                      !t_rel wave;
                   Sink.instant sink "frontier-wave" ~cat:"frontier"
                     ~args:
                       [
-                        ("wave", Event.Int !wave);
-                        ("loaded", Event.Int (List.length frontier));
+                        ("wave", Event.Int (i + 1));
+                        ("loaded", Event.Int (List.length wave));
                         ("t_rel", Event.Int (Tensor.Set.cardinal !t_rel));
                       ]
-              end
-            done;
+                end)
+              (Graph.cone gd ~anchors);
             Egraph.rebuild g)
       else
         Sink.span sink ~cat:"phase" "load" (fun () ->
@@ -247,7 +216,7 @@ let compute ~config ?deadline ~sink ~rules ~gd ~gd_tensors ~relation ~seeds v =
       in
       let best_any = Extract.best_clean g ~leaf_ok:is_gd base in
       let best_output =
-        Extract.best_clean g ~leaf_ok:(fun t -> Graph.is_output gd t) base
+        Extract.best_clean g ~leaf_ok:(Graph.is_output gd) base
       in
       (* Alternative canonical forms: a rearrangement-only expression
          (concat of shards rather than a sum of partials) and a

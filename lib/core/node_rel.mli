@@ -32,7 +32,6 @@ val compute :
   sink:Entangle_trace.Sink.t ->
   rules:Runner.index ->
   gd:Graph.t ->
-  gd_tensors:Tensor.Set.t ->
   relation:Relation.t ->
   seeds:(Tensor.t * Expr.t list) list ->
   Node.t ->
@@ -41,12 +40,14 @@ val compute :
     the relation), not a refinement failure — the latter is an [Ok] with
     empty [mappings].
 
-    [rules] is the lemma rule list's scheduling index and [gd_tensors]
-    the set of [gd]'s tensors, each built once per check.
-    [seeds] are the relation entries loaded into the e-graph, in order:
-    the mappings of [v]'s inputs and of every sequential graph input, as
-    {!Refine.check} selects them for both this search and its cache
-    key.
+    [rules] is the lemma rule list's scheduling index, built once per
+    check. [seeds] are the relation entries loaded into the e-graph, in
+    order: the mappings of [v]'s inputs and of every sequential graph
+    input, as {!Refine.check} selects them for both this search and its
+    cache key. With the frontier optimization on, the distributed nodes
+    loaded are {!Graph.cone} from {!Graph.anchors} of [v]'s input
+    mappings, in its wave order; the cache key hashes the same node set
+    through the same two calls.
 
     [deadline] is an absolute wall-clock bound ([Unix.gettimeofday]
     scale) merged into the per-round runner limits and checked between

@@ -221,6 +221,9 @@ let check ?(config = Config.default) ?rules ~gs ~gd ~input_relation () =
   let mappings_of v relation =
     List.map (fun t -> (t, Relation.find relation t)) (Node.inputs v)
   in
+  (* What the saturation scheduler reads of each rule, derived once for
+     the whole check rather than once per operator's e-graph. *)
+  let rule_index = Runner.index rules in
   (* The relation entries an operator's search loads, and its cache key
      covers: the mappings of [v]'s inputs plus those of every sequential
      graph input (weights and activations). Entries with several
@@ -229,18 +232,15 @@ let check ?(config = Config.default) ?rules ~gs ~gd ~input_relation () =
      sequential tensor, and replicated weights are referenced by
      operators arbitrarily far downstream. Mappings of unrelated
      intermediates are skipped, keeping the per-operator e-graph size
-     independent of how much of the model was already processed. *)
-  let gs_inputs = Tensor.Set.of_list (Graph.inputs gs) in
-  let gd_tensors = Tensor.Set.of_list (Graph.tensors gd) in
-  (* What the saturation scheduler reads of each rule, derived once for
-     the whole check rather than once per operator's e-graph. *)
-  let rule_index = Runner.index rules in
+     independent of how much of the model was already processed.
+     Entries come in [Relation.bindings] order (ascending tensor id),
+     with the relation's own mapping lists: the cache key's per-check
+     digest recognizes the graph-input entries by physical equality. *)
   let seeds_of v relation =
-    let inputs = Node.inputs v in
-    List.filter
-      (fun (t, _) ->
-        List.exists (Tensor.equal t) inputs || Tensor.Set.mem t gs_inputs)
-      (Relation.bindings relation)
+    List.filter_map
+      (fun t ->
+        match Relation.find relation t with [] -> None | es -> Some (t, es))
+      (List.sort_uniq Tensor.compare (Node.inputs v @ Graph.inputs gs))
   in
   let mk_fault v verdict relation =
     {
@@ -330,7 +330,7 @@ let check ?(config = Config.default) ?rules ~gs ~gd ~input_relation () =
       in
       match
         Node_rel.compute ~config:cfg ?deadline:(attempt_deadline ()) ~sink
-          ~rules:rule_index ~gd ~gd_tensors ~relation ~seeds v
+          ~rules:rule_index ~gd ~relation ~seeds v
       with
       | Ok o -> Ok o
       | Error msg -> Error (Unmapped msg)
@@ -427,7 +427,7 @@ let check ?(config = Config.default) ?rules ~gs ~gd ~input_relation () =
                 Cache.find ctx ~key v)
           in
           match lookup with
-          | `Hit entry when not config.Config.cache_verify -> (
+          | `Hit entry -> (
               note v Cache.Hit;
               match entry with
               | Cache.Mapped { mappings; output_mappings } ->
@@ -438,28 +438,6 @@ let check ?(config = Config.default) ?rules ~gs ~gd ~input_relation () =
                       exhausted = None;
                     }
               | Cache.Unmapped -> `Absent)
-          | `Hit entry ->
-              (* [cache_verify]: run the search anyway and cross-check
-                 the cached verdict against the fresh one. *)
-              let fresh = search_operator v relation seeds in
-              let agree =
-                match (entry, fresh) with
-                | Cache.Mapped _, `Found _ | Cache.Unmapped, `Absent -> true
-                | _, `Fail _ ->
-                    (* The fresh search proved nothing this time (a
-                       budget tripped); that is not evidence against
-                       the cached certificate. *)
-                    true
-                | _ -> false
-              in
-              if agree then note v Cache.Hit
-              else begin
-                note v
-                  (Cache.Replay_failed
-                     "cached verdict disagrees with fresh search");
-                store_entry ctx key fresh
-              end;
-              fresh
           | `Miss ->
               note v Cache.Miss;
               let fresh = search_operator v relation seeds in

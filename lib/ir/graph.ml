@@ -7,32 +7,53 @@ type t = {
   nodes : Node.t list;
   constraints : Constraint_store.t;
   producers : Node.t Tensor.Map.t;
-  consumers : Node.t list Tensor.Map.t;  (* graph order, one entry per use site *)
+  input_set : Tensor.Set.t;
+  output_set : Tensor.Set.t;
+  by_position : Node.t array;  (* [nodes], indexed by graph position *)
+  consumers : int list Tensor.Map.t;
+      (* positions, ascending; a node using a tensor twice appears once *)
+  sources : int list;  (* positions of the nodes without inputs *)
 }
 
-(* The consumers index, rebuilt whenever the node list changes. A node
-   using the same tensor twice appears once. *)
-let consumers_of_nodes nodes =
-  let add_use map t n =
-    let prev = Option.value (Tensor.Map.find_opt t map) ~default:[] in
-    Tensor.Map.add t (n :: prev) map
-  in
-  let map =
-    List.fold_left
-      (fun map n ->
-        List.fold_left
-          (fun map t -> add_use map t n)
-          map (Node.distinct_inputs n))
-      Tensor.Map.empty nodes
-  in
-  Tensor.Map.map List.rev map
+(* Every derived field comes from the lists, so each constructor goes
+   through here and the indexes cannot fall out of step with them. *)
+let make ~name ~constraints ~inputs ~outputs nodes =
+  let by_position = Array.of_list nodes in
+  let consumers = ref Tensor.Map.empty and sources = ref [] in
+  for i = Array.length by_position - 1 downto 0 do
+    let n = by_position.(i) in
+    if Node.inputs n = [] then sources := i :: !sources;
+    List.iter
+      (fun t ->
+        let prev =
+          Option.value (Tensor.Map.find_opt t !consumers) ~default:[]
+        in
+        consumers := Tensor.Map.add t (i :: prev) !consumers)
+      (Node.distinct_inputs n)
+  done;
+  {
+    name;
+    inputs;
+    outputs;
+    nodes;
+    constraints;
+    producers =
+      List.fold_left
+        (fun map n -> Tensor.Map.add (Node.output n) n map)
+        Tensor.Map.empty nodes;
+    input_set = Tensor.Set.of_list inputs;
+    output_set = Tensor.Set.of_list outputs;
+    by_position;
+    consumers = !consumers;
+    sources = !sources;
+  }
 
 let name g = g.name
 let inputs g = g.inputs
 let outputs g = g.outputs
 let nodes g = g.nodes
 let constraints g = g.constraints
-let num_nodes g = List.length g.nodes
+let num_nodes g = Array.length g.by_position
 
 let tensors g =
   let add set t = Tensor.Set.add t set in
@@ -44,31 +65,76 @@ let tensors g =
 
 let producer g t = Tensor.Map.find_opt t g.producers
 
-let consumers g t =
+let consumer_positions g t =
   Option.value (Tensor.Map.find_opt t g.consumers) ~default:[]
 
-let is_input g t = List.exists (Tensor.equal t) g.inputs
-let is_output g t = List.exists (Tensor.equal t) g.outputs
+let consumers g t = List.map (Array.get g.by_position) (consumer_positions g t)
+let is_input g t = Tensor.Set.mem t g.input_set
+let is_output g t = Tensor.Set.mem t g.output_set
+let mem_tensor g t = is_input g t || Tensor.Map.mem t g.producers
 
-let mem_tensor g t =
-  is_input g t || Tensor.Map.mem t g.producers
+let anchors g mappings =
+  let rec add acc = function
+    | Expr.Leaf t -> if mem_tensor g t then Tensor.Set.add t acc else acc
+    | Expr.App (_, args) -> List.fold_left add acc args
+  in
+  List.fold_left (List.fold_left add) Tensor.Set.empty mappings
+
+(* Listing 3's fixpoint as a worklist: each node counts down its
+   distinct inputs not yet reached, and a node whose count reaches zero
+   joins the next wave. So wave k+1 holds exactly the nodes whose last
+   input wave k reached, which is what a loop rescanning every node per
+   wave would load next, and each wave is sorted back into graph
+   order. *)
+let cone g ~anchors =
+  let reached = Hashtbl.create 64 and missing = Hashtbl.create 64 in
+  let reach ready t =
+    if Hashtbl.mem reached (Tensor.id t) then ready
+    else begin
+      Hashtbl.replace reached (Tensor.id t) ();
+      List.fold_left
+        (fun ready i ->
+          let k =
+            match Hashtbl.find_opt missing i with
+            | Some k -> k - 1
+            | None ->
+                List.length (Node.distinct_inputs g.by_position.(i)) - 1
+          in
+          Hashtbl.replace missing i k;
+          if k = 0 then i :: ready else ready)
+        ready (consumer_positions g t)
+    end
+  in
+  let rec waves = function
+    | [] -> []
+    | ready ->
+        let wave =
+          List.map (Array.get g.by_position) (List.sort Int.compare ready)
+        in
+        let next =
+          List.fold_left (fun ready n -> reach ready (Node.output n)) [] wave
+        in
+        wave :: waves next
+  in
+  waves (Tensor.Set.fold (fun t ready -> reach ready t) anchors g.sources)
 
 let append_expr g ?(name = "%expect") expr =
   let ( let* ) = Result.bind in
   let next_node_id = ref (List.length g.nodes) in
   let fresh = ref 0 in
-  let rec build g = function
+  (* The nodes appended so far, newest first. *)
+  let rec build added = function
     | Expr.Leaf t ->
-        if mem_tensor g t then Ok (g, t)
+        if mem_tensor g t then Ok (added, t)
         else Error (Fmt.str "append_expr: tensor %a not in graph" Tensor.pp t)
     | Expr.App (op, args) ->
-        let* g, inputs =
+        let* added, inputs =
           List.fold_left
             (fun acc e ->
-              let* g, ins = acc in
-              let* g, t = build g e in
-              Ok (g, ins @ [ t ]))
-            (Ok (g, [])) args
+              let* added, ins = acc in
+              let* added, t = build added e in
+              Ok (added, ins @ [ t ]))
+            (Ok (added, [])) args
         in
         let shapes = List.map Tensor.shape inputs in
         let dtypes = List.map Tensor.dtype inputs in
@@ -80,24 +146,19 @@ let append_expr g ?(name = "%expect") expr =
         in
         let node = { Node.id = !next_node_id; op; inputs; output } in
         incr next_node_id;
-        Ok
-          ( {
-              g with
-              nodes = g.nodes @ [ node ];
-              producers = Tensor.Map.add output node g.producers;
-            },
-            output )
+        Ok (node :: added, output)
   in
-  let* g, t = build g expr in
+  let* added, t = build [] expr in
   Ok
-    ( { g with outputs = g.outputs @ [ t ];
-        consumers = consumers_of_nodes g.nodes },
+    ( make ~name:g.name ~constraints:g.constraints ~inputs:g.inputs
+        ~outputs:(g.outputs @ [ t ])
+        (g.nodes @ List.rev added),
       t )
 
 let with_outputs g outputs =
   let bad = List.filter (fun t -> not (mem_tensor g t)) outputs in
   match bad with
-  | [] -> Ok { g with outputs }
+  | [] -> Ok { g with outputs; output_set = Tensor.Set.of_list outputs }
   | t :: _ -> Error (Fmt.str "with_outputs: tensor %a not in graph" Tensor.pp t)
 
 let pp ppf g =
@@ -110,15 +171,12 @@ let pp ppf g =
     g.outputs
 
 module Builder = struct
-
-
   type t = {
     b_name : string;
     b_constraints : Constraint_store.t;
     mutable b_inputs : Tensor.t list;  (* reverse order *)
     mutable b_outputs : Tensor.t list;  (* reverse order *)
     mutable b_nodes : Node.t list;  (* reverse order *)
-    mutable b_producers : Node.t Tensor.Map.t;
     mutable b_known : Tensor.Set.t;
     mutable b_next_id : int;
     mutable b_fresh : int;
@@ -131,7 +189,6 @@ module Builder = struct
       b_inputs = [];
       b_outputs = [];
       b_nodes = [];
-      b_producers = Tensor.Map.empty;
       b_known = Tensor.Set.empty;
       b_next_id = 0;
       b_fresh = 0;
@@ -174,7 +231,6 @@ module Builder = struct
     let node = { Node.id = b.b_next_id; op; inputs; output } in
     b.b_next_id <- b.b_next_id + 1;
     b.b_nodes <- node :: b.b_nodes;
-    b.b_producers <- Tensor.Map.add output node b.b_producers;
     b.b_known <- Tensor.Set.add output b.b_known;
     output
 
@@ -184,31 +240,11 @@ module Builder = struct
     b.b_outputs <- t :: b.b_outputs
 
   let finish b =
-    let nodes = List.rev b.b_nodes in
-    {
-      name = b.b_name;
-      inputs = List.rev b.b_inputs;
-      outputs = List.rev b.b_outputs;
-      nodes;
-      constraints = b.b_constraints;
-      producers = b.b_producers;
-      consumers = consumers_of_nodes nodes;
-    }
+    make ~name:b.b_name ~constraints:b.b_constraints
+      ~inputs:(List.rev b.b_inputs) ~outputs:(List.rev b.b_outputs)
+      (List.rev b.b_nodes)
 end
 
 let unsafe_make ?(constraints = Constraint_store.empty) ~name ~inputs ~outputs
     nodes =
-  let producers =
-    List.fold_left
-      (fun map n -> Tensor.Map.add (Node.output n) n map)
-      Tensor.Map.empty nodes
-  in
-  {
-    name;
-    inputs;
-    outputs;
-    nodes;
-    constraints;
-    producers;
-    consumers = consumers_of_nodes nodes;
-  }
+  make ~name ~constraints ~inputs ~outputs nodes

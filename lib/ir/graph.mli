@@ -24,13 +24,32 @@ val producer : t -> Tensor.t -> Node.t option
 (** The node producing a tensor; [None] for graph inputs. *)
 
 val consumers : t -> Tensor.t -> Node.t list
-(** Nodes using a tensor as an input, in graph order. Backed by an index
-    precomputed at construction time — O(log n) per query, not a scan of
-    the node list. *)
+(** Nodes using a tensor as an input, in graph order, each once. Backed
+    by an index precomputed at construction time — O(log n) plus the
+    answer's length per query, not a scan of the node list. *)
 
 val is_input : t -> Tensor.t -> bool
 val is_output : t -> Tensor.t -> bool
+
 val mem_tensor : t -> Tensor.t -> bool
+(** Whether the tensor is an input or a node output of the graph. These
+    three answer from sets built with the graph, in O(log n). *)
+
+val anchors : t -> Expr.t list list -> Tensor.Set.t
+(** The graph's tensors among the leaves of the given mapping lists.
+    Given the mappings of a sequential operator's inputs, these are
+    where its {!cone} starts. *)
+
+val cone : t -> anchors:Tensor.Set.t -> Node.t list list
+(** The nodes the frontier search (paper Listing 3) loads from
+    [anchors], wave by wave. Wave 1 holds every node whose inputs are
+    all anchors (so every node without inputs); wave k+1 every node not
+    yet loaded whose inputs are all anchors or outputs of waves 1..k.
+    Within a wave, nodes are in graph order. The order is part of the
+    contract: the search loads the nodes in it, and e-class ids, and
+    with them the relations it extracts, follow load order. Time is
+    proportional to the cone and the consumers it reaches, not to the
+    graph. *)
 
 val append_expr : t -> ?name:string -> Expr.t -> (t * Tensor.t, string) result
 (** Append operator nodes computing the expression (whose leaves must

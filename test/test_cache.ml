@@ -485,6 +485,37 @@ let verdict_summary = function
         | Entangle.Refine.Inconclusive _ -> "inconclusive"
         | Entangle.Refine.Internal _ -> "internal")
 
+(* SHA-256 of the sorted key names `entangle verify <model> --cache-dir
+   D` leaves under D/objects, one per line (gpt stores 26 keys, llama
+   47). A change that moves keys makes every existing store miss once:
+   it must say so, and update the table. *)
+let pinned_keys =
+  [
+    ("gpt", "560ba347caf029ffb1393690977ba479f58bbe31668aa7e093f13a50fe0ce8ed");
+    ( "llama",
+      "caa5f9e1bf29f9184df9d18b840b3739c88c83ede06ccace74393f73441bbf39" );
+  ]
+
+(* Run the CLI in a process of its own, as a user would, output
+   discarded; fail unless it exits 0. *)
+let run_cli args =
+  let cli = "../bin/entangle_cli.exe" in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Fun.protect
+      ~finally:(fun () -> Unix.close null)
+      (fun () ->
+        Unix.create_process cli (Array.of_list (cli :: args)) Unix.stdin null
+          null)
+  in
+  let rec wait () =
+    try snd (Unix.waitpid [] pid)
+    with Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
+  in
+  match wait () with
+  | Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.failf "%s failed" (String.concat " " args)
+
 let recheck_tests =
   [
     Alcotest.test_case "warm GPT re-check does zero saturation work" `Quick
@@ -706,6 +737,101 @@ let recheck_tests =
             check Alcotest.int "repopulated"
               hs.Entangle.Refine.operators_processed
               hs.Entangle.Refine.cache_hits));
+    Alcotest.test_case "a parseable but wrong entry fails replay" `Quick
+      (fun () ->
+        let inst () = Regression.build ~microbatches:2 () in
+        let gd = (inst ()).Instance.gd in
+        let resolve = Serial.tensor_by_name gd in
+        let non_output =
+          List.find (fun t -> not (Graph.is_output gd t)) (Graph.inputs gd)
+        in
+        (* Each rewrites one stored entry's mapping lists into ones the
+           grammar accepts and replay must refuse. *)
+        let wrongs =
+          [
+            ( "a non-clean operator",
+              fun maps outs ->
+                (List.map (fun m -> Expr.app Op.Exp [ m ]) maps, outs) );
+            ( "the wrong shape",
+              fun maps outs ->
+                ( List.map
+                    (fun m -> Expr.app (Op.Concat { dim = 0 }) [ m; m ])
+                    maps,
+                  outs ) );
+            ( "an output mapping over a non-output leaf",
+              fun maps _ -> (maps, [ Expr.leaf non_output ]) );
+          ]
+        in
+        let exprs sexps =
+          List.map
+            (fun sx ->
+              match Serial.expr_of_sexp ~resolve sx with
+              | Ok e -> e
+              | Error e -> Alcotest.fail e)
+            sexps
+        in
+        List.iter
+          (fun (what, wrong) ->
+            with_temp_cache (fun cache ->
+                let cold, _ = check_with ~cache (inst ()) in
+                let dir = Cache.dir cache in
+                let key = List.hd (store_keys dir) in
+                let maps, outs =
+                  match
+                    Option.map Sexp.of_string (Store.get (open_store dir) ~key)
+                  with
+                  | Some
+                      (Ok
+                        (Sexp.List
+                          [
+                            Sexp.Atom "entry";
+                            Sexp.Atom "mapped";
+                            Sexp.List maps;
+                            Sexp.List outs;
+                          ])) ->
+                      wrong (exprs maps) (exprs outs)
+                  | _ -> Alcotest.failf "%s: no mapped entry under %s" what key
+                in
+                let payload =
+                  Sexp.to_string
+                    (Sexp.list
+                       [
+                         Sexp.atom "entry";
+                         Sexp.atom "mapped";
+                         Sexp.list (List.map Serial.expr_to_sexp maps);
+                         Sexp.list (List.map Serial.expr_to_sexp outs);
+                       ])
+                in
+                if Result.is_error (Cache.validate_payload payload) then
+                  Alcotest.failf "%s: the entry does not parse" what;
+                let path = entry_file dir key in
+                Sys.remove path;
+                rewrite path (pack [ (key, payload) ]);
+                let again, _ = check_with ~cache (inst ()) in
+                let st = result_stats again in
+                check Alcotest.int (what ^ ": one replay failure") 1
+                  st.Entangle.Refine.cache_replays_failed;
+                check Alcotest.int (what ^ ": every other operator hits")
+                  (st.Entangle.Refine.operators_processed - 1)
+                  st.Entangle.Refine.cache_hits;
+                check Alcotest.string (what ^ ": the cold verdict")
+                  (verdict_summary cold) (verdict_summary again)))
+          wrongs);
+    Alcotest.test_case "a fresh CLI process stores the pinned keys" `Quick
+      (fun () ->
+        List.iter
+          (fun (model, pinned) ->
+            with_temp_dir (fun dir ->
+                run_cli [ "verify"; model; "--cache-dir"; dir ];
+                let digest =
+                  Entangle_fingerprint.Sha256.hex
+                    (String.concat ""
+                       (List.map (fun k -> k ^ "\n") (store_keys dir)))
+                in
+                if not (String.equal digest pinned) then
+                  Alcotest.failf "%s: the stored keys hash to %s, pinned %s"
+                    model digest pinned))
+          pinned_keys);
   ]
 
 (* --- key derivation -------------------------------------------------------- *)
@@ -839,12 +965,11 @@ let key_tests =
 (* --- the cone ------------------------------------------------------------- *)
 
 (* The reference: the frontier loop's wave fixpoint, which scans every
-   distributed node once per wave and loads those whose inputs are all
-   reached. *)
+   distributed node once per wave and loads, in graph order, those whose
+   inputs are all reached. *)
 let wave_cone gd ~anchors =
-  let t_rel = ref anchors and explored = Hashtbl.create 64 and acc = ref [] in
-  let continue = ref true in
-  while !continue do
+  let t_rel = ref anchors and explored = Hashtbl.create 64 in
+  let rec waves () =
     let frontier =
       List.filter
         (fun n ->
@@ -852,16 +977,17 @@ let wave_cone gd ~anchors =
           && List.for_all (fun t -> Tensor.Set.mem t !t_rel) (Node.inputs n))
         (Graph.nodes gd)
     in
-    if frontier = [] then continue := false
-    else
+    if frontier = [] then []
+    else begin
       List.iter
         (fun n ->
           Hashtbl.replace explored (Node.id n) ();
-          acc := n :: !acc;
           t_rel := Tensor.Set.add (Node.output n) !t_rel)
-        frontier
-  done;
-  !acc
+        frontier;
+      frontier :: waves ()
+    end
+  in
+  waves ()
 
 (* A distributed graph with what the zoo lacks: a node without inputs,
    and nodes that use one tensor twice. *)
@@ -888,11 +1014,11 @@ let cone_tests =
            (fun name -> (Option.get (Zoo.by_name name)).Instance.gd)
            Zoo.names)
   in
-  let ids nodes = List.sort compare (List.map Node.id nodes) in
+  let ids waves = List.map (List.map Node.id) waves in
   [
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~count:300
-         ~name:"the worklist cone is the wave loop's node set"
+         ~name:"the worklist cone is the wave loop's waves, in order"
          QCheck.(pair small_nat (list_of_size (QCheck.Gen.int_range 0 6) small_nat))
          (fun (g, picks) ->
            let graphs = Lazy.force graphs in
@@ -902,7 +1028,7 @@ let cone_tests =
              Tensor.Set.of_list
                (List.map (fun i -> tensors.(i mod Array.length tensors)) picks)
            in
-           ids (Cache.cone gd ~anchors) = ids (wave_cone gd ~anchors)));
+           ids (Graph.cone gd ~anchors) = ids (wave_cone gd ~anchors)));
   ]
 
 (* --- retention: budgets, eviction, expiry -------------------------------- *)

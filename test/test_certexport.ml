@@ -150,27 +150,12 @@ let pinned_bundles =
    node order, and that order depends on the tensor ids the process
    handed out before the check. *)
 let cli_bundle name =
-  let cli = "../bin/entangle_cli.exe" in
   let out = Filename.temp_file "entangle-pin" ".cert" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
     (fun () ->
-      let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-      let pid =
-        Fun.protect
-          ~finally:(fun () -> Unix.close null)
-          (fun () ->
-            Unix.create_process cli
-              [| cli; "cert"; "export"; name; "--no-cache"; "--out"; out |]
-              Unix.stdin null null)
-      in
-      let rec wait () =
-        try snd (Unix.waitpid [] pid)
-        with Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
-      in
-      match wait () with
-      | Unix.WEXITED 0 -> In_channel.with_open_bin out In_channel.input_all
-      | _ -> Alcotest.failf "%s: cert export failed" name)
+      Test_cache.run_cli [ "cert"; "export"; name; "--no-cache"; "--out"; out ];
+      In_channel.with_open_bin out In_channel.input_all)
 
 (* --- round trip --------------------------------------------------------- *)
 
@@ -368,7 +353,50 @@ let verifier_tests =
         in
         expect_code "fabricated tensor in an output mapping" "CERT008"
           (Verify.check
-             (tiny_bundle ~outputs:[ (t.t_y, [ Expr.leaf ghost ]) ] t)));
+             (tiny_bundle ~outputs:[ (t.t_y, [ Expr.leaf ghost ]) ] t));
+        (* Thousands of long fabricated names: the detail names a few,
+           each bounded, and counts the rest. *)
+        let ghosts =
+          List.init 5_000 (fun i ->
+              Expr.leaf
+                (Tensor.create
+                   ~name:(Fmt.str "ghost%d_%s" i (String.make 300 'g'))
+                   [ Entangle_symbolic.Symdim.of_int 4 ]))
+        in
+        let wide =
+          tiny_bundle
+            ~outputs:[ (t.t_y, [ Expr.app (Op.Concat { dim = 0 }) ghosts ]) ]
+            t
+        in
+        let bounded what = function
+          | Ok _ -> Alcotest.failf "%s: accepted" what
+          | Error (e : Cert_error.t) ->
+              check Alcotest.string (what ^ " code") "CERT008"
+                (code_of_error e);
+              if String.length e.Cert_error.detail > 1_000 then
+                Alcotest.failf "%s: a %d-byte detail" what
+                  (String.length e.Cert_error.detail)
+        in
+        bounded "5,000 fabricated leaves" (Verify.check wide);
+        bounded "5,000 unknown names in bundle text"
+          (Bundle.of_string (Bundle.to_string wide)));
+    Alcotest.test_case "an axis out of range is CERT009, not an exception"
+      `Quick (fun () ->
+        let t = tiny () in
+        expect_code "concat along axis 1 of a rank-1 tensor" "CERT009"
+          (Verify.check
+             (tiny_bundle
+                ~operators:
+                  [
+                    {
+                      Bundle.op_output = "y";
+                      op_mappings =
+                        [
+                          Expr.app (Op.Concat { dim = 1 }) [ Expr.leaf t.t_yd ];
+                        ];
+                    };
+                  ]
+                t)));
     Alcotest.test_case "shape disagreement is CERT009" `Quick (fun () ->
         let t = tiny () in
         expect_code "output mapped to the shape-[8] concat" "CERT009"

@@ -262,6 +262,41 @@ let graph_tests =
         check Alcotest.bool "foreign rejected" true
           (Result.is_error
              (Graph.with_outputs g [ Tensor.create ~name:"f" [ sd 1 ] ])));
+    Alcotest.test_case
+      "membership agrees with the lists after every constructor" `Quick
+      (fun () ->
+        let b = B.create "g" in
+        let x = B.input b "x" [ sd 4 ] in
+        let w = B.input b "w" [ sd 4 ] in
+        let y = B.add b Op.Neg [ x ] in
+        let z = B.add b Op.Add [ y; x ] in
+        B.output b z;
+        B.output b w;
+        let built = B.finish b in
+        let foreign = Tensor.create ~name:"f" [ sd 4 ] in
+        let agrees what g =
+          let mem l t = List.exists (Tensor.equal t) l in
+          List.iter
+            (fun t ->
+              let name = Fmt.str "%s, %s" what (Tensor.name t) in
+              check Alcotest.bool (name ^ ": is_input")
+                (mem (Graph.inputs g) t) (Graph.is_input g t);
+              check Alcotest.bool (name ^ ": is_output")
+                (mem (Graph.outputs g) t) (Graph.is_output g t);
+              check Alcotest.bool (name ^ ": mem_tensor")
+                (mem (Graph.tensors g) t) (Graph.mem_tensor g t))
+            (foreign :: Graph.tensors g)
+        in
+        let ok = function Ok g -> g | Error e -> Alcotest.fail e in
+        agrees "Builder" built;
+        agrees "unsafe_make"
+          (Graph.unsafe_make ~name:"u" ~inputs:[ x ] ~outputs:[ y ]
+             (List.filteri (fun i _ -> i = 0) (Graph.nodes built)));
+        let appended =
+          fst (ok (Graph.append_expr built (Expr.app Op.Exp [ Expr.leaf z ])))
+        in
+        agrees "append_expr" appended;
+        agrees "with_outputs" (ok (Graph.with_outputs appended [ x; y ])));
   ]
 
 (* --- expressions ----------------------------------------------------------- *)
