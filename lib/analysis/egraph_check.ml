@@ -24,7 +24,7 @@ let node_shape g node =
         let child_shapes = List.filter_map Fun.id child_shapes in
         (match Op.infer_shape (Egraph.constraints g) op child_shapes with
         | Ok s -> Some s
-        | Error _ | (exception Invalid_argument _) -> None)
+        | Error _ -> None)
 
 let check g =
   let diags = ref [] in

@@ -149,10 +149,7 @@ let check_named ?name g =
              (List.length (Node.inputs n)))
       else begin
         (match
-           try
-             Op.infer_shape constraints op
-               (List.map Tensor.shape (Node.inputs n))
-           with Invalid_argument e -> Error e
+           Op.infer_shape constraints op (List.map Tensor.shape (Node.inputs n))
          with
         | Error e ->
             emit

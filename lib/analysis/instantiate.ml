@@ -10,14 +10,14 @@ type assignment = {
 
 let ( let* ) = Result.bind
 
-let rec infer_exn = function
+let rec infer = function
   | Expr.Leaf t -> Ok (Tensor.shape t, Tensor.dtype t)
   | Expr.App (op, args) ->
       let* children =
         List.fold_left
           (fun acc e ->
             let* acc = acc in
-            let* sd = infer_exn e in
+            let* sd = infer e in
             Ok (sd :: acc))
           (Ok []) args
       in
@@ -27,11 +27,6 @@ let rec infer_exn = function
       in
       let* dtype = Op.infer_dtype op (List.map snd children) in
       Ok (shape, dtype)
-
-(* Some inference paths raise on ill-typed inputs (e.g. an axis out of
-   range for the rank) instead of returning [Error]; rejection sampling
-   treats both the same. *)
-let infer e = try infer_exn e with Invalid_argument msg -> Error msg
 
 (* --- sampling ---------------------------------------------------------- *)
 

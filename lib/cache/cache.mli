@@ -11,7 +11,10 @@
       lemma corpus, the distributed constraint store and the Merkle
       fingerprints of every distributed output;
     - the sequential-input seeds, once per check: each sequential graph
-      input's mapping set, as fingerprints over the distributed graph;
+      input's mapping set, as fingerprints over the distributed graph.
+      Every candidate seed is hashed, also the ones the search drops as
+      unconnected to what it loads: which ones it keeps is a function of
+      the seeds and the cone;
     - the operator's Merkle fingerprint over the sequential graph
       (op + attributes + transitive input structure and shapes);
     - the operator's own seeds: the mapping sets of its inputs;
@@ -90,9 +93,11 @@ val context :
 
 val key :
   ctx -> seeds:(Tensor.t * Expr.t list) list -> Node.t -> string
-(** The content key for checking operator [v] with the given seeded
-    relation entries ([v]'s input mappings plus the sequential-input
-    mappings — exactly what [Node_rel.compute] loads). The
+(** The content key for checking operator [v] with the given candidate
+    seeds ([v]'s input mappings plus the sequential-input mappings, the
+    list [Node_rel.compute] receives). The search seeds only the entries
+    connected to what it loads, a function of these seeds and the cone,
+    both hashed here, so equal keys mean equal loaded content. The
     sequential-input digest is reused only when [seeds] holds the same
     sequential-input tensors, in the same order, with physically the
     same mapping lists as the call that computed it; otherwise it is

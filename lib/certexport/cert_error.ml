@@ -48,3 +48,7 @@ let names ns =
   let rest = List.length ns - List.length shown in
   String.concat ", " (List.map (fun n -> Sexp.excerpt (Sexp.atom n)) shown)
   ^ if rest > 0 then Fmt.str " and %d more" rest else ""
+
+let excerpt pp x =
+  let s = Fmt.str "%a" pp x and bound = Entangle_ir.Sexp.excerpt_bytes in
+  if String.length s <= bound then s else String.sub s 0 bound ^ "..."

@@ -58,3 +58,9 @@ val names : string list -> string
     renders an atom (so at most 200 bytes), then how many more there
     are: a detail that names tensors of a hostile bundle stays
     bounded. *)
+
+val excerpt : 'a Fmt.t -> 'a -> string
+(** [x] as [pp] prints it, cut after
+    {!Entangle_ir.Sexp.excerpt_bytes} bytes and marked ["..."]: how a
+    detail quotes an expression, a shape or a message built from a
+    hostile bundle. *)

@@ -40,8 +40,10 @@ val check_exprs :
     [in_scope] ([CERT008], naming at most three of the leaves that are
     not, as {!Cert_error.names} does) and every inferred shape is
     provably [target]'s ([CERT009]). [what] and [scope_name] word the
-    detail. {!check} runs it on every relation and operator entry of a
-    bundle, and the certificate cache on every hit. *)
+    detail, which quotes [what], expressions and shapes as
+    {!Cert_error.excerpt} does. {!check} runs it on every relation and
+    operator entry of a bundle, and the certificate cache on every
+    hit. *)
 
 val replay :
   env:Interp.env ->

@@ -277,9 +277,16 @@ let matmul_shape store a b =
     end
     else err "matmul: rank mismatch %d vs %d" ra rb
 
-let reduce_shape shape dim keepdim =
-  let rank = Shape.rank shape in
-  let d = Shape.normalize_axis ~rank dim in
+(* [dim] as an index into a rank-[rank] shape, counting from the end
+   when negative. *)
+let axis what ~rank dim =
+  let j = if dim < 0 then rank + dim else dim in
+  if j < 0 || j >= rank then
+    err "%s: axis %d out of range for rank %d" what dim rank
+  else Ok j
+
+let reduce_shape what shape dim keepdim =
+  let* d = axis what ~rank:(Shape.rank shape) dim in
   if keepdim then Ok (Shape.set_dim shape d Symdim.one)
   else Ok (List.filteri (fun i _ -> i <> d) shape)
 
@@ -298,7 +305,7 @@ let infer_shape store op (inputs : Shape.t list) =
     | (Matmul | Hlo_dot), [ a; b ] -> matmul_shape store a b
     | (Concat { dim } | Hlo_concatenate { dim }), (first :: _ as shapes) ->
         let rank = Shape.rank first in
-        let d = Shape.normalize_axis ~rank dim in
+        let* d = axis (name op) ~rank dim in
         let* () =
           if List.for_all (fun s -> Shape.rank s = rank) shapes then Ok ()
           else err "concat: rank mismatch"
@@ -323,8 +330,7 @@ let infer_shape store op (inputs : Shape.t list) =
         in
         Ok (Shape.set_dim first d total)
     | (Slice { dim; start; stop } | Hlo_slice { dim; start; stop }), [ a ] ->
-        let rank = Shape.rank a in
-        let d = Shape.normalize_axis ~rank dim in
+        let* d = axis (name op) ~rank:(Shape.rank a) dim in
         let size = Shape.dim a d in
         let width = Symdim.sub stop start in
         if Decide.prove_lt store stop start then
@@ -334,8 +340,8 @@ let infer_shape store op (inputs : Shape.t list) =
         else Ok (Shape.set_dim a d width)
     | Transpose { dim0; dim1 }, [ a ] ->
         let rank = Shape.rank a in
-        let d0 = Shape.normalize_axis ~rank dim0 in
-        let d1 = Shape.normalize_axis ~rank dim1 in
+        let* d0 = axis "transpose" ~rank dim0 in
+        let* d1 = axis "transpose" ~rank dim1 in
         let x0 = Shape.dim a d0 and x1 = Shape.dim a d1 in
         Ok (Shape.set_dim (Shape.set_dim a d0 x1) d1 x0)
     | Reshape { shape }, [ a ] -> (
@@ -345,15 +351,13 @@ let infer_shape store op (inputs : Shape.t list) =
             else err "reshape: element counts %a vs %a" Symdim.pp na Symdim.pp nb
         | _ -> Ok shape)
     | Pad { dim; before; after }, [ a ] ->
-        let rank = Shape.rank a in
-        let d = Shape.normalize_axis ~rank dim in
+        let* d = axis "pad" ~rank:(Shape.rank a) dim in
         let size = Shape.dim a d in
         Ok (Shape.set_dim a d (Symdim.add size (Symdim.add before after)))
     | Sum_n, shapes | All_reduce, shapes -> all_same_shape store shapes (name op)
     | Reduce_scatter { dim; index; count }, shapes ->
         let* s = all_same_shape store shapes "reduce_scatter" in
-        let rank = Shape.rank s in
-        let d = Shape.normalize_axis ~rank dim in
+        let* d = axis "reduce_scatter" ~rank:(Shape.rank s) dim in
         let* () =
           if index < 0 || index >= count then
             err "reduce_scatter: index %d out of %d" index count
@@ -366,16 +370,15 @@ let infer_shape store op (inputs : Shape.t list) =
             err "reduce_scatter: dim %a not divisible by %d" Symdim.pp size
               count)
     | All_gather { dim }, (first :: _ as shapes) ->
-        let rank = Shape.rank first in
-        let d = Shape.normalize_axis ~rank dim in
+        let* d = axis "all_gather" ~rank:(Shape.rank first) dim in
         let* _ = all_same_shape store shapes "all_gather" in
         let total = Symdim.mul_int (List.length shapes) (Shape.dim first d) in
         Ok (Shape.set_dim first d total)
     | (Reduce_sum { dim; keepdim } | Reduce_mean { dim; keepdim }
       | Reduce_max { dim; keepdim }), [ a ] ->
-        reduce_shape a dim keepdim
+        reduce_shape (name op) a dim keepdim
     | Softmax { dim }, [ a ] ->
-        let _ = Shape.normalize_axis ~rank:(Shape.rank a) dim in
+        let* _ = axis "softmax" ~rank:(Shape.rank a) dim in
         Ok a
     | Layernorm _, [ x; w; b ] ->
         let* () = expect_rank x 1 "layernorm" in

@@ -108,7 +108,8 @@ val hash : t -> int
 val infer_shape :
   Constraint_store.t -> t -> Shape.t list -> (Shape.t, string) result
 (** Output shape from input shapes, consulting the constraint store for
-    symbolic comparisons. [Error] explains the shape mismatch. *)
+    symbolic comparisons. [Error] explains the shape mismatch, an axis
+    out of range for the rank among them; it never raises. *)
 
 val infer_dtype : t -> Dtype.t list -> (Dtype.t, string) result
 

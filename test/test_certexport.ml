@@ -121,6 +121,39 @@ let expect_code what expected result =
   | Ok _ -> Alcotest.failf "%s: expected %s, got acceptance" what expected
   | Error e -> check Alcotest.string (what ^ " code") expected (code_of_error e)
 
+(* [expect_code], and a detail of at most 1,000 bytes however wide the
+   bundle. *)
+let expect_bounded what expected result =
+  expect_code what expected result;
+  match result with
+  | Ok _ -> ()
+  | Error (e : Cert_error.t) ->
+      if String.length e.Cert_error.detail > 1_000 then
+        Alcotest.failf "%s: a %d-byte detail" what
+          (String.length e.Cert_error.detail)
+
+(* A sequential graph with [n] inputs, each named with 300 bytes and
+   shaped [4] or, [symbolic], over a symbol of its own; only the first
+   feeds the one node [y]. *)
+let wide_gs ?(symbolic = false) n =
+  let b = Graph.Builder.create "wide-seq" in
+  let inputs =
+    List.init n (fun i ->
+        let name = Fmt.str "x%d_%s" i (String.make 300 'x') in
+        let dim =
+          if symbolic then Entangle_symbolic.Symdim.sym ("n" ^ name)
+          else Entangle_symbolic.Symdim.of_int 4
+        in
+        Graph.Builder.input b name [ dim ])
+  in
+  let y = Graph.Builder.add b ~name:"y" Op.Relu [ List.hd inputs ] in
+  Graph.Builder.output b y;
+  Graph.Builder.finish b
+
+(* [concat] along axis 0 of [n] copies of [t]. *)
+let wide_concat n t =
+  Expr.app (Op.Concat { dim = 0 }) (List.init n (fun _ -> Expr.leaf t))
+
 (* SHA-256 of the bundle `entangle cert export <model> --no-cache`
    writes, for every zoo entry that refines. A change that moves a
    verdict, a relation or a certificate changes a digest here; it must
@@ -156,6 +189,34 @@ let cli_bundle name =
     (fun () ->
       Test_cache.run_cli [ "cert"; "export"; name; "--no-cache"; "--out"; out ];
       In_channel.with_open_bin out In_channel.input_all)
+
+(* SHA-256 of the full relation `relation_pin.exe <entry>` prints: the
+   cold-search entries where dropping unconnected seeds saves the most,
+   so relation drift there shows even when every counter holds. *)
+let pinned_relations =
+  [
+    ( "gpt-d8l4",
+      "50d9c517165bb531df17cc878102882bc2d786a14d1e66e65f1dcbba14a9bdfb" );
+    ( "llama-d8l2",
+      "b2e6f3f4e07f1f83ec5e1ecb9bb6bd9ab9f9bfcc1c415fdec6bdb0e396f673bc" );
+    ( "qwen2-d4l2",
+      "f782737db173582d765c02ea9ce58b127f2c4c1dcc1b260351b16601d919b983" );
+    ( "moe-d4",
+      "f98e4472361847d583c2ad3618ce6aad0eb090f1b0ea153950b59a62dae8f100" );
+  ]
+
+(* What `relation_pin.exe <label>` prints, from a process of its own
+   (relation order depends on the tensor ids handed out before the
+   check). *)
+let relation_digest label =
+  let ic =
+    Unix.open_process_args_in "./relation_pin.exe"
+      [| "relation_pin.exe"; label |]
+  in
+  let out = In_channel.input_all ic in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED 0 -> String.trim out
+  | _ -> Alcotest.failf "%s: relation_pin.exe failed" label
 
 (* --- round trip --------------------------------------------------------- *)
 
@@ -217,6 +278,15 @@ let roundtrip_tests =
                     Alcotest.failf "%s: bundle SHA-256 %s is not pinned" name
                       digest))
           Zoo.names);
+    Alcotest.test_case "large cold-search entries keep their pinned relations"
+      `Slow (fun () ->
+        List.iter
+          (fun (label, pinned) ->
+            let digest = relation_digest label in
+            if not (String.equal digest pinned) then
+              Alcotest.failf "%s: relation SHA-256 is %s, pinned %s" label
+                digest pinned)
+          pinned_relations);
     Alcotest.test_case "serialization is deterministic" `Quick (fun () ->
         let b = Lazy.force reference in
         check Alcotest.string "same bytes" (Bundle.to_string b)
@@ -333,6 +403,20 @@ let verifier_tests =
         | Error e -> Alcotest.failf "bound env rejected: %a" Cert_error.pp e);
         expect_code "env stripped" "CERT006"
           (Verify.check (tiny_bundle ~env:[] t)));
+    Alcotest.test_case "5,000 missing names make a bounded CERT006" `Quick
+      (fun () ->
+        let t = tiny () in
+        let bundle ?(env = []) gs =
+          Bundle.make ~producer:"test-wide" ~gs ~gd:t.t_gd ~env ~inputs:[]
+            ~outputs:[]
+            ~operators:
+              [ { Bundle.op_output = "y"; op_mappings = [ Expr.leaf t.t_yd ] } ]
+            ()
+        in
+        expect_bounded "5,000 uncovered inputs" "CERT006"
+          (Verify.check (bundle (wide_gs 5_000)));
+        expect_bounded "5,000 unbound symbols" "CERT006"
+          (Verify.check (bundle (wide_gs ~symbolic:true 5_000))));
     Alcotest.test_case "unclean mapping expression is CERT007" `Quick
       (fun () ->
         let t = tiny () in
@@ -345,6 +429,12 @@ let verifier_tests =
                       [ Expr.app Op.Add [ Expr.leaf t.t_yd; Expr.leaf t.t_yd ] ]
                     );
                   ]
+                t));
+        expect_bounded "exp of a 5,000-leaf concat" "CERT007"
+          (Verify.check
+             (tiny_bundle
+                ~outputs:
+                  [ (t.t_y, [ Expr.app Op.Exp [ wide_concat 5_000 t.t_yd ] ]) ]
                 t)));
     Alcotest.test_case "out-of-scope leaf is CERT008" `Quick (fun () ->
         let t = tiny () in
@@ -368,17 +458,8 @@ let verifier_tests =
             ~outputs:[ (t.t_y, [ Expr.app (Op.Concat { dim = 0 }) ghosts ]) ]
             t
         in
-        let bounded what = function
-          | Ok _ -> Alcotest.failf "%s: accepted" what
-          | Error (e : Cert_error.t) ->
-              check Alcotest.string (what ^ " code") "CERT008"
-                (code_of_error e);
-              if String.length e.Cert_error.detail > 1_000 then
-                Alcotest.failf "%s: a %d-byte detail" what
-                  (String.length e.Cert_error.detail)
-        in
-        bounded "5,000 fabricated leaves" (Verify.check wide);
-        bounded "5,000 unknown names in bundle text"
+        expect_bounded "5,000 fabricated leaves" "CERT008" (Verify.check wide);
+        expect_bounded "5,000 unknown names in bundle text" "CERT008"
           (Bundle.of_string (Bundle.to_string wide)));
     Alcotest.test_case "an axis out of range is CERT009, not an exception"
       `Quick (fun () ->
@@ -401,7 +482,12 @@ let verifier_tests =
         let t = tiny () in
         expect_code "output mapped to the shape-[8] concat" "CERT009"
           (Verify.check
-             (tiny_bundle ~outputs:[ (t.t_y, [ Expr.leaf t.t_wd ]) ] t)));
+             (tiny_bundle ~outputs:[ (t.t_y, [ Expr.leaf t.t_wd ]) ] t));
+        expect_bounded "output mapped to a 5,000-leaf concat" "CERT009"
+          (Verify.check
+             (tiny_bundle
+                ~outputs:[ (t.t_y, [ wide_concat 5_000 t.t_yd ]) ]
+                t)));
     Alcotest.test_case "replicating incompatible inputs is CERT009" `Quick
       (fun () ->
         (* The input relation unions distributed inputs that appear as

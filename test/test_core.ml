@@ -336,9 +336,125 @@ let certify_tests =
           ]);
   ]
 
+(* --- seed relatedness ---------------------------------------------------- *)
+
+(* [Node_rel.related_seeds] on hand-made entries: sequential tensors
+   [x] (an input of the operator), [w], [u] and [z], each mapped over
+   distributed tensors, with [b] the one tensor the loaded nodes
+   hold. *)
+let seed_tests =
+  let t name = Tensor.create ~name [ sd 4 ] in
+  let x = t "x" and w = t "w" and u = t "u" and z = t "z" in
+  let a = t "a" and b = t "b" and c = t "c" and d = t "d" and e = t "e" in
+  let cat ts = Expr.app (Op.Concat { dim = 0 }) (List.map Expr.leaf ts) in
+  let names seeds = List.map (fun (t, _) -> Tensor.name t) seeds in
+  let select ?(inputs = [ x ]) ?(held = [ b ]) seeds =
+    names
+      (Entangle.Node_rel.related_seeds ~inputs
+         ~held:(Tensor.Set.of_list held) seeds)
+  in
+  (* [u] reaches the loaded part only through [c], a leaf of the
+     directly connected [w]; it comes first, so a single pass in list
+     order does not reach it either. *)
+  let seeds =
+    [
+      (u, [ cat [ c; d ] ]);
+      (x, [ Expr.leaf a ]);
+      (z, [ Expr.leaf e; cat [ e; e ] ]);
+      (w, [ cat [ b; c ] ]);
+    ]
+  in
+  (* The definition, as a fixpoint over the set of reached tensors: the
+     reference the linear walk must agree with. *)
+  let reference ~inputs ~held seeds =
+    let leaves (t, es) = t :: List.concat_map Expr.leaves es in
+    let touches reached e =
+      List.exists (fun l -> Tensor.Set.mem l reached) (leaves e)
+    in
+    let rec grow reached =
+      let next =
+        List.fold_left
+          (fun acc e ->
+            if touches acc e then
+              List.fold_left (Fun.flip Tensor.Set.add) acc (leaves e)
+            else acc)
+          reached seeds
+      in
+      if Tensor.Set.equal next reached then reached else grow next
+    in
+    let reached = grow (Tensor.Set.union held (Tensor.Set.of_list inputs)) in
+    List.filter (touches reached) seeds
+  in
+  let seq = Array.init 8 (fun i -> t (Fmt.str "s%d" i)) in
+  let dist = Array.init 10 (fun i -> t (Fmt.str "d%d" i)) in
+  let gen =
+    let open QCheck.Gen in
+    let pick arr = map (Array.get arr) (int_bound (Array.length arr - 1)) in
+    let mapping = map cat (list_size (int_range 1 3) (pick dist)) in
+    let entry i =
+      map (fun es -> (seq.(i), es)) (list_size (int_range 1 2) mapping)
+    in
+    let* n = int_range 0 (Array.length seq) in
+    let* seeds = flatten_l (List.init n entry) in
+    let* inputs = list_size (int_bound 2) (pick seq) in
+    let* held = list_size (int_bound 3) (pick dist) in
+    return (inputs, held, seeds)
+  in
+  let print (inputs, held, seeds) =
+    Fmt.str "inputs %s, held %s, seeds %s"
+      (String.concat " " (List.map Tensor.name inputs))
+      (String.concat " " (List.map Tensor.name held))
+      (String.concat "; "
+         (List.map
+            (fun (t, es) ->
+              Tensor.name t ^ " -> "
+              ^ String.concat ", " (List.map Expr.to_string es))
+            seeds))
+  in
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"related seeds agree with the fixpoint"
+         ~count:1000
+         (QCheck.make ~print gen)
+         (fun (inputs, held, seeds) ->
+           let held = Tensor.Set.of_list held in
+           names (Entangle.Node_rel.related_seeds ~inputs ~held seeds)
+           = names (reference ~inputs ~held seeds)));
+    Alcotest.test_case "an input of the operator is kept" `Quick (fun () ->
+        check
+          Alcotest.(list string)
+          "x alone" [ "x" ]
+          (select ~held:[] [ (x, [ Expr.leaf a ]); (z, [ Expr.leaf e ]) ]));
+    Alcotest.test_case "an entry over a loaded tensor is kept" `Quick
+      (fun () ->
+        check
+          Alcotest.(list string)
+          "w through b" [ "w" ]
+          (select ~inputs:[] [ (z, [ Expr.leaf e ]); (w, [ cat [ b; c ] ]) ]));
+    Alcotest.test_case "the closure keeps an entry joined through a kept one"
+      `Quick (fun () ->
+        check
+          Alcotest.(list string)
+          "u through w's leaf c, in seed order" [ "u"; "x"; "w" ]
+          (select seeds));
+    Alcotest.test_case "an entry joined to nothing loaded is dropped" `Quick
+      (fun () ->
+        check
+          Alcotest.(list string)
+          "z dropped" [ "x"; "w" ]
+          (select
+             [
+               (x, [ Expr.leaf a ]); (z, [ Expr.leaf e ]); (w, [ cat [ b; c ] ]);
+             ]);
+        check
+          Alcotest.(list string)
+          "nothing loaded, nothing kept" [] (select ~inputs:[] ~held:[] seeds));
+  ]
+
 let suite =
   [
     ("core.relation", relation_tests);
+    ("core.seeds", seed_tests);
     ("core.refine", refine_tests);
     ("core.expectation", expectation_tests);
     ("core.certify", certify_tests);
