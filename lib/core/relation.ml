@@ -35,10 +35,7 @@ let cardinal t = Tensor.Map.cardinal t
 let tensors_in_range t =
   Tensor.Map.fold
     (fun _ exprs acc ->
-      List.fold_left
-        (fun acc e ->
-          List.fold_left (fun acc l -> Tensor.Set.add l acc) acc (Expr.leaves e))
-        acc exprs)
+      List.fold_left (Expr.fold_leaves (Fun.flip Tensor.Set.add)) acc exprs)
     t Tensor.Set.empty
 
 let restrict t pred = Tensor.Map.filter (fun tensor _ -> pred tensor) t
