@@ -471,23 +471,7 @@ let verify_cmd =
   let run opts model degree layers =
     Output_opts.with_sink opts (fun sink ->
         let config = Output_opts.config opts sink in
-        let inst =
-          match String.lowercase_ascii model with
-          | "gpt" -> Some (Gpt.build ~layers ~degree ())
-          | "llama" | "llama-3" | "llama3" ->
-              Some (Llama.build ~layers ~degree ())
-          | "qwen2" | "qwen" -> Some (Qwen2.build ~layers ~degree ())
-          | "bytedance" | "moe" -> Some (Moe.build ~degree ~layers ())
-          | "bytedance-bwd" | "moe-bwd" -> Some (Moe.build_backward ~degree ())
-          | "regression" -> Some (Regression.build ~microbatches:degree ())
-          | "linear-bwd" -> Some (Train.linear_backward ~degree ())
-          | "dp" | "data-parallel" ->
-              Some (Train.data_parallel ~replicas:degree ())
-          | "pipeline" | "pp" ->
-              Some (Train.pipeline ~microbatches:degree ~layers ())
-          | _ -> None
-        in
-        match inst with
+        match Zoo.by_name ~degree ~layers model with
         | Some inst -> (
             match opts.Output_opts.remote with
             | Some socket -> remote_check_instance opts socket inst

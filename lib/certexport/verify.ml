@@ -231,20 +231,29 @@ let replay_exn ~env ~gs ~gd ~inputs ~outputs =
       (Ok []) (Graph.inputs gd)
   in
   let gd_inputs = List.rev gd_inputs in
+  (* Bindings by tensor, the first of each kept, as a scan finds it. *)
+  let table bindings =
+    List.fold_left
+      (fun m (t, x) ->
+        Tensor.Map.update t (function None -> Some x | old -> old) m)
+      Tensor.Map.empty bindings
+  in
+  let drawn = table gd_inputs in
   let lookup_gd_input t =
-    match List.find_opt (fun (u, _) -> Tensor.equal t u) gd_inputs with
-    | Some (_, v) -> v
+    match Tensor.Map.find_opt t drawn with
+    | Some v -> v
     | None -> invalid_arg (Fmt.str "%a is not a gd input" Tensor.pp t)
   in
+  let input_mappings = table inputs in
   let* gs_inputs =
     List.fold_left
       (fun acc t ->
         let* acc = acc in
-        match List.find_opt (fun (u, _) -> Tensor.equal t u) inputs with
-        | None | Some (_, []) ->
+        match Tensor.Map.find_opt t input_mappings with
+        | None | Some [] ->
             err E.Incomplete "input relation misses gs input %s"
               (name (Tensor.name t))
-        | Some (_, expr :: rest) ->
+        | Some (expr :: rest) ->
             let value = Interp.eval_expr env lookup_gd_input expr in
             let consistent =
               List.for_all
@@ -267,6 +276,7 @@ let replay_exn ~env ~gs ~gd ~inputs ~outputs =
     | Some v -> v
     | None -> invalid_arg (Fmt.str "%a not computed in gd" Tensor.pp t)
   in
+  let output_mappings = table outputs in
   (* Accumulate every failing output expression (bounded), rather than
      stopping at the first. *)
   let mismatches = ref [] in
@@ -275,11 +285,11 @@ let replay_exn ~env ~gs ~gd ~inputs ~outputs =
     List.fold_left
       (fun acc output ->
         let* () = acc in
-        match List.find_opt (fun (u, _) -> Tensor.equal output u) outputs with
-        | None | Some (_, []) ->
+        match Tensor.Map.find_opt output output_mappings with
+        | None | Some [] ->
             err E.Incomplete "output relation misses %s"
               (name (Tensor.name output))
-        | Some (_, exprs) ->
+        | Some exprs ->
             let expected = Tensor.Map.find output vs in
             List.iter
               (fun expr ->

@@ -43,11 +43,10 @@ let with_cache_namespace cache_namespace t = { t with cache_namespace }
 
 (* What the certificate cache must key on: every configuration field
    that can change which mappings the per-operator search finds or
-   whether saturation completes. Wall-clock and heap budgets are
-   excluded on purpose — exhausting them yields an [Inconclusive]
-   verdict, which is never cached, so they cannot change a cached
-   outcome. [keep_going] and [trace] do not influence the search
-   either. *)
+   whether saturation completes. Wall-clock budgets are excluded on
+   purpose — a search one stops is never cached, so they cannot change
+   a cached outcome. [keep_going] and [trace] do not influence the
+   search either. *)
 let search_fingerprint t =
   Fmt.str "search/2;frontier=%b;iters=%d;nodes=%d;classes=%d;esc=%s"
     t.frontier_optimization t.limits.Runner.max_iterations

@@ -40,8 +40,9 @@ type t = {
   escalation : int list;
       (** The escalation ladder: how to re-run an operator whose first
           attempt came back {e inconclusive} (a budget tripped before
-          either a mapping or saturation). Each rung is a factor that
-          multiplies the discrete saturation budgets
+          either a mapping or saturation, or before a graph output was
+          mapped to a distributed graph output). Each rung is a factor
+          that multiplies the discrete saturation budgets
           (iterations/nodes/classes, {!Runner.scale_limits}) and gets
           a fresh per-operator deadline allowance (clamped by the
           whole-check deadline).
@@ -96,6 +97,5 @@ val search_fingerprint : t -> string
 (** A stable rendering of every field that can change what the
     per-operator search finds (frontier toggle, discrete limits,
     escalation ladder) — part of every certificate-cache key, so
-    changing any such knob soundly invalidates. Wall-clock/heap budgets
-    are excluded: they can only produce [Inconclusive] verdicts, which
-    are never cached. *)
+    changing any such knob soundly invalidates. Wall-clock budgets are
+    excluded: {!Refine.check} caches no search that a budget stopped. *)

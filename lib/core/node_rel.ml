@@ -59,15 +59,7 @@ let related_seeds ~inputs ~held seeds =
 let compute ~config ?deadline ~sink ~rules ~gd ~relation ~seeds v =
   let store = Graph.constraints gd in
   let g = Egraph.create ~constraints:store () in
-  let limits =
-    let l = config.Config.limits in
-    (* Merge the caller's absolute deadline with any already in the
-       configured limits; the runner checks the earlier of the two. *)
-    match (l.Runner.deadline, deadline) with
-    | _, None -> l
-    | None, Some d -> { l with Runner.deadline = Some d }
-    | Some a, Some b -> { l with Runner.deadline = Some (Float.min a b) }
-  in
+  let limits = config.Config.limits in
   (* Base expression: v applied to its (sequential) input tensors. *)
   let input_ids = List.map (Egraph.add_leaf g) (Node.inputs v) in
   let base = Egraph.add_op g (Node.op v) input_ids in
@@ -111,20 +103,15 @@ let compute ~config ?deadline ~sink ~rules ~gd ~relation ~seeds v =
         (related_seeds ~inputs:(Node.inputs v) ~held seeds);
       Egraph.rebuild g;
       let is_gd = Graph.mem_tensor gd in
-      let round_limits =
-        { limits with Runner.max_iterations = 1 }
-      in
       (* One scheduler state for all of this operator's rounds: the
-         per-rule last-search generations survive across the
-         one-iteration [Runner.run] calls below, so every round after
-         the first re-matches only classes dirtied since the rule's
-         previous search. *)
+         per-rule last-search generations survive across the steps
+         below, so every round after the first re-matches only classes
+         dirtied since the rule's previous search. *)
       let state = Runner.create_state rules in
       let rounds_used = ref 0 in
-      let one_round ~confirm =
+      let round ~confirm =
         incr rounds_used;
-        Runner.run ~limits:round_limits ~confirm_saturation:confirm ~sink
-          ~state g (Runner.rules rules)
+        (Runner.step ~sink ?deadline ~limits ~confirm state g).Runner.outcome
       in
       let have_mapping () =
         Option.is_some (Extract.best_clean g ~leaf_ok:is_gd base)
@@ -167,66 +154,36 @@ let compute ~config ?deadline ~sink ~rules ~gd ~relation ~seeds v =
          number can grow combinatorially. The two settling rounds let
          simpler or output-grounded forms appear.
 
+         A round's step does not pay for the cool-down. When it merged
+         nothing and left candidates unexamined, a clean mapping in
+         hand ends the search: the deferred constrained rules could
+         only ratify equalities between existing terms — more
+         alternative forms, not new reachability. Without a mapping, a
+         confirming step runs the cool-down: the constrained rules may
+         be exactly what unblocks the derivation, and only a confirmed
+         fixpoint justifies reporting failure.
+
          The return value is why the loop stopped: [Some b] when budget
-         [b] ran out before a mapping or saturation (the inconclusive
-         outcome escalation retries), [None] otherwise. Per-round
-         reports trip [Iterations] by construction (round limits cap
-         each run at one iteration), so only the loop-level round count
-         maps to [Iterations]; growth, deadline and heap trips are
-         taken from the runner's report. *)
-      let deadline_passed () =
-        match limits.Runner.deadline with
-        | Some d -> Unix.gettimeofday () > d
-        | None -> false
-      in
-      let hard_trip (r : Runner.report) =
-        match r.Runner.tripped with
-        | Some (Runner.Nodes | Runner.Classes | Runner.Deadline | Runner.Heap)
-          ->
-            r.Runner.tripped
-        | Some Runner.Iterations | None -> None
-      in
+         [b] ran out, mapped or not, [None] when it saturated, settled
+         on a mapping, or confirmed that none is derivable. *)
       let rec saturate_rounds settling =
         if !rounds_used >= limits.Runner.max_iterations then
           Some Runner.Iterations
-        else if Egraph.num_nodes g > limits.Runner.max_nodes then
-          Some Runner.Nodes
-        else if deadline_passed () then Some Runner.Deadline
-        else begin
-          let report = one_round ~confirm:false in
+        else
+          let outcome = round ~confirm:false in
           let mapped = have_mapping () in
-          if report.Runner.saturated then None
-          else if mapped && settling <= 0 then None
-          else
-            match hard_trip report with
-            | Some b -> if mapped then None else Some b
-            | None ->
-                if report.Runner.unions = 0 then begin
-                  (* Fixpoint candidate handed back unconfirmed (see
-                     {!Runner.run} [confirm_saturation]). With a clean
-                     mapping already in hand, the deferred constrained
-                     rules could only ratify equalities between existing
-                     terms — more alternative forms, not new
-                     reachability — so stop here and keep the cool-down
-                     unpaid. Without a mapping, ask for confirmation:
-                     the constrained rules may be exactly what unblocks
-                     the derivation, and only a confirmed [saturated]
-                     justifies reporting failure. *)
-                  if mapped then None
-                  else begin
-                    let report2 = one_round ~confirm:true in
-                    if report2.Runner.saturated then None
-                    else
-                      match hard_trip report2 with
-                      | Some b ->
-                          if have_mapping () then None else Some b
-                      | None ->
-                          if report2.Runner.unions = 0 then None
-                          else saturate_rounds settling
-                  end
-                end
-                else saturate_rounds (if mapped then settling - 1 else settling)
-        end
+          match outcome with
+          | Runner.Tripped b -> Some b
+          | Runner.Saturated -> None
+          | _ when mapped && settling <= 0 -> None
+          | Runner.Merged ->
+              saturate_rounds (if mapped then settling - 1 else settling)
+          | Runner.Unconfirmed when mapped -> None
+          | Runner.Unconfirmed -> (
+              match round ~confirm:true with
+              | Runner.Tripped b -> Some b
+              | Runner.Merged -> saturate_rounds settling
+              | Runner.Saturated | Runner.Unconfirmed -> None)
       in
       Sink.span_begin sink ~cat:"phase" "saturate";
       let exhausted = saturate_rounds 2 in

@@ -17,9 +17,11 @@ type outcome = {
   output_mappings : Expr.t list;
       (** clean expressions over distributed {e graph outputs} only *)
   exhausted : Runner.budget option;
-      (** [Some b] when the saturation loop stopped because budget [b]
-          ran out (rounds, e-graph growth, wall clock, heap) rather
-          than because it saturated or found a mapping. Empty
+      (** [Some b] when budget [b] (rounds, e-graph growth, wall clock)
+          stopped the saturation loop, whether or not a mapping had
+          been found: the mappings are then what the budget left, and
+          are not definitive. [None] when the loop saturated, settled
+          on a mapping, or confirmed that none is derivable. Empty
           [mappings] with [exhausted = None] means the search
           saturated: a clean relation is provably absent under the
           given rules. Empty [mappings] with [Some b] is merely
@@ -53,8 +55,8 @@ val compute :
     of what the key hashes, so equal keys still load equal content.
 
     [deadline] is an absolute wall-clock bound ([Unix.gettimeofday]
-    scale) merged into the per-round runner limits and checked between
-    rounds; tripping it reports [exhausted = Some Deadline].
+    scale) passed to every {!Runner.step}; tripping it reports
+    [exhausted = Some Deadline].
 
     [sink] receives the per-operator phase spans ([frontier]/[load],
     [saturate], [extract]), per-wave frontier-growth instants and a

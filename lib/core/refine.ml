@@ -353,7 +353,14 @@ let check ?(config = Config.default) ?rules ~gs ~gd ~input_relation () =
       match attempt scale with
       | Error verdict -> `Fail verdict
       | Ok o ->
-          if o.Node_rel.mappings <> [] then `Found o
+          (* A graph output that a budget-stopped search mapped, but
+             not to an output of [gd], is as open as no mapping. *)
+          let cut_short =
+            o.Node_rel.exhausted <> None
+            && Graph.is_output gs (Node.output v)
+            && o.Node_rel.output_mappings = []
+          in
+          if o.Node_rel.mappings <> [] && not cut_short then `Found o
           else (
             match o.Node_rel.exhausted with
             | None ->
@@ -409,19 +416,16 @@ let check ?(config = Config.default) ?rules ~gs ~gd ~input_relation () =
   in
   (* Cache wrapper around the search: exact-key lookup, certificate
      replay on a hit, population on a miss. Only definitive outcomes
-     are stored: a mapping set, or provable absence at saturation.
-     [Inconclusive]/[Internal] say nothing about the model and are
-     never cached. *)
+     are stored: a mapping set from a search no budget stopped, or
+     provable absence at saturation. What a budget cut short depends on
+     it (a wall-clock one differs from run to run, and is not in the
+     key); [Inconclusive]/[Internal] say nothing about the model. None
+     of these is cached. *)
   let store_entry ctx key = function
-    | `Found (o : Node_rel.outcome) ->
-        Cache.put ctx ~key
-          (Cache.Mapped
-             {
-               mappings = o.Node_rel.mappings;
-               output_mappings = o.Node_rel.output_mappings;
-             })
+    | `Found { Node_rel.mappings; output_mappings; exhausted = None } ->
+        Cache.put ctx ~key (Cache.Mapped { mappings; output_mappings })
     | `Absent -> Cache.put ctx ~key Cache.Unmapped
-    | `Fail _ -> ()
+    | `Found _ | `Fail _ -> ()
   in
   let check_operator v relation =
     let seeds = seeds_of v relation in

@@ -39,8 +39,8 @@ type stats = {
       (** escalation attempts taken beyond first tries (see
           {!Config.t.escalation}) *)
   budget_trips : int;
-      (** per-operator saturation loops stopped by an exhausted budget
-          rather than saturation or success *)
+      (** per-operator saturation loops stopped by an exhausted budget,
+          whether or not they had found a mapping *)
   cache_hits : int;
       (** operators answered by certificate-cache replay instead of a
           fresh search (0 unless [config.Config.cache] is set) *)
@@ -156,12 +156,15 @@ val check :
     {!Entangle_analysis.Graph_check} well-formedness pass.
 
     Budgets: besides the per-operator saturation limits
-    ([config.Config.limits], now including an optional wall-clock
-    deadline and heap-word ceiling), [config.Config.op_deadline_s]
-    bounds each operator attempt and [config.Config.check_deadline_s]
-    bounds the whole call. All are checked cooperatively (per
-    saturation iteration / operator boundary): tripping one yields an
-    {!Inconclusive} verdict, never a hang or a kill.
+    ([config.Config.limits]: iterations, nodes, classes),
+    [config.Config.op_deadline_s] bounds each operator attempt and
+    [config.Config.check_deadline_s] bounds the whole call. All are
+    checked cooperatively (per saturation iteration / operator
+    boundary): tripping one yields an {!Inconclusive} verdict, never a
+    hang or a kill. A search a budget stopped after mapping the
+    operator's output (to a distributed graph output, when the output
+    is a graph output) still counts; one that left no mapping, or left
+    a graph output unexposed, is inconclusive.
 
     Escalation: when an operator comes back inconclusive, it is retried
     along [config.Config.escalation] (each rung scales the limits)
@@ -180,9 +183,10 @@ val check :
     looked up first. A hit replays the stored certificate (re-validated
     structurally and by shape inference) with zero saturation work; a
     miss searches and populates the store. Only definitive outcomes
-    (mappings, or provable absence at saturation) are cached —
-    {!Inconclusive} and {!Internal} never are — so verdicts are
-    unchanged, cached or not. Cache activity shows up as [cat:"cache"]
+    (mappings from a search no budget stopped, or provable absence at
+    saturation) are cached — budget-stopped searches, {!Inconclusive}
+    and {!Internal} never are — so verdicts are unchanged, cached or
+    not. Cache activity shows up as [cat:"cache"]
     trace events, in [stats], and per-operator in [cache_provenance].
 
     Diagnostics flow through [config.Config.trace]

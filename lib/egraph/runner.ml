@@ -1,35 +1,18 @@
-type budget = Iterations | Nodes | Classes | Deadline | Heap
+type budget = Iterations | Nodes | Classes | Deadline
 
 let budget_name = function
   | Iterations -> "iterations"
   | Nodes -> "nodes"
   | Classes -> "classes"
   | Deadline -> "deadline"
-  | Heap -> "heap"
 
-type limits = {
-  max_iterations : int;
-  max_nodes : int;
-  max_classes : int;
-  deadline : float option;
-  max_heap_words : int option;
-}
+type limits = { max_iterations : int; max_nodes : int; max_classes : int }
 
 let default_limits =
-  {
-    max_iterations = 30;
-    max_nodes = 20_000;
-    max_classes = 10_000;
-    deadline = None;
-    max_heap_words = None;
-  }
+  { max_iterations = 30; max_nodes = 20_000; max_classes = 10_000 }
 
-(* Escalation rungs scale the discrete budgets; the wall-clock deadline
-   is an absolute timestamp and is re-derived per attempt by the caller,
-   so it is left untouched here. *)
 let scale_limits k l =
   {
-    l with
     max_iterations = l.max_iterations * k;
     max_nodes = l.max_nodes * k;
     max_classes = l.max_classes * k;
@@ -44,6 +27,9 @@ type report = {
   unions : int;
   tripped : budget option;
 }
+
+type outcome = Merged | Saturated | Unconfirmed | Tripped of budget
+type iteration = { outcome : outcome; matches : int; unions : int }
 
 (* Root operator family of a rule's left-hand side, used to index rules
    so matching skips classes that contain no node of that family. *)
@@ -93,14 +79,13 @@ let index rules =
   in
   { rules; entries = Array.of_list (List.map entry rules) }
 
-(* Per-rule scheduling state, persistent across [run] calls so drivers
-   that saturate one iteration at a time (Node_rel) still match
-   incrementally between rounds. Each array holds one slot per rule,
-   at the rule's position in the rule list, NOT keyed by its name: rule
-   names are shared across a lemma's arity variants and directions, and
-   aliasing their scheduling state would make every variant after the
-   first see an empty dirty set on its (supposedly full) first
-   search. *)
+(* Per-rule scheduling state, persistent across [step] calls so a
+   driver's later steps match incrementally. Each array holds one slot
+   per rule, at the rule's position in the rule list, NOT keyed by its
+   name: rule names are shared across a lemma's arity variants and
+   directions, and aliasing their scheduling state would make every
+   variant after the first see an empty dirty set on its (supposedly
+   full) first search. *)
 type state = {
   match_limit : int;
   ban_length : int;
@@ -119,7 +104,7 @@ type state = {
           equivalent to a full one: the application is what is global
           (a [Check_only] target may have materialized anywhere since),
           not the matching. *)
-  mutable iteration : int;  (** global iteration counter across runs *)
+  mutable iteration : int;  (** passes run so far, across steps *)
 }
 
 let create_state ?(match_limit = 1000) ?(ban_length = 5) index =
@@ -430,43 +415,17 @@ let pass ~limits ~sink ~split st g ~full =
 let unban_all st =
   Array.fill st.banned_until 0 (Array.length st.banned_until) 0
 
-let run ?(limits = default_limits) ?(confirm_saturation = true)
-    ?(sink = Sink.null) ?invariant_check ?state g rules =
-  let st =
-    match state with
-    | None -> create_state (index rules)
-    | Some st ->
-        let own = st.index.rules in
-        if not (own == rules || List.equal ( == ) own rules) then
-          invalid_arg "Runner.run: the state indexes another rule list";
-        st
-  in
-  let matches_total = ref 0 and unions_total = ref 0 in
-  let finish ?tripped iter saturated =
-    {
-      iterations = iter;
-      saturated;
-      nodes = Egraph.num_nodes g;
-      classes = Egraph.num_classes g;
-      matches = !matches_total;
-      unions = !unions_total;
-      tripped;
-    }
-  in
-  (* Cooperative budget check, once per iteration (plus once before the
-     first): discrete growth caps, then the wall clock, then the major
-     heap. [Gc.quick_stat] reads cached counters, so the heap probe does
-     not itself walk the heap. *)
+let step ?(sink = Sink.null) ?invariant_check ?deadline ~limits ~confirm st g
+    =
+  (* Cooperative budget check, before the pass and again after a pass
+     that merged nothing: discrete growth caps, then the wall clock. *)
   let budget_tripped () =
     if Egraph.num_nodes g > limits.max_nodes then Some Nodes
     else if Egraph.num_classes g > limits.max_classes then Some Classes
     else
-      match limits.deadline with
+      match deadline with
       | Some d when Unix.gettimeofday () > d -> Some Deadline
-      | _ -> (
-          match limits.max_heap_words with
-          | Some h when (Gc.quick_stat ()).Gc.heap_words > h -> Some Heap
-          | _ -> None)
+      | _ -> None
   in
   let settle split =
     let t0 = clock split ~work:true in
@@ -474,12 +433,11 @@ let run ?(limits = default_limits) ?(confirm_saturation = true)
     lap split ~work:true t0 (fun sp dt -> sp.rebuild_s <- sp.rebuild_s +. dt);
     match invariant_check with Some f -> f g | None -> ()
   in
-  (* One span per iteration of the main loop (the scheduled pass plus,
-     when it produced a fixpoint candidate, the cool-down pass run in
-     the same iteration), closed with the iteration's totals and its
-     {!split} plus an e-graph growth sample — the trace counterpart of
-     [report]. *)
-  let end_iteration ~cooldown ~split p extra_matches extra_hits =
+  (* One span per step (the scheduled pass plus, when it produced a
+     fixpoint candidate and [confirm] is set, the cool-down pass run in
+     the same iteration), closed with the step's totals and its
+     {!split} plus an e-graph growth sample. *)
+  let end_iteration ~cooldown ~split ~matches p =
     match split with
     | None -> ()
     | Some sp ->
@@ -492,8 +450,8 @@ let run ?(limits = default_limits) ?(confirm_saturation = true)
         Sink.span_end sink "iteration" ~cat:"iteration"
           ~args:
             [
-              ("matches", Event.Int (p.p_matches + extra_matches));
-              ("unions", Event.Int (p.p_hits + extra_hits));
+              ("matches", Event.Int matches);
+              ("unions", Event.Int p.p_hits);
               ("rules_searched", Event.Int p.p_searched);
               ("full_searches", Event.Int p.p_full);
               ("delta_searches", Event.Int p.p_delta);
@@ -510,13 +468,9 @@ let run ?(limits = default_limits) ?(confirm_saturation = true)
                   (int_of_float (Gc.minor_words () -. sp.minor_words0)) );
             ]
   in
-  let rec go iter =
-    match
-      if iter >= limits.max_iterations then Some Iterations
-      else budget_tripped ()
-    with
-    | Some b -> finish ~tripped:b iter false
-    | None -> begin
+  match budget_tripped () with
+  | Some b -> { outcome = Tripped b; matches = 0; unions = 0 }
+  | None -> (
       let split =
         if Sink.enabled sink then begin
           Sink.span_begin sink "iteration" ~cat:"iteration"
@@ -533,66 +487,95 @@ let run ?(limits = default_limits) ?(confirm_saturation = true)
       in
       let p = pass ~limits ~sink ~split st g ~full:false in
       settle split;
-      matches_total := !matches_total + p.p_matches;
-      unions_total := !unions_total + p.p_hits;
       Log.debug (fun m ->
           m "iteration %d: %d matches, %d unions, %d nodes, %d classes"
             st.iteration p.p_matches p.p_hits (Egraph.num_nodes g)
             (Egraph.num_classes g));
-      let over_budget = budget_tripped in
       st.iteration <- st.iteration + 1;
-      if p.p_hits > 0 then begin
-        end_iteration ~cooldown:false ~split p 0 0;
-        go (iter + 1)
-      end
+      let ended outcome =
+        end_iteration ~cooldown:false ~split ~matches:p.p_matches p;
+        { outcome; matches = p.p_matches; unions = p.p_hits }
+      in
+      if p.p_hits > 0 then ended Merged
       else
-      match over_budget () with
-      | Some b ->
-        end_iteration ~cooldown:false ~split p 0 0;
-        finish ~tripped:b (iter + 1) false
-      | None ->
-      if p.p_complete then begin
-        (* Every rule searched every candidate class and nothing
-           merged: a genuine fixpoint. *)
-        end_iteration ~cooldown:false ~split p 0 0;
-        finish (iter + 1) true
-      end
-      else if not confirm_saturation then begin
-        (* Fixpoint candidate, but the caller declined to pay for
-           confirmation: deferred constrained rules and banned rules
-           have not had their full pass, so report [saturated = false]
-           and hand the candidate back. A union-free non-saturated
-           report is the driver's cue to either stop (it already has
-           the answer it was saturating for) or call again with
-           confirmation on. *)
-        end_iteration ~cooldown:false ~split p 0 0;
-        finish (iter + 1) false
-      end
-      else begin
-        (* No unions from the scheduled (incremental, ban-throttled)
-           pass: a fixpoint candidate. Before declaring saturation,
-           lift every ban and run a cool-down pass — the constrained
-           rules fire over their complete match set (whose Check_only
-           targets can appear anywhere without dirtying the matched
-           class) and everything else catches up incrementally. Only an
-           empty complete cool-down is a genuine fixpoint. *)
-        Sink.instant sink "cooldown" ~cat:"iteration";
-        unban_all st;
-        let p2 = pass ~limits ~sink ~split st g ~full:true in
-        settle split;
-        matches_total := !matches_total + p2.p_matches;
-        unions_total := !unions_total + p2.p_hits;
-        Log.debug (fun m ->
-            m "iteration %d (cool-down): %d matches, %d unions"
-              st.iteration p2.p_matches p2.p_hits);
-        st.iteration <- st.iteration + 1;
-        end_iteration ~cooldown:true ~split p2 p.p_matches p.p_hits;
-        match over_budget () with
-        | Some b -> finish ~tripped:b (iter + 1) false
+        match budget_tripped () with
+        | Some b -> ended (Tripped b)
+        | None when p.p_complete ->
+            (* Every rule searched every candidate class and nothing
+               merged: a genuine fixpoint. *)
+            ended Saturated
+        | None when not confirm ->
+            (* A fixpoint candidate the caller declined to confirm:
+               deferred constrained rules and banned rules have not had
+               their full pass. *)
+            ended Unconfirmed
         | None ->
-            if p2.p_hits = 0 then finish (iter + 1) p2.p_complete
-            else go (iter + 1)
-      end
-    end
+            (* No unions from the scheduled (incremental, ban-throttled)
+               pass: a fixpoint candidate. Before declaring saturation,
+               lift every ban and run a cool-down pass — the constrained
+               rules fire over their complete match set (whose
+               Check_only targets can appear anywhere without dirtying
+               the matched class) and everything else catches up
+               incrementally. Only an empty complete cool-down is a
+               genuine fixpoint. *)
+            Sink.instant sink "cooldown" ~cat:"iteration";
+            unban_all st;
+            let p2 = pass ~limits ~sink ~split st g ~full:true in
+            settle split;
+            Log.debug (fun m ->
+                m "iteration %d (cool-down): %d matches, %d unions"
+                  st.iteration p2.p_matches p2.p_hits);
+            st.iteration <- st.iteration + 1;
+            let matches = p.p_matches + p2.p_matches in
+            end_iteration ~cooldown:true ~split ~matches p2;
+            let outcome =
+              match budget_tripped () with
+              | Some b -> Tripped b
+              | None when p2.p_hits > 0 -> Merged
+              | None when p2.p_complete -> Saturated
+              | None -> Unconfirmed
+            in
+            { outcome; matches; unions = p2.p_hits })
+
+let run ?(limits = default_limits) ?sink ?invariant_check ?state g rules =
+  let st =
+    match state with
+    | None -> create_state (index rules)
+    | Some st ->
+        let own = st.index.rules in
+        if not (own == rules || List.equal ( == ) own rules) then
+          invalid_arg "Runner.run: the state indexes another rule list";
+        st
   in
-  go 0
+  let rec go (r : report) =
+    if r.iterations >= limits.max_iterations then
+      { r with tripped = Some Iterations }
+    else
+      let s = step ?sink ?invariant_check ~limits ~confirm:true st g in
+      let r =
+        {
+          r with
+          iterations = r.iterations + 1;
+          matches = r.matches + s.matches;
+          unions = r.unions + s.unions;
+        }
+      in
+      match s.outcome with
+      | Merged -> go r
+      | Saturated -> { r with saturated = true }
+      | Unconfirmed -> r
+      | Tripped b -> { r with tripped = Some b }
+  in
+  let r =
+    go
+      {
+        iterations = 0;
+        saturated = false;
+        nodes = 0;
+        classes = 0;
+        matches = 0;
+        unions = 0;
+        tripped = None;
+      }
+  in
+  { r with nodes = Egraph.num_nodes g; classes = Egraph.num_classes g }

@@ -40,37 +40,29 @@
     incrementally; only an empty complete cool-down reports
     [saturated = true]. *)
 
-type budget = Iterations | Nodes | Classes | Deadline | Heap
-(** The resource budgets a run is subject to. [Deadline] and [Heap] are
-    the cooperative wall-clock / major-heap checks added for the
-    resilience layer; the first three are the classic egg-style growth
-    caps. *)
+type budget = Iterations | Nodes | Classes | Deadline
+(** What stopped a search early: the three growth caps of {!limits}
+    and the wall-clock [deadline] of {!step}. *)
 
 val budget_name : budget -> string
 
-type limits = {
-  max_iterations : int;
-  max_nodes : int;
-  max_classes : int;
-  deadline : float option;
-      (** absolute wall-clock deadline ([Unix.gettimeofday] scale),
-          checked once per saturation iteration *)
-  max_heap_words : int option;
-      (** major-heap word budget, checked once per iteration via
-          [Gc.quick_stat] (no heap walk) *)
-}
+type limits = { max_iterations : int; max_nodes : int; max_classes : int }
+(** The discrete budgets: the ones {!scale_limits} scales and the
+    checker's cache key covers. [max_iterations] bounds the steps a
+    driver takes (it is the driver's count; {!step} does not read it).
+    [max_nodes] and [max_classes] are checked before each step's pass
+    and after a pass that merged nothing; [max_nodes] also cuts a rule's
+    application short mid-pass. *)
 
 val default_limits : limits
-(** 30 iterations, 20k nodes, 10k classes, no deadline, no heap cap. *)
+(** 30 iterations, 20k nodes, 10k classes. *)
 
 val scale_limits : int -> limits -> limits
-(** Multiply the discrete budgets (iterations/nodes/classes) by a
-    factor — the escalation ladder's "double the limits" rung. The
-    deadline and heap budget are left untouched; callers re-derive
-    wall-clock allowances per attempt. *)
+(** Multiply every budget by a factor — the escalation ladder's "double
+    the limits" rung. *)
 
 type report = {
-  iterations : int;
+  iterations : int;  (** steps taken, the last one included *)
   saturated : bool;  (** reached a fixpoint before hitting a limit *)
   nodes : int;
   classes : int;
@@ -78,9 +70,8 @@ type report = {
   unions : int;  (** applications that merged two classes *)
   tripped : budget option;
       (** which budget ended the run, when one did. [None] with
-          [saturated = false] is an unconfirmed fixpoint candidate
-          (see [confirm_saturation]); [None] with [saturated = true]
-          is genuine saturation. *)
+          [saturated = false] is a cool-down cut short by the per-rule
+          match cap that merged nothing ({!Unconfirmed}). *)
 }
 
 type index
@@ -102,9 +93,9 @@ type state
 (** Scheduler and incremental-matching state: per-rule last-search
     generations, match caches and ban status, held in arrays indexed
     by the rule's position in its {!index}, and a global iteration
-    counter. Persistent across {!run} calls so
-    drivers that saturate one iteration at a time (the checker's
-    round-by-round loop) still match incrementally between rounds.
+    counter. Persistent across {!step} calls, so a driver's later
+    steps (the checker's rounds, {!run}'s iterations) match
+    incrementally.
     A state is tied to one e-graph and one rule list; do not reuse it
     across e-graphs (generations are per-graph). *)
 
@@ -112,38 +103,73 @@ val create_state : ?match_limit:int -> ?ban_length:int -> index -> state
 (** Defaults: [match_limit = 1000], [ban_length = 5] (egg's defaults
     for the backoff scheduler). *)
 
+type outcome =
+  | Merged  (** the step merged classes: there may be more to do *)
+  | Saturated
+      (** a pass with every rule searched over every candidate class
+          merged nothing: a genuine fixpoint *)
+  | Unconfirmed
+      (** a pass merged nothing but left candidates unexamined (a
+          deferred constrained rule, a ban, a capped collect), and
+          either [confirm] was off or the cool-down that confirmed it
+          was itself capped *)
+  | Tripped of budget
+      (** a budget ran out, before the pass (nothing ran) or after a
+          pass or cool-down that merged nothing *)
+
+type iteration = {
+  outcome : outcome;
+  matches : int;  (** substitutions examined by the step's passes *)
+  unions : int;  (** applications that merged two classes *)
+}
+
+val step :
+  ?sink:Entangle_trace.Sink.t ->
+  ?invariant_check:(Egraph.t -> unit) ->
+  ?deadline:float ->
+  limits:limits ->
+  confirm:bool ->
+  state ->
+  Egraph.t ->
+  iteration
+(** One iteration: the budget check, one scheduled pass and its
+    {!Egraph.rebuild}. When that pass merged nothing, the budgets are
+    checked again; then a pass that left candidates unexamined is a
+    fixpoint candidate, and with [confirm] the step also runs the
+    cool-down (every ban lifted, constrained rules over their complete
+    match set) and its rebuild, inside the same iteration span. Only
+    this function runs a pass. Drivers loop over its outcome: {!run}
+    confirms every candidate; the checker does not, and asks for a
+    confirming step only when it is about to give up without a mapping.
+
+    [deadline] is an absolute wall-clock bound ([Unix.gettimeofday]
+    scale), checked where the node and class caps are; [None] (the
+    default) sets none.
+
+    [sink] (default {!Entangle_trace.Sink.null}) receives the trace
+    events described above: one [iteration] span per step with a
+    growth sample, per-rule [rule-hit] and [rule-ban] instants, and a
+    [cooldown] instant. Collect them with {!Entangle_trace.Collect} or
+    fold them with {!Entangle_trace.Agg} to aggregate counts over a
+    whole verification.
+
+    [invariant_check] is a debug hook invoked on the e-graph after every
+    {!Egraph.rebuild} (when the congruence invariant is supposed to
+    hold). The static-analysis subsystem provides one that raises on any
+    violated e-graph invariant
+    ([Entangle_analysis.Egraph_check.runner_hook]). *)
+
 val run :
   ?limits:limits ->
-  ?confirm_saturation:bool ->
   ?sink:Entangle_trace.Sink.t ->
   ?invariant_check:(Egraph.t -> unit) ->
   ?state:state ->
   Egraph.t ->
   Rule.t list ->
   report
-(** [confirm_saturation] (default [true]) controls the cool-down: with
-    [false], a run that reaches a fixpoint candidate (a scheduled pass
-    with zero unions) returns immediately with [saturated = false]
-    instead of paying the cool-down pass that would confirm or refute
-    it. Drivers that often stop before saturation (the checker stops as
-    soon as a mapping is extractable) use this to skip the cool-down on
-    operators that never need a trustworthy [saturated], calling again
-    with confirmation on only when they are about to give up. A report
-    with [unions = 0] and [saturated = false] under
-    [confirm_saturation:false] is exactly such an unconfirmed candidate.
-
-    [sink] (default {!Entangle_trace.Sink.null}) receives the trace
-    events described above. Per-rule application counts arrive as
-    [rule-hit] instants and bans as [rule-ban] instants; collect them
-    with {!Entangle_trace.Collect} or fold them with
-    {!Entangle_trace.Agg} to aggregate counts over a whole
-    verification.
-
-    [invariant_check] is a debug hook invoked on the e-graph after every
-    {!Egraph.rebuild} (i.e. once per iteration, when the congruence
-    invariant is supposed to hold). The static-analysis subsystem
-    provides one that raises on any violated e-graph invariant
-    ([Entangle_analysis.Egraph_check.runner_hook]).
+(** Saturate: {!step} with [confirm] until it merges nothing or
+    [limits.max_iterations] steps are taken. [sink] and
+    [invariant_check] go to every step.
 
     [state] carries scheduling decisions across calls; omitting it
     creates a fresh default state per call. A state runs only the rules

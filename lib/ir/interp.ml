@@ -77,11 +77,18 @@ let rec eval_expr env lookup_tensor = function
 type valuation = Ndarray.t Tensor.Map.t
 
 let run env g ~inputs =
+  (* The first binding of each tensor, as a scan of [inputs] finds it. *)
+  let given =
+    List.fold_left
+      (fun m (t, v) ->
+        Tensor.Map.update t (function None -> Some v | old -> old) m)
+      Tensor.Map.empty inputs
+  in
   let valuation = ref Tensor.Map.empty in
   List.iter
-    (fun input ->
-      match List.find_opt (fun (t, _) -> Tensor.equal t input) inputs with
-      | Some (t, v) ->
+    (fun t ->
+      match Tensor.Map.find_opt t given with
+      | Some v ->
           let want = Shape.concrete (lookup env) (Tensor.shape t) in
           if Ndarray.dims v <> want then
             invalid_arg
@@ -93,7 +100,7 @@ let run env g ~inputs =
                  want);
           valuation := Tensor.Map.add t v !valuation
       | None ->
-          invalid_arg (Fmt.str "Interp.run: missing input %a" Tensor.pp input))
+          invalid_arg (Fmt.str "Interp.run: missing input %a" Tensor.pp t))
     (Graph.inputs g);
   List.iter
     (fun node ->

@@ -8,17 +8,18 @@ let fig3_instances () =
     Regression.build ();
   ]
 
-let by_name name =
+let by_name ?degree ?layers name =
   match String.lowercase_ascii name with
-  | "gpt" -> Some (Gpt.build ())
-  | "linear-bwd" -> Some (Train.linear_backward ())
-  | "dp" | "data-parallel" -> Some (Train.data_parallel ())
-  | "pipeline" | "pp" -> Some (Train.pipeline ())
-  | "llama" | "llama-3" | "llama3" -> Some (Llama.build ())
-  | "qwen2" | "qwen" -> Some (Qwen2.build ())
-  | "bytedance" | "moe" -> Some (Moe.build ())
-  | "bytedance-bwd" | "moe-bwd" -> Some (Moe.build_backward ())
-  | "regression" -> Some (Regression.build ())
+  | "gpt" -> Some (Gpt.build ?layers ?degree ())
+  | "linear-bwd" -> Some (Train.linear_backward ?degree ())
+  | "dp" | "data-parallel" -> Some (Train.data_parallel ?replicas:degree ())
+  | "pipeline" | "pp" ->
+      Some (Train.pipeline ?microbatches:degree ?layers ())
+  | "llama" | "llama-3" | "llama3" -> Some (Llama.build ?layers ?degree ())
+  | "qwen2" | "qwen" -> Some (Qwen2.build ?layers ?degree ())
+  | "bytedance" | "moe" -> Some (Moe.build ?degree ?layers ())
+  | "bytedance-bwd" | "moe-bwd" -> Some (Moe.build_backward ?degree ())
+  | "regression" -> Some (Regression.build ?microbatches:degree ())
   | _ -> None
 
 let names =

@@ -7,8 +7,13 @@ val fig3_instances : unit -> Instance.t list
     parallelism 2 with one layer, plus the sub-second HuggingFace
     regression model mentioned in section 6.3. *)
 
-val by_name : string -> Instance.t option
-(** Lookup by short name: "gpt", "llama", "qwen2", "bytedance",
-    "bytedance-bwd", "regression". *)
+val by_name : ?degree:int -> ?layers:int -> string -> Instance.t option
+(** Lookup by short name, case-insensitive: one of {!names}, or the
+    aliases "llama-3", "llama3", "qwen", "moe", "moe-bwd",
+    "data-parallel" and "pp". [degree] is the parallelism degree (the
+    microbatches of "regression" and "pipeline", the replicas of "dp");
+    [layers] the layer count of "gpt", "llama", "qwen2", "bytedance"
+    and "pipeline", ignored by the others. Each defaults to the model's
+    own default. *)
 
 val names : string list

@@ -296,7 +296,10 @@ let check_config t (o : P.check_options) =
       in
       Config.with_check_deadline (Some d) c
 
-let handle_check t (o : P.check_options) gs_sexp gd_sexp rel_sexp =
+(* Parse a check request, run the check, and answer a failed check,
+   a malformed request or a refused input; [on_success] answers a
+   check that refines. *)
+let run_check t (o : P.check_options) gs_sexp gd_sexp rel_sexp ~on_success =
   let ( let* ) = Result.bind in
   let parsed =
     let parse what = function
@@ -316,16 +319,7 @@ let handle_check t (o : P.check_options) gs_sexp gd_sexp rel_sexp =
   | Ok (rules, gs, gd, input_relation) -> (
       let config = check_config t o in
       match Refine.check ~config ?rules ~gs ~gd ~input_relation () with
-      | Ok success ->
-          P.Checked
-            {
-              P.exit_code = 0;
-              verdict = "refines";
-              report = Entangle.Report.success_to_string gs success;
-              output_relation =
-                Some (Entangle.Relation_io.to_sexp success.Refine.output_relation);
-              stats = success.Refine.stats;
-            }
+      | Ok success -> on_success ~gs ~gd ~input_relation success
       | Error failure ->
           P.Checked
             {
@@ -337,6 +331,19 @@ let handle_check t (o : P.check_options) gs_sexp gd_sexp rel_sexp =
             }
       | exception Invalid_argument m ->
           P.Error_reply { code = P.Bad_request; message = m })
+
+let handle_check t o gs_sexp gd_sexp rel_sexp =
+  run_check t o gs_sexp gd_sexp rel_sexp
+    ~on_success:(fun ~gs ~gd:_ ~input_relation:_ success ->
+      P.Checked
+        {
+          P.exit_code = 0;
+          verdict = "refines";
+          report = Entangle.Report.success_to_string gs success;
+          output_relation =
+            Some (Entangle.Relation_io.to_sexp success.Refine.output_relation);
+          stats = success.Refine.stats;
+        })
 
 let handle_cache t f =
   match t.cache with
@@ -350,52 +357,22 @@ let handle_cache t f =
    the minimal verifier. A check that does not refine still answers
    the ordinary result body, so the caller gets the verdict either
    way. *)
-let handle_cert_fetch t (o : P.check_options) gs_sexp gd_sexp rel_sexp env =
-  let ( let* ) = Result.bind in
-  let parsed =
-    let parse what = function
-      | Ok v -> Ok v
-      | Error e -> bad_request "%s: %s" what e
-    in
-    let* rules = rules_for_family o.P.family in
-    let* gs = parse "gs" (Serial.graph_of_sexp gs_sexp) in
-    let* gd = parse "gd" (Serial.graph_of_sexp gd_sexp) in
-    let* input_relation =
-      parse "relation" (Entangle.Relation_io.of_sexp ~gs ~gd rel_sexp)
-    in
-    Ok (rules, gs, gd, input_relation)
-  in
-  match parsed with
-  | Error (code, message) -> P.Error_reply { code; message }
-  | Ok (rules, gs, gd, input_relation) -> (
-      let config = check_config t o in
-      match Refine.check ~config ?rules ~gs ~gd ~input_relation () with
-      | Ok success -> (
-          match
-            Entangle.Cert_export.bundle ~producer:("entangle-serve/" ^ t.name)
-              ~gs ~gd
-              ~env:(Entangle_ir.Interp.env_of_list env)
-              ~input_relation success
-          with
-          | Ok b ->
-              P.Cert_bundle { bundle = Entangle_certexport.Bundle.to_string b }
-          | Error m ->
-              P.Error_reply
-                {
-                  code = P.Server_internal;
-                  message = "certificate export failed: " ^ m;
-                })
-      | Error failure ->
-          P.Checked
+let handle_cert_fetch t o gs_sexp gd_sexp rel_sexp env =
+  run_check t o gs_sexp gd_sexp rel_sexp
+    ~on_success:(fun ~gs ~gd ~input_relation success ->
+      match
+        Entangle.Cert_export.bundle ~producer:("entangle-serve/" ^ t.name) ~gs
+          ~gd
+          ~env:(Entangle_ir.Interp.env_of_list env)
+          ~input_relation success
+      with
+      | Ok b -> P.Cert_bundle { bundle = Entangle_certexport.Bundle.to_string b }
+      | Error m ->
+          P.Error_reply
             {
-              P.exit_code = Refine.exit_code (Error failure);
-              verdict = verdict_tag failure.Refine.verdict;
-              report = Entangle.Report.failure_to_string gs failure;
-              output_relation = None;
-              stats = failure.Refine.stats;
-            }
-      | exception Invalid_argument m ->
-          P.Error_reply { code = P.Bad_request; message = m })
+              code = P.Server_internal;
+              message = "certificate export failed: " ^ m;
+            })
 
 (* cert-push: the server is the independent verifier — replay,
    cleanliness and shape inference only; no e-graph is consulted and

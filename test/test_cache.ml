@@ -687,6 +687,46 @@ let recheck_tests =
                 check Alcotest.bool "bytes written" true
                   (Option.value ~default:0 (Trace.Event.arg_int ev "bytes") > 0)
             | l -> Alcotest.failf "%d cache-store spans" (List.length l)));
+    Alcotest.test_case "a deadline-stopped search is inconclusive, not cached"
+      `Quick (fun () ->
+        (* y = neg(x) against t = neg(xd), yd = identity(t). Loading the
+           cone puts t, which is not a graph output, in y's class; a
+           search stopped before identity-elim runs maps y, but not to
+           an output of gd. *)
+        let verify ?deadline cache =
+          let shape = Shape.of_ints [ 4 ] in
+          let bs = Graph.Builder.create "seq" in
+          let x = Graph.Builder.input bs "x" shape in
+          Graph.Builder.output bs (Graph.Builder.add bs ~name:"y" Op.Neg [ x ]);
+          let bd = Graph.Builder.create "dist" in
+          let xd = Graph.Builder.input bd "xd" shape in
+          let t = Graph.Builder.add bd ~name:"t" Op.Neg [ xd ] in
+          Graph.Builder.output bd
+            (Graph.Builder.add bd ~name:"yd" Op.Identity [ t ]);
+          let config =
+            Entangle.Config.default
+            |> Entangle.Config.with_cache cache
+            |> Entangle.Config.with_op_deadline deadline
+          in
+          Entangle.Refine.exit_code
+            (Entangle.Refine.check ~config ~gs:(Graph.Builder.finish bs)
+               ~gd:(Graph.Builder.finish bd)
+               ~input_relation:(Entangle.Relation.singleton x (Expr.leaf xd))
+               ())
+        in
+        check Alcotest.int "no deadline refines" 0 (verify None);
+        with_temp_cache (fun cache ->
+            check Alcotest.int "a spent deadline is inconclusive" 2
+              (verify ~deadline:0. (Some cache));
+            let objects = Filename.concat (Cache.dir cache) "objects" in
+            check Alcotest.bool "nothing stored" false
+              (Sys.file_exists objects
+              && Array.exists
+                   (fun shard ->
+                     Sys.readdir (Filename.concat objects shard) <> [||])
+                   (Sys.readdir objects));
+            check Alcotest.int "the same store, no deadline, refines" 0
+              (verify (Some cache))));
     Alcotest.test_case "negative result is cached and replayed" `Quick
       (fun () ->
         (* Bug 3's Unmapped verdict saturates: provable absence must be

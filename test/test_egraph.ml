@@ -417,6 +417,20 @@ let incremental_tests =
         | l -> Alcotest.failf "expected 1 conflict, got %d" (List.length l));
   ]
 
+let outcome =
+  Alcotest.testable
+    (fun ppf -> function
+      | Runner.Merged -> Fmt.string ppf "Merged"
+      | Runner.Saturated -> Fmt.string ppf "Saturated"
+      | Runner.Unconfirmed -> Fmt.string ppf "Unconfirmed"
+      | Runner.Tripped b -> Fmt.pf ppf "Tripped %s" (Runner.budget_name b))
+    ( = )
+
+let identity_elim =
+  Rule.make "identity-elim"
+    (Pattern.p Op.Identity [ Pattern.v "x" ])
+    (Pattern.v "x")
+
 let runner_tests =
   [
     Alcotest.test_case "saturation applies rule and counts hits" `Quick (fun () ->
@@ -511,11 +525,10 @@ let runner_tests =
              (Entangle_trace.Collect.events c)));
     Alcotest.test_case "unconfirmed saturation defers the cool-down" `Quick
       (fun () ->
-        (* A constrained rule is deferred to the cool-down, so with
-           [confirm_saturation:false] the runner hands back an
-           unconfirmed candidate (zero unions, not saturated) without
-           firing it; asking again with confirmation on fires it and
-           reaches a genuine fixpoint. *)
+        (* A constrained rule is deferred to the cool-down, so a step
+           without [confirm] hands back an unconfirmed candidate (zero
+           unions) without firing it; a confirming step fires it in its
+           cool-down, and the next one finds a genuine fixpoint. *)
         let g = Egraph.create () in
         let a = Egraph.add_leaf g (tensor "a") in
         let na = Egraph.add_op g Op.Neg [ a ] in
@@ -526,15 +539,102 @@ let runner_tests =
             (Pattern.p Op.Exp [ Pattern.v "x" ])
         in
         let state = Runner.create_state (Runner.index [ rule ]) in
-        let r1 = Runner.run ~confirm_saturation:false ~state g [ rule ] in
-        check Alcotest.bool "candidate, not confirmed" false
-          r1.Runner.saturated;
+        let step ~confirm =
+          Runner.step ~limits:Runner.default_limits ~confirm state g
+        in
+        let r1 = step ~confirm:false in
+        check outcome "candidate, not confirmed" Runner.Unconfirmed
+          r1.Runner.outcome;
         check Alcotest.int "nothing applied" 0 r1.Runner.unions;
         check Alcotest.bool "classes still apart" false (Egraph.equiv g na ea);
-        let r2 = Runner.run ~confirm_saturation:true ~state g [ rule ] in
-        check Alcotest.bool "confirmed" true r2.Runner.saturated;
+        let r2 = step ~confirm:true in
+        check outcome "the cool-down merged" Runner.Merged r2.Runner.outcome;
+        check Alcotest.int "one union" 1 r2.Runner.unions;
         check Alcotest.bool "constrained rule fired" true
-          (Egraph.equiv g na ea));
+          (Egraph.equiv g na ea);
+        check outcome "confirmed" Runner.Saturated
+          (step ~confirm:true).Runner.outcome);
+    Alcotest.test_case "a step merges, then finds the fixpoint" `Quick
+      (fun () ->
+        let g = Egraph.create () in
+        let a = Egraph.add_leaf g (tensor "a") in
+        let id = Egraph.add_op g Op.Identity [ a ] in
+        let state = Runner.create_state (Runner.index [ identity_elim ]) in
+        let step () =
+          Runner.step ~limits:Runner.default_limits ~confirm:false state g
+        in
+        let r1 = step () in
+        check outcome "merged" Runner.Merged r1.Runner.outcome;
+        check Alcotest.int "one union" 1 r1.Runner.unions;
+        check Alcotest.bool "identity = a" true (Egraph.equiv g id a);
+        let r2 = step () in
+        check outcome "saturated" Runner.Saturated r2.Runner.outcome;
+        check Alcotest.int "no union" 0 r2.Runner.unions);
+    Alcotest.test_case "a budget trips a step before its pass" `Quick
+      (fun () ->
+        let g = Egraph.create () in
+        let a = Egraph.add_leaf g (tensor "a") in
+        let id = Egraph.add_op g Op.Identity [ a ] in
+        let state = Runner.create_state (Runner.index [ identity_elim ]) in
+        let c = Entangle_trace.Collect.create () in
+        let step ?deadline limits =
+          Runner.step ~sink:(Entangle_trace.Collect.sink c) ?deadline ~limits
+            ~confirm:true state g
+        in
+        let d = Runner.default_limits in
+        List.iter
+          (fun (budget, r) ->
+            check outcome (Runner.budget_name budget) (Runner.Tripped budget)
+              r.Runner.outcome;
+            check Alcotest.int "no match" 0 r.Runner.matches)
+          [
+            (Runner.Nodes, step { d with Runner.max_nodes = 1 });
+            (Runner.Classes, step { d with Runner.max_classes = 1 });
+            (Runner.Deadline, step ~deadline:0. d);
+          ];
+        check Alcotest.bool "nothing merged" false (Egraph.equiv g id a);
+        check Alcotest.int "no event" 0
+          (List.length (Entangle_trace.Collect.events c)));
+    Alcotest.test_case "a budget trips a step after a pass that merged nothing"
+      `Quick (fun () ->
+        (* [grow] adds a node without asserting an equation, so the pass
+           merges nothing but crosses the node budget; the deferred
+           constrained rule leaves a candidate the budget stops the step
+           from confirming. *)
+        let g = Egraph.create () in
+        let a = Egraph.add_leaf g (tensor "a") in
+        ignore (Egraph.add_op g Op.Neg [ a ]);
+        let neg = Pattern.p Op.Neg [ Pattern.v "x" ] in
+        let grow =
+          Rule.make_dyn "grow" neg (fun g cls _ ->
+              ignore (Egraph.add_op g Op.Exp [ cls ]);
+              [])
+        in
+        let ratify =
+          Rule.make ~constrained:true "ratify" neg
+            (Pattern.p Op.Exp [ Pattern.v "x" ])
+        in
+        let state = Runner.create_state (Runner.index [ grow; ratify ]) in
+        let c = Entangle_trace.Collect.create () in
+        let limits =
+          { Runner.default_limits with Runner.max_nodes = Egraph.num_nodes g }
+        in
+        let r =
+          Runner.step ~sink:(Entangle_trace.Collect.sink c) ~limits
+            ~confirm:true state g
+        in
+        check outcome "nodes" (Runner.Tripped Runner.Nodes) r.Runner.outcome;
+        check Alcotest.int "the pass matched" 1 r.Runner.matches;
+        check Alcotest.int "and merged nothing" 0 r.Runner.unions;
+        let named n =
+          List.length
+            (List.filter
+               (fun (ev : Entangle_trace.Event.t) -> ev.name = n)
+               (Entangle_trace.Collect.events c))
+        in
+        check Alcotest.int "no cool-down" 0 (named "cooldown");
+        check Alcotest.int "one iteration span, begun and ended" 2
+          (named "iteration"));
     Alcotest.test_case "a state runs only the rules it indexes" `Quick
       (fun () ->
         let g = Egraph.create () in

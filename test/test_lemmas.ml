@@ -53,20 +53,22 @@ let scenario_limits =
   { Runner.default_limits with Runner.max_iterations = 12; max_nodes = 4000 }
 
 (* The run [Runner.run ~limits:scenario_limits g all_rules] would make,
-   one iteration per call on a shared state, stopping as soon as [a] and
-   [b] share a class. Classes only ever merge, so stopping there gives
-   the same verdict as spending the whole budget; it spares scenarios
-   like "mean of replicas collapses", whose sums keep the e-graph
-   growing for the remaining iterations, over a minute of matching. *)
+   stopping as soon as [a] and [b] share a class. Classes only ever
+   merge, so stopping there gives the same verdict as spending the whole
+   budget; it spares scenarios like "mean of replicas collapses", whose
+   sums keep the e-graph growing for the remaining iterations, over a
+   minute of matching. *)
 let saturate_until_equiv ~rules g a b =
   let state = Runner.create_state (Runner.index rules) in
-  let one = { scenario_limits with Runner.max_iterations = 1 } in
   let rec go i =
     if i < scenario_limits.Runner.max_iterations && not (Egraph.equiv g a b)
     then
-      match (Runner.run ~limits:one ~state g rules).Runner.tripped with
-      | Some Runner.Iterations -> go (i + 1)
-      | _ -> ()  (* saturated, or a size budget tripped *)
+      match
+        (Runner.step ~limits:scenario_limits ~confirm:true state g)
+          .Runner.outcome
+      with
+      | Runner.Merged -> go (i + 1)
+      | Runner.Saturated | Runner.Unconfirmed | Runner.Tripped _ -> ()
   in
   go 0
 
