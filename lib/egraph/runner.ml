@@ -63,8 +63,6 @@ type entry = {
 
 type index = { rules : Rule.t list; entries : entry array }
 
-let rules ix = ix.rules
-
 let index rules =
   let entry (rule : Rule.t) =
     let global = rule.constrained || rule.nonlocal in

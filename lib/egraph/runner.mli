@@ -86,9 +86,6 @@ type index
 
 val index : Rule.t list -> index
 
-val rules : index -> Rule.t list
-(** The list [index] was built from. *)
-
 type state
 (** Scheduler and incremental-matching state: per-rule last-search
     generations, match caches and ban status, held in arrays indexed
