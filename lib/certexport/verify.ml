@@ -231,16 +231,20 @@ let replay_exn ~env ~gs ~gd ~inputs ~outputs =
       (Ok []) (Graph.inputs gd)
   in
   let gd_inputs = List.rev gd_inputs in
-  (* Bindings by tensor, the first of each kept, as a scan finds it. *)
+  (* A lookup into [bindings] by tensor, answering the first binding of
+     each, as a scan would. *)
   let table bindings =
-    List.fold_left
-      (fun m (t, x) ->
-        Tensor.Map.update t (function None -> Some x | old -> old) m)
-      Tensor.Map.empty bindings
+    let h = Hashtbl.create (List.length bindings) in
+    List.iter
+      (fun (t, x) ->
+        let id = (Tensor.id t :> int) in
+        if not (Hashtbl.mem h id) then Hashtbl.add h id x)
+      bindings;
+    fun t -> Hashtbl.find_opt h (Tensor.id t :> int)
   in
   let drawn = table gd_inputs in
   let lookup_gd_input t =
-    match Tensor.Map.find_opt t drawn with
+    match drawn t with
     | Some v -> v
     | None -> invalid_arg (Fmt.str "%a is not a gd input" Tensor.pp t)
   in
@@ -249,7 +253,7 @@ let replay_exn ~env ~gs ~gd ~inputs ~outputs =
     List.fold_left
       (fun acc t ->
         let* acc = acc in
-        match Tensor.Map.find_opt t input_mappings with
+        match input_mappings t with
         | None | Some [] ->
             err E.Incomplete "input relation misses gs input %s"
               (name (Tensor.name t))
@@ -285,7 +289,7 @@ let replay_exn ~env ~gs ~gd ~inputs ~outputs =
     List.fold_left
       (fun acc output ->
         let* () = acc in
-        match Tensor.Map.find_opt output output_mappings with
+        match output_mappings output with
         | None | Some [] ->
             err E.Incomplete "output relation misses %s"
               (name (Tensor.name output))

@@ -171,6 +171,9 @@ let compute ~config ?deadline ~sink ~rules ~gd ~relation ~seeds v =
           Some Runner.Iterations
         else
           let outcome = round ~confirm:false in
+          (* Probed after every round whatever it returned, so the
+             extractions that run, which the [egraph.extract] failpoint
+             counts, do not depend on the round's outcome. *)
           let mapped = have_mapping () in
           match outcome with
           | Runner.Tripped b -> Some b

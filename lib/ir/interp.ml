@@ -78,16 +78,16 @@ type valuation = Ndarray.t Tensor.Map.t
 
 let run env g ~inputs =
   (* The first binding of each tensor, as a scan of [inputs] finds it. *)
-  let given =
-    List.fold_left
-      (fun m (t, v) ->
-        Tensor.Map.update t (function None -> Some v | old -> old) m)
-      Tensor.Map.empty inputs
-  in
+  let given = Hashtbl.create (List.length inputs) in
+  List.iter
+    (fun (t, v) ->
+      let id = (Tensor.id t :> int) in
+      if not (Hashtbl.mem given id) then Hashtbl.add given id v)
+    inputs;
   let valuation = ref Tensor.Map.empty in
   List.iter
     (fun t ->
-      match Tensor.Map.find_opt t given with
+      match Hashtbl.find_opt given (Tensor.id t :> int) with
       | Some v ->
           let want = Shape.concrete (lookup env) (Tensor.shape t) in
           if Ndarray.dims v <> want then
