@@ -62,7 +62,9 @@ val scale_limits : int -> limits -> limits
     the limits" rung. *)
 
 type report = {
-  iterations : int;  (** steps taken, the last one included *)
+  iterations : int;
+      (** steps taken, including a last one that tripped before its
+          pass *)
   saturated : bool;  (** reached a fixpoint before hitting a limit *)
   nodes : int;
   classes : int;
@@ -71,7 +73,7 @@ type report = {
   tripped : budget option;
       (** which budget ended the run, when one did. [None] with
           [saturated = false] is a cool-down cut short by the per-rule
-          match cap that merged nothing ({!Unconfirmed}). *)
+          match cap that merged nothing (a step's [Unconfirmed]). *)
 }
 
 type index
