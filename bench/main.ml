@@ -439,15 +439,18 @@ let ablation () =
 
   section "Certificate exchange: portable bundle vs re-check";
   (* How much cheaper is accepting a bundle with the minimal verifier
-     than re-running the full saturation check it certifies? *)
-  let cert_recheck_s, cert_export_s, cert_verify_s, cert_bytes =
+     than re-running the full saturation check it certifies? And how
+     many bytes do export and verification hash between them (the perf
+     gate pins this count)? *)
+  let cert_recheck_s, cert_export_s, cert_verify_s, cert_bytes, cert_hashed =
     let inst = Gpt.build ~layers:1 ~degree:2 ~heads:4 () in
     let recheck_s, result = time_check ~config:Entangle.Config.default inst in
     match result with
     | Error _ ->
         Fmt.pr "gpt did not refine; certificate row skipped@.";
-        (recheck_s, 0., 0., 0)
+        (recheck_s, 0., 0., 0, 0)
     | Ok success -> (
+        let hashed0 = Entangle_fingerprint.Sha256.bytes_hashed () in
         let t0 = Unix.gettimeofday () in
         match
           Entangle.Cert_export.bundle ~producer:"entangle-bench"
@@ -468,7 +471,10 @@ let ablation () =
                 exit 1
             | Ok _ ->
                 let verify_s = Unix.gettimeofday () -. t1 in
-                (recheck_s, export_s, verify_s, String.length text)))
+                let hashed =
+                  Entangle_fingerprint.Sha256.bytes_hashed () - hashed0
+                in
+                (recheck_s, export_s, verify_s, String.length text, hashed)))
   in
   let cert_speedup = cert_recheck_s /. Float.max 1e-9 cert_verify_s in
   Fmt.pr "%-22s %10s %12s %10s@." "step" "time (s)" "bundle (B)" "speedup";
@@ -476,6 +482,7 @@ let ablation () =
   Fmt.pr "%-22s %10.3f %12d %10s@." "cert_export" cert_export_s cert_bytes "-";
   Fmt.pr "%-22s %10.3f %12d %9.0fx@." "cert_verify" cert_verify_s cert_bytes
     cert_speedup;
+  Fmt.pr "SHA-256 over export and verification: %d bytes@." cert_hashed;
 
   let records = List.rev !json_records in
   let oc = open_out bench_egraph_json in
@@ -483,12 +490,13 @@ let ablation () =
     (J.to_string
        (J.Obj
           [
-            ("schema", J.Str "entangle-bench-egraph/6");
+            ("schema", J.Str "entangle-bench-egraph/7");
             ("cert_recheck_s", fixed 6 cert_recheck_s);
             ("cert_export_s", fixed 6 cert_export_s);
             ("cert_verify_s", fixed 6 cert_verify_s);
             ("cert_bundle_bytes", J.Int cert_bytes);
             ("cert_verify_speedup", fixed 2 cert_speedup);
+            ("cert_sha256_bytes", J.Int cert_hashed);
             ("runs", J.Arr records);
           ]));
   output_char oc '\n';

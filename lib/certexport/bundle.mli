@@ -45,30 +45,6 @@ type operator_entry = {
       (** the clean mapping expressions found for it, over [gd] tensors *)
 }
 
-type t = {
-  producer : string;
-  gs : Graph.t;  (** the sequential graph *)
-  gd : Graph.t;  (** the distributed graph *)
-  env : (string * int) list;  (** concrete shape-symbol assignment *)
-  inputs : (Tensor.t * Expr.t list) list;
-      (** input relation: [gs] inputs → exprs over [gd] inputs *)
-  outputs : (Tensor.t * Expr.t list) list;
-      (** output relation: [gs] outputs → exprs over [gd] outputs *)
-  operators : operator_entry list;
-      (** per-operator certificate entries, one per [gs] node *)
-}
-
-val make :
-  producer:string ->
-  gs:Graph.t ->
-  gd:Graph.t ->
-  env:(string * int) list ->
-  inputs:(Tensor.t * Expr.t list) list ->
-  outputs:(Tensor.t * Expr.t list) list ->
-  operators:operator_entry list ->
-  unit ->
-  t
-
 type statement = {
   fp_gs : string;
   fp_gd : string;
@@ -80,13 +56,55 @@ type statement = {
 (** The Merkle fingerprints binding a bundle to the statement it
     certifies. *)
 
+type t = private {
+  producer : string;
+  gs : Graph.t;  (** the sequential graph *)
+  gd : Graph.t;  (** the distributed graph *)
+  env : (string * int) list;  (** concrete shape-symbol assignment *)
+  inputs : (Tensor.t * Expr.t list) list;
+      (** input relation: [gs] inputs → exprs over [gd] inputs *)
+  outputs : (Tensor.t * Expr.t list) list;
+      (** output relation: [gs] outputs → exprs over [gd] outputs *)
+  operators : operator_entry list;
+      (** per-operator certificate entries, one per [gs] node *)
+  statement : statement;  (** the content's statement fingerprints *)
+  section_digests : (string * string) list;
+      (** each section's name and content digest, in wire order *)
+  id : string;  (** the content address *)
+}
+(** A bundle value carries what was hashed for it. {!make} and
+    {!of_sexp} compute [statement], [section_digests] and [id] once,
+    when they build the value, with one Merkle pass per graph
+    ({!Entangle_fingerprint.Fingerprint.graph} reads the env that the
+    relation fingerprints use); {!to_sexp}, {!statement}, {!id} and the
+    verifier read the fields. The type is private, so no other code can
+    pair content with hashes it did not produce. *)
+
+val make :
+  producer:string ->
+  gs:Graph.t ->
+  gd:Graph.t ->
+  env:(string * int) list ->
+  inputs:(Tensor.t * Expr.t list) list ->
+  outputs:(Tensor.t * Expr.t list) list ->
+  operators:operator_entry list ->
+  unit ->
+  t
+(** The bundle of this content: renders and digests each section, and
+    fingerprints the statement. *)
+
 val statement : t -> statement
+(** The [statement] field. *)
+
 val statement_fields : statement -> (string * string) list
 
 val id : t -> string
-(** The bundle's content address. *)
+(** The bundle's content address: the [id] field. *)
 
 val to_sexp : t -> Sexp.t
+(** The wire form; the manifest is the value's fields, so nothing is
+    hashed. *)
+
 val to_string : t -> string
 
 val of_sexp : Sexp.t -> (t, Cert_error.t) result
@@ -96,4 +114,12 @@ val of_string : string -> (t, Cert_error.t) result
     ([CERT002]), structure ([CERT003]), per-section content digests
     ([CERT004]) and statement binding ([CERT005]). A bundle returned
     [Ok] is well-formed and self-consistent; it has {e not} yet been
-    semantically verified — that is {!Verify.check}. *)
+    semantically verified — that is {!Verify.check}.
+
+    Only canonical bundles, the ones {!to_string} writes, are accepted.
+    The manifest must list the section digests of exactly [graphs],
+    [env], [relations] and [operators], in that order, and each section
+    must be the one its decoded content encodes to (a leaf written as a
+    bare atom, or an env value written [0x10], is [CERT003]). So the
+    manifest id that [of_sexp] checks, and the value's [id], is the id
+    {!make} gives the same content: one content, one address. *)

@@ -15,7 +15,10 @@ type code =
   | Manifest_malformed
       (** CERT003 — manifest or section structure is damaged: missing
           or duplicate sections, unparsable digests, graphs or
-          expressions that do not decode. *)
+          expressions that do not decode; or the bundle is not
+          canonical: a manifest section list other than [graphs],
+          [env], [relations], [operators] in that order, or a section
+          that is not the encoding of its decoded content. *)
   | Section_corrupt
       (** CERT004 — a section's recomputed content digest differs from
           the manifest (byte corruption / bit flip). *)

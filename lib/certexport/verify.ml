@@ -332,7 +332,7 @@ let check (b : Bundle.t) =
   in
   Ok
     {
-      id = Bundle.id b;
+      id = b.id;
       operators = List.length b.operators;
       outputs_checked = List.length (Graph.outputs b.gs);
       exprs_replayed;

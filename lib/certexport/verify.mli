@@ -19,7 +19,11 @@
 open Entangle_ir
 
 type report = {
-  id : string;  (** the bundle's content address *)
+  id : string;
+      (** the bundle's content address, read from the value: for a
+          parsed bundle, the manifest id that {!Bundle.of_sexp} verified
+          (and, the bundle being canonical, the id {!Bundle.make} gives
+          its content); nothing is hashed again *)
   operators : int;  (** operator entries checked *)
   outputs_checked : int;  (** sequential outputs replayed *)
   exprs_replayed : int;  (** output-relation expressions evaluated *)

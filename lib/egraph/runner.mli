@@ -114,7 +114,8 @@ type outcome =
           was itself capped *)
   | Tripped of budget
       (** a budget ran out, before the pass (nothing ran) or after a
-          pass or cool-down that merged nothing *)
+          pass or cool-down that merged nothing; or the deadline passed
+          during a pass, or by its end, whatever the pass merged *)
 
 type iteration = {
   outcome : outcome;
@@ -142,8 +143,12 @@ val step :
     confirming step only when it is about to give up without a mapping.
 
     [deadline] is an absolute wall-clock bound ([Unix.gettimeofday]
-    scale), checked where the node and class caps are; [None] (the
-    default) sets none.
+    scale), checked where the node and class caps are, and also after
+    each rule of a pass that collected or applied something. Once it
+    has passed, the rules after that one wait, the e-graph is rebuilt
+    and the step returns [Tripped]: a pass that ends past the deadline
+    trips, whatever it merged. [None] (the default) sets none, and then
+    no clock is read for it.
 
     [sink] (default {!Entangle_trace.Sink.null}) receives the trace
     events described above: one [iteration] span per step with a

@@ -71,9 +71,12 @@ let compress h w data base =
   h.(7) <- (h.(7) + !hh) land mask
 
 let digits = "0123456789abcdef"
+let hashed = Atomic.make 0
+let bytes_hashed () = Atomic.get hashed
 
 let hex msg =
   let len = String.length msg in
+  ignore (Atomic.fetch_and_add hashed len);
   let h =
     [|
       0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c;

@@ -11,3 +11,8 @@
 val hex : string -> string
 (** [hex msg] is the SHA-256 digest of [msg] rendered as 64 lowercase
     hex characters. *)
+
+val bytes_hashed : unit -> int
+(** The message bytes {!hex} has digested since the process started,
+    over every domain: the work counter the perf gate pins for a
+    certificate bundle's export and verification. *)

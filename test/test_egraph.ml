@@ -635,6 +635,36 @@ let runner_tests =
         check Alcotest.int "no cool-down" 0 (named "cooldown");
         check Alcotest.int "one iteration span, begun and ended" 2
           (named "iteration"));
+    Alcotest.test_case "the deadline stops a pass between its rules" `Quick
+      (fun () ->
+        (* The first rule's applier sleeps past the deadline and asserts
+           nothing; the second would merge [identity a] with [a]. The
+           step reads the clock after the first rule, which did work,
+           and trips without running the second. Reading the clock only
+           between passes, it ran both and merged. *)
+        let g = Egraph.create () in
+        let a = Egraph.add_leaf g (tensor "a") in
+        let id = Egraph.add_op g Op.Identity [ a ] in
+        let slow =
+          Rule.make_dyn "slow"
+            (Pattern.p Op.Identity [ Pattern.v "x" ])
+            (fun _ _ _ ->
+              Unix.sleepf 0.05;
+              [])
+        in
+        let state =
+          Runner.create_state (Runner.index [ slow; identity_elim ])
+        in
+        let r =
+          Runner.step
+            ~deadline:(Unix.gettimeofday () +. 0.01)
+            ~limits:Runner.default_limits ~confirm:true state g
+        in
+        check outcome "deadline" (Runner.Tripped Runner.Deadline)
+          r.Runner.outcome;
+        check Alcotest.int "only the first rule matched" 1 r.Runner.matches;
+        check Alcotest.bool "the second rule did not run" false
+          (Egraph.equiv g id a));
     Alcotest.test_case "a state runs only the rules it indexes" `Quick
       (fun () ->
         let g = Egraph.create () in

@@ -9,8 +9,10 @@
    matches the zoo entry of the same instance name, and "gpt-d<D>l<L>"
    rebuilds that cell of the Figure-4 sweep. Checks run with the default
    configuration, as `bench/main.exe ablation` runs them, and count
-   allocation the same way (see [counted_check] there). Wall time is not
-   checked. *)
+   allocation the same way (see [counted_check] there). It also
+   re-derives the file's [cert_sha256_bytes], the SHA-256 work of the
+   ablation's certificate row, which may be at most 5% above its pin.
+   Wall time is not checked. *)
 
 open Entangle_models
 module Json = Entangle_trace.Json
@@ -22,7 +24,7 @@ let instance_of zoo model =
   | Some (degree, layers) -> Some (Gpt.build ~layers ~degree ~heads:8 ())
   | None -> List.find_opt (fun i -> i.Instance.name = model) zoo
 
-(* Allocation may exceed its pin by this fraction. *)
+(* Allocation and hashing may each exceed their pin by this fraction. *)
 let alloc_band = 0.05
 
 (* The words [Refine.check] allocates, the rule list built before,
@@ -61,17 +63,41 @@ let show = function
   | Some _ -> "a non-counter"
   | None -> "missing"
 
-let default_records () =
+let document () =
   let text = In_channel.with_open_bin bench_file In_channel.input_all in
   match Json.parse text with
   | Error e -> Alcotest.failf "%s: %s" bench_file e
-  | Ok doc -> (
-      match Json.member "runs" doc with
-      | Some (Json.Arr runs) ->
-          List.filter
-            (fun r -> Json.member "config" r = Some (Json.Str "default"))
-            runs
-      | _ -> Alcotest.failf "%s: no runs array" bench_file)
+  | Ok doc -> doc
+
+let default_records () =
+  match Json.member "runs" (document ()) with
+  | Some (Json.Arr runs) ->
+      List.filter
+        (fun r -> Json.member "config" r = Some (Json.Str "default"))
+        runs
+  | _ -> Alcotest.failf "%s: no runs array" bench_file
+
+(* The bytes SHA-256 digests while the ablation's certificate row
+   exports the gpt bundle (builds it and writes its text) and verifies
+   that text, counted as `bench/main.exe ablation` counts them: a
+   bundle hashed more than once on this path shows here. *)
+let cert_sha256_bytes () =
+  let module CE = Entangle_certexport in
+  let module Sha256 = Entangle_fingerprint.Sha256 in
+  let inst = Gpt.build ~layers:1 ~degree:2 ~heads:4 () in
+  match Instance.check ~config:Entangle.Config.default inst with
+  | Error _ -> Alcotest.fail "gpt does not refine"
+  | Ok success -> (
+      let hashed0 = Sha256.bytes_hashed () in
+      match
+        Entangle.Cert_export.bundle ~producer:"entangle-bench" ~gs:inst.gs
+          ~gd:inst.gd ~env:inst.env ~input_relation:inst.input_relation success
+      with
+      | Error e -> Alcotest.failf "certificate export failed: %s" e
+      | Ok bundle -> (
+          match CE.Verify.check_string (CE.Bundle.to_string bundle) with
+          | Error e -> Alcotest.failf "%a" CE.Cert_error.pp e
+          | Ok _ -> Sha256.bytes_hashed () - hashed0))
 
 (* One line per counter of [record] that a re-check does not give, and
    one if it allocates more than [alloc_band] above its pin. *)
@@ -120,5 +146,17 @@ let suite =
                   "%d mismatches over %d default records of %s:\n%s"
                   (List.length found) (List.length records) bench_file
                   (String.concat "\n" found));
+        Alcotest.test_case "the certificate row hashes no more than its pin"
+          `Quick (fun () ->
+            match Json.member "cert_sha256_bytes" (document ()) with
+            | Some (Json.Num pin) ->
+                let hashed = cert_sha256_bytes () in
+                if float_of_int hashed > pin *. (1. +. alloc_band) then
+                  Alcotest.failf
+                    "cert_sha256_bytes is %d, pinned %.0f (over %.0f%% above)"
+                    hashed pin (alloc_band *. 100.)
+            | pinned ->
+                Alcotest.failf "%s: cert_sha256_bytes pinned %s" bench_file
+                  (show pinned));
       ] );
   ]
