@@ -255,20 +255,25 @@ let constraints_to_sexp store =
   Sexp.list
     (Sexp.atom "constraints" :: List.map constr (Constraint_store.constraints store))
 
+(* The store keeps the written order, so a decoded graph encodes back
+   to the bytes it was read from. *)
 let constraints_of_sexp = function
   | Sexp.List (Sexp.Atom "constraints" :: cs) ->
-      List.fold_left
-        (fun acc c ->
-          let* acc = acc in
-          match c with
-          | Sexp.List [ Sexp.Atom "ge"; e ] ->
-              let* e = symdim_of_sexp e in
-              Ok (Constraint_store.add_ge acc e)
-          | Sexp.List [ Sexp.Atom "eq"; e ] ->
-              let* e = symdim_of_sexp e in
-              Ok (Constraint_store.add_eq acc e Symdim.zero)
-          | s -> err "malformed constraint %s" (Sexp.excerpt s))
-        (Ok Constraint_store.empty) cs
+      let* rev =
+        List.fold_left
+          (fun acc c ->
+            let* acc = acc in
+            match c with
+            | Sexp.List [ Sexp.Atom "ge"; e ] ->
+                let* e = symdim_of_sexp e in
+                Ok (Constraint_store.Ge e :: acc)
+            | Sexp.List [ Sexp.Atom "eq"; e ] ->
+                let* e = symdim_of_sexp e in
+                Ok (Constraint_store.Eq (Symdim.sub e Symdim.zero) :: acc)
+            | s -> err "malformed constraint %s" (Sexp.excerpt s))
+          (Ok []) cs
+      in
+      Ok (Constraint_store.of_list (List.rev rev))
   | s -> err "malformed constraints %s" (Sexp.excerpt s)
 
 let graph_to_sexp g =

@@ -161,6 +161,23 @@ let graph_roundtrip name inst =
 
 let graph_error_tests =
   [
+    Alcotest.test_case "constraints keep their written order" `Quick
+      (fun () ->
+        let n = Symdim.sym "n" in
+        let constraints =
+          Constraint_store.add_ge
+            (Constraint_store.add_eq
+               (Constraint_store.add_positive Constraint_store.empty "n")
+               (Symdim.sym "m") (Symdim.mul_int 2 n))
+            (Symdim.sub (Symdim.sym "m") (sd 3))
+        in
+        let b = Graph.Builder.create ~constraints "c" in
+        let x = Graph.Builder.input b "x" [ n ] in
+        Graph.Builder.output b (Graph.Builder.add b ~name:"y" Op.Neg [ x ]);
+        let text = Serial.graph_to_string (Graph.Builder.finish b) in
+        match Serial.graph_of_string text with
+        | Ok g -> check Alcotest.string "re-encoded" text (Serial.graph_to_string g)
+        | Error e -> Alcotest.fail e);
     Alcotest.test_case "unknown operator is reported" `Quick (fun () ->
         let text =
           "(graph g (constraints) (inputs (x (shape 2) f32)) (nodes (y \
