@@ -1,14 +1,15 @@
 (* FIPS 180-4 SHA-256 over native ints. Words live in the low 32 bits
-   of an OCaml int (63-bit on every supported platform), masked after
-   each addition; rotations never overflow because a 32-bit value
-   shifted left by at most 30 stays below 2^62.
+   of an OCaml int (63-bit on every supported platform). A rotation is
+   left unmasked, since a 32-bit value shifted left by at most 30 stays
+   below 2^62: each sigma masks the three it combines once, and each
+   sum is masked where it is stored.
 
    A call allocates the state, the message schedule, at most two padded
    tail blocks and the result: whole blocks are read in place from the
    message, and nothing is allocated per block or per output digit. *)
 
 let mask = 0xffffffff
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+let rotr x n = (x lsr n) lor (x lsl (32 - n))
 
 let k =
   [|
@@ -26,16 +27,20 @@ let k =
   |]
 
 (* Fold the 64-byte block of [data] at [base] into the state [h], using
-   [w] as the message schedule. *)
+   [w] as the message schedule. [t] stays below 64, the length of [k]
+   and [w]. *)
 let compress h w data base =
   for t = 0 to 15 do
-    w.(t) <- Int32.to_int (Bytes.get_int32_be data (base + (4 * t))) land mask
+    Array.unsafe_set w t
+      (Int32.to_int (Bytes.get_int32_be data (base + (4 * t))) land mask)
   done;
   for t = 16 to 63 do
-    let x = w.(t - 15) and y = w.(t - 2) in
-    let s0 = rotr x 7 lxor rotr x 18 lxor (x lsr 3) in
-    let s1 = rotr y 17 lxor rotr y 19 lxor (y lsr 10) in
-    w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land mask
+    let x = Array.unsafe_get w (t - 15) and y = Array.unsafe_get w (t - 2) in
+    let s0 = (rotr x 7 lxor rotr x 18 lxor (x lsr 3)) land mask in
+    let s1 = (rotr y 17 lxor rotr y 19 lxor (y lsr 10)) land mask in
+    Array.unsafe_set w t
+      ((Array.unsafe_get w (t - 16) + s0 + Array.unsafe_get w (t - 7) + s1)
+      land mask)
   done;
   let a = ref h.(0)
   and b = ref h.(1)
@@ -46,10 +51,12 @@ let compress h w data base =
   and g = ref h.(6)
   and hh = ref h.(7) in
   for t = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
+    let s1 = (rotr !e 6 lxor rotr !e 11 lxor rotr !e 25) land mask in
     let ch = (!e land !f) lxor (lnot !e land !g) in
-    let t1 = (!hh + s1 + ch + k.(t) + w.(t)) land mask in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
+    let t1 =
+      (!hh + s1 + ch + Array.unsafe_get k t + Array.unsafe_get w t) land mask
+    in
+    let s0 = (rotr !a 2 lxor rotr !a 13 lxor rotr !a 22) land mask in
     let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
     let t2 = (s0 + maj) land mask in
     hh := !g;

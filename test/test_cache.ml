@@ -122,6 +122,119 @@ let build_fuzz_graph choices =
   Graph.Builder.output b arr.(Array.length arr - 1);
   Graph.Builder.finish b
 
+(* The SHA-256 [Sha256.hex] replaced, kept as the reference for its
+   digests: every rotation masked, every array read checked. *)
+module Reference_sha256 = struct
+  let mask = 0xffffffff
+  let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+
+  let k =
+    [|
+      0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1;
+      0x923f82a4; 0xab1c5ed5; 0xd807aa98; 0x12835b01; 0x243185be; 0x550c7dc3;
+      0x72be5d74; 0x80deb1fe; 0x9bdc06a7; 0xc19bf174; 0xe49b69c1; 0xefbe4786;
+      0x0fc19dc6; 0x240ca1cc; 0x2de92c6f; 0x4a7484aa; 0x5cb0a9dc; 0x76f988da;
+      0x983e5152; 0xa831c66d; 0xb00327c8; 0xbf597fc7; 0xc6e00bf3; 0xd5a79147;
+      0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc; 0x53380d13;
+      0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85; 0xa2bfe8a1; 0xa81a664b;
+      0xc24b8b70; 0xc76c51a3; 0xd192e819; 0xd6990624; 0xf40e3585; 0x106aa070;
+      0x19a4c116; 0x1e376c08; 0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a;
+      0x5b9cca4f; 0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
+      0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2;
+    |]
+
+  let compress h w data base =
+    for t = 0 to 15 do
+      w.(t) <- Int32.to_int (Bytes.get_int32_be data (base + (4 * t))) land mask
+    done;
+    for t = 16 to 63 do
+      let x = w.(t - 15) and y = w.(t - 2) in
+      let s0 = rotr x 7 lxor rotr x 18 lxor (x lsr 3) in
+      let s1 = rotr y 17 lxor rotr y 19 lxor (y lsr 10) in
+      w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land mask
+    done;
+    let a = ref h.(0)
+    and b = ref h.(1)
+    and c = ref h.(2)
+    and d = ref h.(3)
+    and e = ref h.(4)
+    and f = ref h.(5)
+    and g = ref h.(6)
+    and hh = ref h.(7) in
+    for t = 0 to 63 do
+      let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
+      let ch = (!e land !f) lxor (lnot !e land !g) in
+      let t1 = (!hh + s1 + ch + k.(t) + w.(t)) land mask in
+      let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
+      let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
+      let t2 = (s0 + maj) land mask in
+      hh := !g;
+      g := !f;
+      f := !e;
+      e := (!d + t1) land mask;
+      d := !c;
+      c := !b;
+      b := !a;
+      a := (t1 + t2) land mask
+    done;
+    h.(0) <- (h.(0) + !a) land mask;
+    h.(1) <- (h.(1) + !b) land mask;
+    h.(2) <- (h.(2) + !c) land mask;
+    h.(3) <- (h.(3) + !d) land mask;
+    h.(4) <- (h.(4) + !e) land mask;
+    h.(5) <- (h.(5) + !f) land mask;
+    h.(6) <- (h.(6) + !g) land mask;
+    h.(7) <- (h.(7) + !hh) land mask
+
+  let hex msg =
+    let len = String.length msg in
+    let h =
+      [|
+        0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f;
+        0x9b05688c; 0x1f83d9ab; 0x5be0cd19;
+      |]
+    in
+    let w = Array.make 64 0 in
+    let data = Bytes.of_string msg in
+    let full = len / 64 * 64 in
+    let base = ref 0 in
+    while !base < full do
+      compress h w data !base;
+      base := !base + 64
+    done;
+    let rest = len - full in
+    let tail = Bytes.make (if rest < 56 then 64 else 128) '\000' in
+    Bytes.blit_string msg full tail 0 rest;
+    Bytes.set tail rest '\x80';
+    Bytes.set_int64_be tail (Bytes.length tail - 8) (Int64.of_int (len * 8));
+    compress h w tail 0;
+    if Bytes.length tail = 128 then compress h w tail 64;
+    String.concat "" (Array.to_list (Array.map (Printf.sprintf "%08x") h))
+end
+
+(* Its oracle: every message length 0-300, so every tail length on both
+   sides of the one- or two-block padding, and a few of 1-100 KB. Bytes
+   take every value, so words with the top bit set are read too. *)
+let sha256_tests =
+  [
+    Alcotest.test_case "hex agrees with the reference compress" `Quick
+      (fun () ->
+        let message len =
+          String.init len (fun i ->
+              Char.chr (((i * 167) + (len * 31) + (i lsr 8)) land 0xff))
+        in
+        let agree len =
+          let m = message len in
+          check Alcotest.string
+            (Fmt.str "%d bytes" len)
+            (Reference_sha256.hex m) (Entangle_fingerprint.Sha256.hex m)
+        in
+        for len = 0 to 300 do
+          agree len
+        done;
+        List.iter agree [ 1_000; 1_024; 4_095; 10_007; 65_536; 100_000 ]);
+  ]
+
 let fingerprint_tests =
   [
     Alcotest.test_case "sha256 matches the FIPS 180-4 vectors" `Quick
@@ -1579,6 +1692,7 @@ let payload_tests =
 let suite =
   [
     ("cache.fingerprint", fingerprint_tests);
+    ("cache.sha256", sha256_tests);
     ("cache.store", store_tests);
     ("cache.recheck", recheck_tests);
     ("cache.key", key_tests);

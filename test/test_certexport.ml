@@ -351,6 +351,20 @@ let roundtrip_tests =
                    [of_string] verified, what the verifier reports and
                    what the manifest says. *)
                 let text = Bundle.to_string b in
+                let sx = Bundle.to_sexp b in
+                Test_serial.check_format_bytes (name ^ ": bundle") sx
+                  (String.sub text 0 (String.length text - 1));
+                (match sx with
+                | Sexp.List items ->
+                    List.iter
+                      (function
+                        | Sexp.List (Sexp.Atom "section" :: Sexp.Atom n :: _)
+                          as section ->
+                            Test_serial.same_bytes (name ^ ": section " ^ n)
+                              section
+                        | _ -> ())
+                      items
+                | Sexp.Atom _ -> Alcotest.failf "%s: not a bundle" name);
                 (match (Bundle.of_string text, Verify.check_string text) with
                 | Ok b', Ok r ->
                     check Alcotest.bool (name ^ ": operators checked") true
@@ -368,6 +382,11 @@ let roundtrip_tests =
                 | Error e, _ | _, Error e ->
                     Alcotest.failf "%s: %a" name Cert_error.pp e);
                 let cli = cli_bundle name in
+                (match Sexp.of_string cli with
+                | Ok sx ->
+                    Test_serial.check_format_bytes (name ^ ": CLI bundle") sx
+                      (String.sub cli 0 (String.length cli - 1))
+                | Error e -> Alcotest.failf "%s: CLI bundle: %s" name e);
                 (match Verify.check_string cli with
                 | Ok r ->
                     check Alcotest.string

@@ -59,11 +59,36 @@ let sexp_tests =
           (fun bad ->
             check Alcotest.bool bad true (Result.is_error (Sexp.of_string bad)))
           [ "(a b"; ")"; "(a) trailing"; "\"unterminated" ]);
+    Alcotest.test_case "a fault's message names the first fault" `Quick
+      (fun () ->
+        (* The input is read once, from the start: of two faults, the
+           earlier one is reported. *)
+        List.iter
+          (fun (input, message) ->
+            check
+              Alcotest.(result unit string)
+              input (Error message)
+              (Result.map ignore (Sexp.of_string input)))
+          [
+            ("", "unexpected end of input");
+            (" ; only a comment", "unexpected end of input");
+            ("(a b", "missing closing parenthesis");
+            (")", "unexpected closing parenthesis");
+            ("(a) b", "trailing input after S-expression");
+            ("(a \"b", "unterminated string");
+            ("(a) \"b", "trailing input after S-expression");
+            (") \"b", "unexpected closing parenthesis");
+            ( String.make (Sexp.max_depth + 1) '(' ^ "\"b",
+              Printf.sprintf "lists nest deeper than %d levels"
+                Sexp.max_depth );
+          ]);
     Alcotest.test_case "nesting past the depth limit is an error" `Quick
       (fun () ->
         let nest d = String.make d '(' ^ String.make d ')' in
         check Alcotest.bool "at the limit" true
           (Result.is_ok (Sexp.of_string (nest Sexp.max_depth)));
+        check Alcotest.bool "one past the limit" true
+          (Result.is_error (Sexp.of_string (nest (Sexp.max_depth + 1))));
         check Alcotest.bool "100k deep" true
           (Result.is_error (Sexp.of_string (nest 100_000))));
     Alcotest.test_case "excerpts are bounded and single-line" `Quick (fun () ->
@@ -77,6 +102,271 @@ let sexp_tests =
         check Alcotest.bool "bounded" true
           (String.length e <= Sexp.excerpt_bytes + 3);
         check Alcotest.bool "single line" false (String.contains e '\n'));
+  ]
+
+(* --- the printer's bytes ---------------------------------------------- *)
+
+(* The [Format] printer [Sexp.to_string] replaced, kept as the
+   reference for its bytes: every section digest, bundle id, stored
+   payload and bundle pin is computed over them. *)
+let needs_quotes s =
+  s = ""
+  || String.exists
+       (fun c ->
+         c = ' ' || c = '(' || c = ')' || c = '"' || c = '\n' || c = '\t'
+         || c = '\r' || c = ';')
+       s
+
+let rec format_pp ppf = function
+  | Sexp.Atom s ->
+      if needs_quotes s then Fmt.pf ppf "%S" s else Fmt.string ppf s
+  | Sexp.List l ->
+      Fmt.pf ppf "@[<hov 1>(%a)@]" (Fmt.list ~sep:Fmt.sp format_pp) l
+
+let format_to_string t = Fmt.str "%a" format_pp t
+
+(* Fails at the first byte where [got] parts from [Format]'s rendering
+   of [t]. *)
+let check_format_bytes what t got =
+  let want = format_to_string t in
+  if not (String.equal got want) then begin
+    let n = min (String.length got) (String.length want) in
+    let i = ref 0 in
+    while !i < n && got.[!i] = want.[!i] do
+      incr i
+    done;
+    Alcotest.failf "%s: %d bytes part from Format's %d at byte %d" what
+      (String.length got) (String.length want) !i
+  end
+
+let same_bytes what t = check_format_bytes what t (Sexp.to_string t)
+
+(* Atoms of 0 to 100 bytes, weighted to the empty atom and to 66-79
+   bytes, where one atom nearly fills a line; half of them mix in bytes
+   that force quoting and escaping. *)
+let atom_gen =
+  QCheck.Gen.(
+    let length =
+      frequency
+        [ (1, return 0); (4, int_range 1 12); (3, int_range 66 79);
+          (2, int_range 0 100) ]
+    in
+    let bare = char_range 'a' 'z' in
+    let any =
+      frequency
+        [
+          (6, char_range 'a' 'z');
+          ( 1,
+            oneofl
+              [ ' '; '('; ')'; '"'; '\\'; ';'; '\n'; '\t'; '\r'; '\000';
+                '\200'; '\255' ] );
+        ]
+    in
+    pair length bool >>= fun (n, quoted) ->
+    string_size ~gen:(if quoted then any else bare) (return n) >|= Sexp.atom)
+
+let tree_gen =
+  QCheck.Gen.(
+    sized_size (int_bound 300)
+    @@ fix (fun self n ->
+           if n = 0 then atom_gen
+           else
+             frequency
+               [
+                 (1, atom_gen);
+                 ( 3,
+                   int_range 0 10 >>= fun k ->
+                   list_repeat k (self (n / (k + 1))) >|= Sexp.list );
+               ]))
+
+(* Lists up to 5,000 wide; chains nesting up to [Sexp.max_depth], an
+   atom or two beside each level; and lists that open past column 68,
+   after an atom of 60-80 bytes. *)
+let printer_gen =
+  QCheck.Gen.(
+    let wide = int_range 0 5_000 >>= fun k -> list_repeat k atom_gen in
+    let deep =
+      int_range 1 Sexp.max_depth >>= fun d ->
+      pair atom_gen (list_repeat d (triple (int_bound 2) atom_gen atom_gen))
+      >|= fun (core, levels) ->
+      List.fold_left
+        (fun inner (k, a, b) ->
+          Sexp.list
+            (match k with
+            | 0 -> [ inner ]
+            | 1 -> [ a; inner ]
+            | _ -> [ a; inner; b ]))
+        core levels
+    in
+    let late =
+      triple (int_range 60 80) (list_size (int_range 1 4) tree_gen) bool
+      >|= fun (lead, rest, nested) ->
+      let l = Sexp.list (Sexp.atom (String.make lead 'x') :: rest) in
+      if nested then Sexp.list [ Sexp.atom "n"; l ] else l
+    in
+    frequency
+      [ (4, tree_gen); (1, wide >|= Sexp.list); (1, deep); (2, late) ])
+
+let printer_oracle =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300
+       ~name:"random trees print as Format prints them"
+       (QCheck.make ~print:Sexp.excerpt printer_gen)
+       (fun t -> String.equal (Sexp.to_string t) (format_to_string t)))
+
+(* A frame as the daemon or its client writes it, checked against
+   [Format]'s rendering of the term it parses back to. *)
+let same_frame what frame =
+  match Sexp.of_string frame with
+  | Ok t -> check_format_bytes what t frame
+  | Error e -> Alcotest.failf "%s: %s" what e
+
+let printer_tests =
+  [
+    Alcotest.test_case "a 77-byte list stays on its line, a 78-byte one breaks"
+      `Quick (fun () ->
+        let a = String.make 38 'a' in
+        let pair k =
+          let b = String.make k 'b' in
+          (Sexp.list [ Sexp.atom a; Sexp.atom b ], b)
+        in
+        let t, b = pair 36 in
+        check Alcotest.string "77 bytes" ("(" ^ a ^ " " ^ b ^ ")")
+          (Sexp.to_string t);
+        same_bytes "77 bytes" t;
+        let t, b = pair 37 in
+        check Alcotest.string "78 bytes" ("(" ^ a ^ "\n " ^ b ^ ")")
+          (Sexp.to_string t);
+        same_bytes "78 bytes" t);
+    Alcotest.test_case "a list opening past column 68 breaks its line first"
+      `Quick (fun () ->
+        (* The blank before it is already out when the box opens, so
+           the line ends in a blank. *)
+        let x k = String.make k 'x' and tail = String.make 20 'y' in
+        let t k =
+          Sexp.list
+            [ Sexp.atom (x k); Sexp.list [ Sexp.atom "a" ]; Sexp.atom tail ]
+        in
+        check Alcotest.string "opens at column 69"
+          ("(" ^ x 67 ^ " \n (a) " ^ tail ^ ")")
+          (Sexp.to_string (t 67));
+        check Alcotest.string "opens at column 68"
+          ("(" ^ x 66 ^ " (a)\n " ^ tail ^ ")")
+          (Sexp.to_string (t 66));
+        same_bytes "column 69" (t 67);
+        same_bytes "column 68" (t 66));
+    Alcotest.test_case "a full token queue prints as Format prints it"
+      `Quick (fun () ->
+        (* The break after the 76-byte atom prints while the twelve
+           empty lists are still queued, and is still being sized when
+           the next space joins them as the queue's 64th token, what
+           its first ring holds: sizing the printed break must leave
+           the new space's size alone. *)
+        let a = String.make 76 'a' and b = String.make 50 'b' in
+        let t =
+          Sexp.list
+            [
+              Sexp.atom a;
+              Sexp.list (List.init 12 (fun _ -> Sexp.list []));
+              Sexp.atom b;
+            ]
+        in
+        check Alcotest.string "layout"
+          ("(" ^ a ^ "\n ("
+          ^ String.concat " " (List.init 12 (fun _ -> "()"))
+          ^ ")\n " ^ b ^ ")")
+          (Sexp.to_string t);
+        same_bytes "layout" t);
+    Alcotest.test_case "nesting at the depth limit prints as Format prints it"
+      `Quick (fun () ->
+        let chain atoms =
+          let rec go d =
+            if d = 0 then Sexp.atom "core"
+            else
+              Sexp.list
+                (List.init atoms (fun _ -> Sexp.atom "ab") @ [ go (d - 1) ])
+          in
+          go Sexp.max_depth
+        in
+        List.iter
+          (fun k -> same_bytes (Fmt.str "%d atoms a level" k) (chain k))
+          [ 0; 1; 3 ]);
+    Alcotest.test_case "zoo graphs and relations print as Format prints them"
+      `Quick (fun () ->
+        List.iter
+          (fun name ->
+            let inst = Option.get (Zoo.by_name name) in
+            same_bytes (name ^ " gs") (Serial.graph_to_sexp inst.Instance.gs);
+            same_bytes (name ^ " gd") (Serial.graph_to_sexp inst.Instance.gd);
+            same_bytes (name ^ " relation")
+              (Entangle.Relation_io.to_sexp inst.Instance.input_relation))
+          Zoo.names);
+    Alcotest.test_case "daemon frames print as Format prints them" `Quick
+      (fun () ->
+        let module P = Entangle_serve.Protocol in
+        let options = P.default_options in
+        List.iteri
+          (fun id name ->
+            let inst = Option.get (Zoo.by_name name) in
+            let gs = Serial.graph_to_sexp inst.Instance.gs
+            and gd = Serial.graph_to_sexp inst.Instance.gd
+            and relation =
+              Entangle.Relation_io.to_sexp inst.Instance.input_relation
+            in
+            same_frame (name ^ " check")
+              (P.request_to_string ~id (P.Check { options; gs; gd; relation }));
+            same_frame (name ^ " cert-fetch")
+              (P.request_to_string ~id
+                 (P.Cert_fetch
+                    {
+                      options;
+                      gs;
+                      gd;
+                      relation;
+                      env = Entangle.Cert_export.env_bindings inst.Instance.env;
+                    })))
+          Zoo.names;
+        let inst = Option.get (Zoo.by_name "regression") in
+        match Instance.check inst with
+        | Error _ -> Alcotest.fail "regression must refine"
+        | Ok success -> (
+            same_frame "checked"
+              (P.response_to_string ~id:1
+                 (P.Checked
+                    {
+                      exit_code = 0;
+                      verdict = "refines";
+                      report =
+                        Entangle.Report.success_to_string inst.Instance.gs
+                          success;
+                      output_relation =
+                        Some
+                          (Entangle.Relation_io.to_sexp
+                             success.Entangle.Refine.output_relation);
+                      stats = success.Entangle.Refine.stats;
+                    }));
+            match
+              Entangle.Cert_export.bundle ~producer:"test-serial"
+                ~gs:inst.Instance.gs ~gd:inst.Instance.gd ~env:inst.Instance.env
+                ~input_relation:inst.Instance.input_relation success
+            with
+            | Error e -> Alcotest.fail e
+            | Ok b ->
+                let bundle = Entangle_certexport.Bundle.to_string b in
+                same_frame "cert-bundle"
+                  (P.response_to_string ~id:2 (P.Cert_bundle { bundle }));
+                same_frame "cert-push"
+                  (P.request_to_string ~id:3 (P.Cert_push { bundle }));
+                same_frame "cert-verdict"
+                  (P.response_to_string ~id:3
+                     (P.Cert_verdict_reply
+                        {
+                          accepted = true;
+                          cert_id = Some (Entangle_certexport.Bundle.id b);
+                          cert_code = None;
+                          cert_detail = "verified:\n 3 operators";
+                        }))));
+    printer_oracle;
   ]
 
 let symdim_roundtrip =
@@ -251,6 +541,18 @@ let minor_words f =
 
 let linear_tests =
   [
+    Alcotest.test_case "4 MiB of open parentheses is refused in under 1 MB"
+      `Quick (fun () ->
+        (* The depth limit is decided at byte 1,001: the rest of a
+           hostile frame must cost nothing. *)
+        let text = String.make (4 * 1024 * 1024) '(' in
+        Gc.minor ();
+        let before = Gc.allocated_bytes () in
+        let result = Sexp.of_string text in
+        Gc.minor ();
+        let bytes = Gc.allocated_bytes () -. before in
+        check Alcotest.bool "refused" true (Result.is_error result);
+        if bytes >= 1e6 then Alcotest.failf "allocated %.0f bytes" bytes);
     Alcotest.test_case "untrusted lists parse in linear allocation" `Quick
       (fun () ->
         (* A fold that appends each parsed item copies the list per
@@ -322,6 +624,7 @@ let linear_tests =
 let suite =
   [
     ("serial.sexp", sexp_tests);
+    ("serial.printer", printer_tests);
     ("serial.linear", linear_tests);
     ("serial.roundtrip", [ symdim_roundtrip ] @ op_roundtrip_tests);
     ( "serial.graphs",
