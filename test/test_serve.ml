@@ -132,15 +132,20 @@ let handshake_tests =
 
 (* --- request / response grammar ---------------------------------------- *)
 
+(* Each frame is also held to the bytes [Format] printed for it. *)
 let roundtrip_request ~id req =
-  match P.request_of_string (P.request_to_string ~id req) with
+  let frame = P.request_to_string ~id req in
+  Test_serial.same_frame "request frame" frame;
+  match P.request_of_string frame with
   | Ok (id', req') ->
       check Alcotest.int "request id" id id';
       check Alcotest.bool "request body" true (req = req')
   | Error e -> Alcotest.failf "request_of_string: %s" e
 
 let roundtrip_response ~id resp =
-  match P.response_of_string (P.response_to_string ~id resp) with
+  let frame = P.response_to_string ~id resp in
+  Test_serial.same_frame "response frame" frame;
+  match P.response_of_string frame with
   | Ok (id', resp') ->
       check Alcotest.int "response id" id id';
       check Alcotest.bool "response body" true (resp = resp')
