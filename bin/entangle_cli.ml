@@ -372,6 +372,7 @@ let check_instance ?config inst =
 (* --- remote checking ----------------------------------------------------- *)
 
 module Serve = Entangle_serve
+module P = Serve.Protocol
 
 (* The retry policy the shared --remote-retries / --remote-timeout-s
    flags imply; backoff shape and jitter seed stay at the library
@@ -383,64 +384,66 @@ let retry_of_opts (opts : Output_opts.t) =
     timeout_s = opts.Output_opts.remote_timeout_s;
   }
 
-(* Ship one check to the resident daemon: graphs and relation travel
-   structurally, the verbatim report comes back with the verdict, exit
-   code and statistics a local run would have produced. The call rides
-   the retry ladder: transient failures (refused, busy, timeout) redial
-   with backoff; checks are idempotent so retrying after a sent request
-   is safe too. *)
-let remote_reply ~retry ~socket ~options ~gs ~gd ~input_relation =
-  Serve.Client.call ~retry ~socket
-    (Serve.Protocol.Check
-       {
-         options;
-         gs = Entangle_ir.Serial.graph_to_sexp gs;
-         gd = Entangle_ir.Serial.graph_to_sexp gd;
-         relation = Entangle.Relation_io.to_sexp input_relation;
-       })
-
-let remote_options (opts : Output_opts.t) ~family =
-  {
-    Serve.Protocol.family;
-    namespace = opts.Output_opts.namespace;
-    keep_going = opts.Output_opts.keep_going;
-  }
-
-(* [handle_success] maps a successful remote verdict to the exit code;
-   [verify] replays the returned certificate locally (same as the local
-   path), [check-files] just accepts it. *)
-let remote_check ~retry ~socket ~options ~gs ~gd ~input_relation
-    ~handle_success =
-  match remote_reply ~retry ~socket ~options ~gs ~gd ~input_relation with
+(* Send one request to the daemon on the retry ladder and map its
+   reply to an exit code: every remote command answers through here.
+   An unreachable daemon is the usage exit 124 with the attempt count,
+   a daemon error its mapped exit, and a reply [on_reply] does not
+   expect (it answers [None]) the internal exit 3. *)
+let remote_call opts ~socket req on_reply =
+  match Serve.Client.call ~retry:(retry_of_opts opts) ~socket req with
   | Error e ->
       Fmt.epr "cannot reach daemon on %s: %s (%d attempt%s)@." socket
         (Serve.Client.error_message e) e.Serve.Client.attempts
         (if e.Serve.Client.attempts = 1 then "" else "s");
       124
-  | Ok (Serve.Protocol.Error_reply { code; message }) ->
+  | Ok (P.Error_reply { code; message }) ->
       Fmt.epr "daemon error: %s@." message;
-      Serve.Protocol.error_exit_code code
-  | Ok (Serve.Protocol.Checked r) ->
-      Fmt.pr "%s@." r.Serve.Protocol.report;
-      if r.Serve.Protocol.exit_code = 0 then
-        handle_success r.Serve.Protocol.output_relation
-      else r.Serve.Protocol.exit_code
-  | Ok _ ->
-      Fmt.epr "unexpected daemon reply@.";
-      3
+      P.error_exit_code code
+  | Ok reply -> (
+      match on_reply reply with
+      | Some code -> code
+      | None ->
+          Fmt.epr "unexpected daemon reply@.";
+          3)
+
+let remote_options (opts : Output_opts.t) ~family =
+  {
+    P.family;
+    namespace = opts.Output_opts.namespace;
+    keep_going = opts.Output_opts.keep_going;
+  }
+
+(* Ship one check to the resident daemon: graphs and relation travel
+   structurally, the verbatim report comes back with the verdict, exit
+   code and statistics a local run would have produced. [on_success]
+   maps a refining verdict's certificate to the exit code: [verify]
+   replays it locally (same as the local path), [check-files] just
+   accepts it. *)
+let remote_check opts ~socket ~family ~gs ~gd ~input_relation ~on_success =
+  remote_call opts ~socket
+    (P.Check
+       {
+         options = remote_options opts ~family;
+         gs = Entangle_ir.Serial.graph_to_sexp gs;
+         gd = Entangle_ir.Serial.graph_to_sexp gd;
+         relation = Entangle.Relation_io.to_sexp input_relation;
+       })
+    (function
+      | P.Checked r ->
+          Fmt.pr "%s@." r.P.report;
+          Some
+            (if r.P.exit_code = 0 then on_success r.P.output_relation
+             else r.P.exit_code)
+      | _ -> None)
 
 let remote_check_instance opts socket (inst : Instance.t) =
   Fmt.pr "Checking %a@." Instance.pp inst;
-  let options =
-    remote_options opts
-      ~family:
-        (Some (Entangle_lemmas.Registry.family_name inst.Instance.family))
-  in
   let gs = inst.Instance.gs and gd = inst.Instance.gd in
   let input_relation = inst.Instance.input_relation in
-  remote_check ~retry:(retry_of_opts opts) ~socket ~options ~gs ~gd
-    ~input_relation
-    ~handle_success:(fun output_relation ->
+  remote_check opts ~socket
+    ~family:(Some (Entangle_lemmas.Registry.family_name inst.Instance.family))
+    ~gs ~gd ~input_relation
+    ~on_success:(fun output_relation ->
       report_replay
         (match output_relation with
         | None -> Error "daemon reply carried no certificate"
@@ -552,10 +555,8 @@ let check_files_cmd =
             match opts.Output_opts.remote with
             | Some socket ->
                 (* No family: the full corpus, same as the local path. *)
-                remote_check ~retry:(retry_of_opts opts) ~socket
-                  ~options:(remote_options opts ~family:None)
-                  ~gs ~gd ~input_relation
-                  ~handle_success:(fun _ -> 0)
+                remote_check opts ~socket ~family:None ~gs ~gd ~input_relation
+                  ~on_success:(fun _ -> 0)
             | None -> (
                 match
                   Entangle.Refine.check ~config ~gs ~gd ~input_relation ()
@@ -819,43 +820,42 @@ let trace_check_cmd =
 
 (* --- cache: inspect and maintain the certificate store ------------------ *)
 
-(* Shared by [cache stats --json] and [remote stats --json]: local and
-   daemon-side stores must render identically. *)
-let cache_stats_json ~dir ~entries ~bytes ~shards ~quarantined ~max_bytes
-    ~max_age_s ~evicted_entries ~evicted_bytes ~expired_entries =
+(* Shared by [cache stats] and [remote stats]: local and daemon-side
+   stores must render identically. *)
+let cache_stats_json ~dir (s : Entangle_cache.Store.stats) =
   let module J = Trace.Jsonw in
+  let module S = Entangle_cache.Store in
   J.envelope ~name:"cache-stats" ~version:1
     [
       ("dir", J.Str dir);
-      ("entries", J.Int entries);
-      ("bytes", J.Int bytes);
-      ("shards", J.Int shards);
-      ("quarantined", J.Int quarantined);
-      ("max_bytes", match max_bytes with Some b -> J.Int b | None -> J.Null);
-      ("max_age_s", match max_age_s with Some a -> J.Float a | None -> J.Null);
-      ("evicted_entries", J.Int evicted_entries);
-      ("evicted_bytes", J.Int evicted_bytes);
-      ("expired_entries", J.Int expired_entries);
+      ("entries", J.Int s.S.entries);
+      ("bytes", J.Int s.S.bytes);
+      ("shards", J.Int s.S.shards);
+      ("quarantined", J.Int s.S.quarantined);
+      ( "max_bytes",
+        match s.S.max_bytes with Some b -> J.Int b | None -> J.Null );
+      ( "max_age_s",
+        match s.S.max_age_s with Some a -> J.Float a | None -> J.Null );
+      ("evicted_entries", J.Int s.S.evicted_entries);
+      ("evicted_bytes", J.Int s.S.evicted_bytes);
+      ("expired_entries", J.Int s.S.expired_entries);
     ]
 
-let print_cache_stats ~json ~dir ~entries ~bytes ~shards ~quarantined
-    ~max_bytes ~max_age_s ~evicted_entries ~evicted_bytes ~expired_entries =
-  if json then
-    print_endline
-      (cache_stats_json ~dir ~entries ~bytes ~shards ~quarantined ~max_bytes
-         ~max_age_s ~evicted_entries ~evicted_bytes ~expired_entries)
+let print_cache_stats ~json ~dir (s : Entangle_cache.Store.stats) =
+  let module S = Entangle_cache.Store in
+  if json then print_endline (cache_stats_json ~dir s)
   else begin
     Fmt.pr "cache %s: %d entries (%d bytes, %d shards), %d quarantined@." dir
-      entries bytes shards quarantined;
+      s.S.entries s.S.bytes s.S.shards s.S.quarantined;
     Fmt.pr "  budget: %s, age bound %s@."
-      (match max_bytes with
+      (match s.S.max_bytes with
       | Some b -> Fmt.str "%d bytes" b
       | None -> "unbounded")
-      (match max_age_s with
+      (match s.S.max_age_s with
       | Some a -> Fmt.str "%gs" a
       | None -> "none");
-    Fmt.pr "  retention: %d evicted (%d bytes), %d expired@." evicted_entries
-      evicted_bytes expired_entries
+    Fmt.pr "  retention: %d evicted (%d bytes), %d expired@."
+      s.S.evicted_entries s.S.evicted_bytes s.S.expired_entries
   end
 
 let cache_cmd =
@@ -900,14 +900,8 @@ let cache_cmd =
                           Fmt.epr "cache import: %s@." e;
                           124))
               | `Stats ->
-                  let s = C.stats cache in
                   print_cache_stats ~json:opts.Output_opts.json
-                    ~dir:(C.dir cache) ~entries:s.S.entries ~bytes:s.S.bytes
-                    ~shards:s.S.shards ~quarantined:s.S.quarantined
-                    ~max_bytes:s.S.max_bytes ~max_age_s:s.S.max_age_s
-                    ~evicted_entries:s.S.evicted_entries
-                    ~evicted_bytes:s.S.evicted_bytes
-                    ~expired_entries:s.S.expired_entries;
+                    ~dir:(C.dir cache) (C.stats cache);
                   0
               | `Clear ->
                   let removed = C.clear cache in
@@ -1069,43 +1063,31 @@ let cert_export_cmd =
                   0
             in
             match opts.Output_opts.remote with
-            | Some socket -> (
-                let module Cl = Serve.Client in
-                let module P = Serve.Protocol in
-                let req =
-                  P.Cert_fetch
-                    {
-                      options =
-                        remote_options opts
-                          ~family:
-                            (Some
-                               (Entangle_lemmas.Registry.family_name
-                                  inst.Instance.family));
-                      gs = Entangle_ir.Serial.graph_to_sexp inst.Instance.gs;
-                      gd = Entangle_ir.Serial.graph_to_sexp inst.Instance.gd;
-                      relation =
-                        Entangle.Relation_io.to_sexp
-                          inst.Instance.input_relation;
-                      env =
-                        Entangle.Cert_export.env_bindings inst.Instance.env;
-                    }
-                in
-                match Cl.call ~retry:(retry_of_opts opts) ~socket req with
-                | Error e ->
-                    Fmt.epr "cannot reach daemon on %s: %s@." socket
-                      (Cl.error_message e);
-                    124
-                | Ok (P.Error_reply { code; message }) ->
-                    Fmt.epr "daemon error: %s@." message;
-                    P.error_exit_code code
-                | Ok (P.Checked r) ->
-                    (* the check ran but did not refine: no bundle *)
-                    Fmt.pr "%s@." r.P.report;
-                    r.P.exit_code
-                | Ok (P.Cert_bundle { bundle }) -> finish bundle
-                | Ok _ ->
-                    Fmt.epr "unexpected daemon reply@.";
-                    3)
+            | Some socket ->
+                remote_call opts ~socket
+                  (P.Cert_fetch
+                     {
+                       options =
+                         remote_options opts
+                           ~family:
+                             (Some
+                                (Entangle_lemmas.Registry.family_name
+                                   inst.Instance.family));
+                       gs = Entangle_ir.Serial.graph_to_sexp inst.Instance.gs;
+                       gd = Entangle_ir.Serial.graph_to_sexp inst.Instance.gd;
+                       relation =
+                         Entangle.Relation_io.to_sexp
+                           inst.Instance.input_relation;
+                       env =
+                         Entangle.Cert_export.env_bindings inst.Instance.env;
+                     })
+                  (function
+                    | P.Checked r ->
+                        (* the check ran but did not refine: no bundle *)
+                        Fmt.pr "%s@." r.P.report;
+                        Some r.P.exit_code
+                    | P.Cert_bundle { bundle } -> Some (finish bundle)
+                    | _ -> None)
             | None -> (
                 let config = Output_opts.config opts sink in
                 match Instance.check ~config inst with
@@ -1162,49 +1144,35 @@ let cert_verify_cmd =
             | Error e ->
                 print_cert_error ~json:opts.Output_opts.json e;
                 1)
-        | Some socket -> (
-            let module Cl = Serve.Client in
-            let module P = Serve.Protocol in
-            match
-              Cl.call ~retry:(retry_of_opts opts) ~socket
-                (P.Cert_push { bundle = text })
-            with
-            | Error e ->
-                Fmt.epr "cannot reach daemon on %s: %s@." socket
-                  (Cl.error_message e);
-                124
-            | Ok (P.Error_reply { code; message }) ->
-                Fmt.epr "daemon error: %s@." message;
-                P.error_exit_code code
-            | Ok (P.Cert_verdict_reply v) ->
-                let module J = Trace.Jsonw in
-                if opts.Output_opts.json then
-                  print_endline
-                    (J.envelope ~name:"cert-verify" ~version:1
-                       [
-                         ("accepted", J.Bool v.P.accepted);
-                         ( "id",
-                           match v.P.cert_id with
-                           | Some i -> J.Str i
-                           | None -> J.Null );
-                         ( "code",
-                           match v.P.cert_code with
-                           | Some c -> J.Str c
-                           | None -> J.Null );
-                         ("detail", J.Str v.P.cert_detail);
-                       ])
-                else if v.P.accepted then
-                  Fmt.pr "daemon accepted certificate%a: %s@."
-                    Fmt.(option (fmt " %s"))
-                    v.P.cert_id v.P.cert_detail
-                else
-                  Fmt.pr "daemon REJECTED certificate (%s): %s@."
-                    (Option.value v.P.cert_code ~default:"?")
-                    v.P.cert_detail;
-                if v.P.accepted then 0 else 1
-            | Ok _ ->
-                Fmt.epr "unexpected daemon reply@.";
-                3))
+        | Some socket ->
+            remote_call opts ~socket (P.Cert_push { bundle = text }) (function
+              | P.Cert_verdict_reply v ->
+                  let module J = Trace.Jsonw in
+                  if opts.Output_opts.json then
+                    print_endline
+                      (J.envelope ~name:"cert-verify" ~version:1
+                         [
+                           ("accepted", J.Bool v.P.accepted);
+                           ( "id",
+                             match v.P.cert_id with
+                             | Some i -> J.Str i
+                             | None -> J.Null );
+                           ( "code",
+                             match v.P.cert_code with
+                             | Some c -> J.Str c
+                             | None -> J.Null );
+                           ("detail", J.Str v.P.cert_detail);
+                         ])
+                  else if v.P.accepted then
+                    Fmt.pr "daemon accepted certificate%a: %s@."
+                      Fmt.(option (fmt " %s"))
+                      v.P.cert_id v.P.cert_detail
+                  else
+                    Fmt.pr "daemon REJECTED certificate (%s): %s@."
+                      (Option.value v.P.cert_code ~default:"?")
+                      v.P.cert_detail;
+                  Some (if v.P.accepted then 0 else 1)
+              | _ -> None))
   in
   let info =
     Cmd.info "verify"
@@ -1293,28 +1261,26 @@ let socket_arg =
         ~doc:"Path of the daemon's Unix-domain socket.")
 
 let serve_cmd =
-  let run opts socket name max_connections max_clients io_timeout_s
-      idle_timeout_s request_deadline_s drain_timeout_s =
+  let run opts socket name max_clients io_timeout_s idle_timeout_s
+      request_deadline_s drain_timeout_s =
     Output_opts.with_sink opts (fun sink ->
         let config = Output_opts.config opts sink in
         match
-          Serve.Server.create ~name ~config ?max_connections ~max_clients
-            ~io_timeout_s ?idle_timeout_s ?request_deadline_s ~drain_timeout_s
-            ~socket ()
+          Serve.Server.create ~name ~config ~max_clients ~io_timeout_s
+            ?idle_timeout_s ?request_deadline_s ~drain_timeout_s ~socket ()
         with
         | Error e ->
             Fmt.epr "%s@." (Serve.Server.error_message e);
             124
         | Ok server ->
             Fmt.pr "entangle serve: listening on %s (protocol %d)@." socket
-              Serve.Protocol.protocol_version;
+              P.protocol_version;
             Serve.Server.run ~signals:true server;
             let s = Serve.Server.stats server in
             Fmt.pr
               "entangle serve: done after %d requests (%d connections, %d \
                rejected busy, %d timed out)@."
-              s.Serve.Protocol.served s.Serve.Protocol.accepted
-              s.Serve.Protocol.rejected_busy s.Serve.Protocol.timed_out;
+              s.P.served s.P.accepted s.P.rejected_busy s.P.timed_out;
             0)
   in
   let name_arg =
@@ -1323,15 +1289,6 @@ let serve_cmd =
       & opt string "entangle-serve"
       & info [ "name" ] ~docv:"NAME"
           ~doc:"Server identity echoed in the handshake and $(b,describe).")
-  in
-  let max_connections =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-connections" ] ~docv:"N"
-          ~doc:
-            "Exit after serving $(docv) connections (mainly for tests; \
-             default: serve until $(b,remote shutdown)).")
   in
   let max_clients =
     Arg.(
@@ -1395,16 +1352,14 @@ let serve_cmd =
   in
   Cmd.v info
     Term.(
-      const run $ Output_opts.term $ socket_arg $ name_arg $ max_connections
-      $ max_clients $ io_timeout_s $ idle_timeout_s $ request_deadline_s
-      $ drain_timeout_s)
+      const run $ Output_opts.term $ socket_arg $ name_arg $ max_clients
+      $ io_timeout_s $ idle_timeout_s $ request_deadline_s $ drain_timeout_s)
 
 (* [remote stats]: the daemon's live connection counters, plus — when
    it runs cached — the cache statistics in the exact shape of
    [cache stats --json], nested under ["cache"]. *)
-let remote_stats_json ~(server : Serve.Protocol.server_stats) ~cache =
+let remote_stats_json ~(server : P.server_stats) ~cache =
   let module J = Trace.Jsonw in
-  let module P = Serve.Protocol in
   J.envelope ~name:"remote-stats" ~version:1
     [
       ( "server",
@@ -1422,107 +1377,72 @@ let remote_stats_json ~(server : Serve.Protocol.server_stats) ~cache =
       ( "cache",
         match cache with
         | None -> J.Null
-        | Some (r : P.cache_stats_reply) ->
-            J.Raw
-              (cache_stats_json ~dir:r.P.dir ~entries:r.P.entries
-                 ~bytes:r.P.bytes ~shards:r.P.shards
-                 ~quarantined:r.P.quarantined ~max_bytes:r.P.max_bytes
-                 ~max_age_s:r.P.max_age_s ~evicted_entries:r.P.evicted_entries
-                 ~evicted_bytes:r.P.evicted_bytes
-                 ~expired_entries:r.P.expired_entries) );
+        | Some (dir, stats) -> J.Raw (cache_stats_json ~dir stats) );
     ]
 
 let remote_cmd =
-  let module Cl = Serve.Client in
-  let module P = Serve.Protocol in
   let run opts socket action =
     Output_opts.with_sink opts (fun _sink ->
         (* Every action is one dialed request riding the retry ladder;
            the ladder itself refuses to resend the non-idempotent ones
            (clear, shutdown) once the request frame is out. *)
-        let call req = Cl.call ~retry:(retry_of_opts opts) ~socket req in
-        let transport (e : Cl.error) =
-          Fmt.epr "cannot reach daemon on %s: %s (%d attempt%s)@." socket
-            (Cl.error_message e) e.Cl.attempts
-            (if e.Cl.attempts = 1 then "" else "s");
-          124
-        in
-        let daemon_error code message =
-          Fmt.epr "daemon error: %s@." message;
-          P.error_exit_code code
-        in
-        let unexpected () =
-          Fmt.epr "unexpected daemon reply@.";
-          3
-        in
+        let call = remote_call opts ~socket in
         match action with
-        | `Ping -> (
-            match call P.Ping with
-            | Ok P.Pong ->
-                Fmt.pr "pong@.";
-                0
-            | Ok (P.Error_reply { code; message }) -> daemon_error code message
-            | Ok _ -> unexpected ()
-            | Error e -> transport e)
-        | `Describe -> (
-            match call P.Describe with
-            | Ok (P.Described json) ->
-                print_endline json;
-                0
-            | Ok (P.Error_reply { code; message }) -> daemon_error code message
-            | Ok _ -> unexpected ()
-            | Error e -> transport e)
-        | `Shutdown -> (
-            match call P.Shutdown with
-            | Ok P.Bye ->
-                Fmt.pr "daemon shut down@.";
-                0
-            | Ok (P.Error_reply { code; message }) -> daemon_error code message
-            | Ok _ -> unexpected ()
-            | Error e -> transport e)
-        | `Stats -> (
-            match call P.Server_stats with
-            | Error e -> transport e
-            | Ok (P.Error_reply { code; message }) -> daemon_error code message
-            | Ok (P.Server_stats_reply s) ->
-                let cache =
-                  match call P.Cache_stats with
-                  | Ok (P.Cache_stats_reply r) -> Some r
-                  | Ok _ | Error _ -> None
-                in
-                if opts.Output_opts.json then
-                  print_endline (remote_stats_json ~server:s ~cache)
-                else begin
-                  Fmt.pr
-                    "server: %d connections accepted (%d active), %d requests \
-                     served@."
-                    s.P.accepted s.P.active s.P.served;
-                  Fmt.pr
-                    "  %d rejected busy (limit %d), %d timed out, %d drained, \
-                     %d accept failures@."
-                    s.P.rejected_busy s.P.max_clients s.P.timed_out s.P.drained
-                    s.P.accept_failures;
-                  match cache with
-                  | Some r ->
-                      print_cache_stats ~json:false ~dir:r.P.dir
-                        ~entries:r.P.entries ~bytes:r.P.bytes ~shards:r.P.shards
-                        ~quarantined:r.P.quarantined ~max_bytes:r.P.max_bytes
-                        ~max_age_s:r.P.max_age_s
-                        ~evicted_entries:r.P.evicted_entries
-                        ~evicted_bytes:r.P.evicted_bytes
-                        ~expired_entries:r.P.expired_entries
-                  | None -> Fmt.pr "cache: none (daemon runs uncached)@."
-                end;
-                0
-            | Ok _ -> unexpected ())
-        | `Clear -> (
-            match call P.Cache_clear with
-            | Ok (P.Cache_cleared n) ->
-                Fmt.pr "daemon cache: removed %d entries@." n;
-                0
-            | Ok (P.Error_reply { code; message }) -> daemon_error code message
-            | Ok _ -> unexpected ()
-            | Error e -> transport e))
+        | `Ping ->
+            call P.Ping (function
+              | P.Pong ->
+                  Fmt.pr "pong@.";
+                  Some 0
+              | _ -> None)
+        | `Describe ->
+            call P.Describe (function
+              | P.Described json ->
+                  print_endline json;
+                  Some 0
+              | _ -> None)
+        | `Shutdown ->
+            call P.Shutdown (function
+              | P.Bye ->
+                  Fmt.pr "daemon shut down@.";
+                  Some 0
+              | _ -> None)
+        | `Clear ->
+            call P.Cache_clear (function
+              | P.Cache_cleared n ->
+                  Fmt.pr "daemon cache: removed %d entries@." n;
+                  Some 0
+              | _ -> None)
+        | `Stats ->
+            call P.Server_stats (function
+              | P.Server_stats_reply s ->
+                  let cache =
+                    match
+                      Serve.Client.call ~retry:(retry_of_opts opts) ~socket
+                        P.Cache_stats
+                    with
+                    | Ok (P.Cache_stats_reply { dir; stats }) ->
+                        Some (dir, stats)
+                    | Ok _ | Error _ -> None
+                  in
+                  if opts.Output_opts.json then
+                    print_endline (remote_stats_json ~server:s ~cache)
+                  else begin
+                    Fmt.pr
+                      "server: %d connections accepted (%d active), %d \
+                       requests served@."
+                      s.P.accepted s.P.active s.P.served;
+                    Fmt.pr
+                      "  %d rejected busy (limit %d), %d timed out, %d \
+                       drained, %d accept failures@."
+                      s.P.rejected_busy s.P.max_clients s.P.timed_out
+                      s.P.drained s.P.accept_failures;
+                    match cache with
+                    | Some (dir, stats) ->
+                        print_cache_stats ~json:false ~dir stats
+                    | None -> Fmt.pr "cache: none (daemon runs uncached)@."
+                  end;
+                  Some 0
+              | _ -> None))
   in
   let action =
     let actions =

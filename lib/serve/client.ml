@@ -145,74 +145,23 @@ let read_response t ~id =
       end
       else Ok resp
 
-let send_sized t req =
+let send t req =
   if t.closed then Error (err_of ~kind:Closed "connection closed")
   else begin
     let id = t.next_id in
     t.next_id <- id + 1;
-    let frame = P.request_to_string ~id req in
-    match P.Io.write_frame ?deadline:(deadline t) t.io frame with
+    match
+      P.Io.write_frame ?deadline:(deadline t) t.io (P.request_to_string ~id req)
+    with
     | Error e ->
         close t;
         Error (io_error e)
-    | Ok () -> Ok (id, String.length frame)
+    | Ok () -> Ok id
   end
-
-let send t req = Result.map fst (send_sized t req)
 
 let request t req =
   let* id = send t req in
   read_response t ~id
-
-(* Pipelining: requests are written back-to-back and responses read in
-   request order — the server answers strictly in order, so matching
-   the i-th response to the i-th sent id is exact, not heuristic.
-
-   Writes and reads interleave under an in-flight bound. Both peers
-   write before they read, so a client that blindly wrote every frame
-   of a large batch while the server is mid-write on a response could
-   fill the kernel socket buffers in both directions and wedge the two
-   sides in [write] until a deadline breaks the connection. Once the
-   pending requests exceed the bound (frames or bytes), the oldest
-   response is drained before the next frame is written, keeping the
-   unread backlog small. Check_batch is excluded — its response is a
-   multi-frame stream, which would desynchronize the
-   one-frame-per-request accounting here. *)
-let max_pipeline_frames = 16
-let max_pipeline_bytes = 256 * 1024
-
-let pipeline t reqs =
-  if
-    List.exists (function P.Check_batch _ -> true | _ -> false) reqs
-  then fail "pipeline: check-batch streams multiple frames; send it alone"
-  else
-    (* Pending = ids written but not yet answered, oldest first, each
-       with the frame bytes it contributed to [inflight]; a two-list
-       queue so both ends are O(1). *)
-    let pop front back =
-      match front with
-      | p :: front -> Some (p, front, back)
-      | [] -> (
-          match List.rev back with
-          | p :: front -> Some (p, front, [])
-          | [] -> None)
-    in
-    let rec go acc front back count inflight reqs =
-      match reqs with
-      | req :: rest
-        when (count < max_pipeline_frames && inflight < max_pipeline_bytes)
-             || (front = [] && back = []) ->
-          let* id, bytes = send_sized t req in
-          go acc front ((id, bytes) :: back) (count + 1) (inflight + bytes)
-            rest
-      | _ -> (
-          match pop front back with
-          | None -> Ok (List.rev acc)
-          | Some ((id, bytes), front, back) ->
-              let* resp = read_response t ~id in
-              go (resp :: acc) front back (count - 1) (inflight - bytes) reqs)
-    in
-    go [] [] [] 0 0 reqs
 
 (* --- typed helpers ------------------------------------------------------ *)
 
@@ -231,9 +180,6 @@ let describe t =
   | P.Described json -> Ok json
   | P.Error_reply { message; _ } -> app message
   | _ -> app "unexpected reply to describe"
-
-let check t ?(options = P.default_options) ~gs ~gd ~relation () =
-  request t (P.Check { options; gs; gd; relation })
 
 (* The batch stream: items arrive in index order as they are computed,
    terminated by batch-done; a bare error reply fails the whole batch. *)
@@ -261,19 +207,12 @@ let check_batch t ?(options = P.default_options) ~instances () =
   in
   collect []
 
-let cert_fetch t ?(options = P.default_options) ~gs ~gd ~relation ~env () =
-  request t (P.Cert_fetch { options; gs; gd; relation; env })
-
 let cert_push t ~bundle =
   let* resp = request t (P.Cert_push { bundle }) in
   match resp with
   | P.Cert_verdict_reply v -> Ok v
   | P.Error_reply { message; _ } -> app message
   | _ -> app "unexpected reply to cert-push"
-
-let cache_stats t = request t P.Cache_stats
-let cache_clear t = request t P.Cache_clear
-let server_stats t = request t P.Server_stats
 
 let shutdown t =
   let outcome =
@@ -303,7 +242,7 @@ let default_retry =
     timeout_s = None;
     backoff_base_s = 0.05;
     backoff_cap_s = 2.0;
-    jitter_seed = 0x7e7a;
+    jitter_seed = Unix.getpid ();
     sleep = Unix.sleepf;
   }
 

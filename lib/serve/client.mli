@@ -4,12 +4,12 @@
     version handshake; every failure is a structured {!error} whose
     {!error_kind} says whether retrying can help ([Refused], [Busy]
     and [Timed_out] are transient; [Rejected] — a protocol-version
-    mismatch — is permanent). The per-request helpers return the typed
-    {!Protocol.response}; [Error _] throughout means a transport or
-    protocol failure — application-level failures arrive as
-    {!Protocol.Error_reply} values (or, from the flattening helpers,
-    an [App]-kind error) so callers can map them onto the CLI
-    exit-code convention.
+    mismatch — is permanent). {!request} is the one way to send on a
+    session and returns the typed {!Protocol.response}; [Error _]
+    throughout means a transport or protocol failure —
+    application-level failures arrive as {!Protocol.Error_reply}
+    values (or, from the helpers that interpret a reply, an [App]-kind
+    error) so callers can map them onto the CLI exit-code convention.
 
     {!call} is the one-shot form with the retry ladder: capped
     exponential backoff with deterministic seeded jitter, redialing on
@@ -53,34 +53,21 @@ val close : t -> unit
 
 val request : t -> Protocol.request -> (Protocol.response, error) result
 (** Send one request and read its response; ids are assigned and
-    checked internally. Not for [Check_batch] — use {!check_batch},
-    which consumes the whole response stream. *)
+    checked internally. A [Check] answers [Ok (Checked _)] or [Ok
+    (Error_reply _)] in the usual case; a [Cert_fetch] answers [Ok
+    (Cert_bundle _)] when the check refines, [Ok (Checked _)] with the
+    ordinary verdict when it does not, and the caller must re-verify
+    the bundle with {!Entangle_certexport.Verify} before trusting it —
+    the daemon is outside the trust boundary. Not for [Check_batch] —
+    use {!check_batch}, which consumes the whole response stream. *)
 
-val pipeline :
-  t -> Protocol.request list -> (Protocol.response list, error) result
-(** Write the request frames back-to-back and read the responses in
-    request order — one round trip's latency for the whole batch
-    instead of one per request. The number of unanswered requests in
-    flight is bounded (16 frames / 256 KiB of request bytes): past the
-    bound the oldest response is drained before the next frame is
-    written, so a large batch cannot fill the kernel socket buffers in
-    both directions and wedge client and server in [write] against
-    each other. Rejects [Check_batch] (its multi-frame response stream
-    would desynchronize the one-frame-per-request accounting); use
-    {!check_batch} for that. *)
+(** {1 Helpers that interpret a reply}
+
+    Each sends one request and flattens an [Error_reply] or an
+    unexpected reply into an [App]-kind error. *)
 
 val ping : t -> (unit, error) result
 val describe : t -> (string, error) result
-
-val check :
-  t ->
-  ?options:Protocol.check_options ->
-  gs:Entangle_ir.Sexp.t ->
-  gd:Entangle_ir.Sexp.t ->
-  relation:Entangle_ir.Sexp.t ->
-  unit ->
-  (Protocol.response, error) result
-(** [Ok (Checked _)] or [Ok (Error_reply _)] in the usual case. *)
 
 val check_batch :
   t ->
@@ -93,27 +80,8 @@ val check_batch :
     list is in instance order; each element is a full per-check
     response ([Checked _] or [Error_reply _]). *)
 
-val cert_fetch :
-  t ->
-  ?options:Protocol.check_options ->
-  gs:Entangle_ir.Sexp.t ->
-  gd:Entangle_ir.Sexp.t ->
-  relation:Entangle_ir.Sexp.t ->
-  env:(string * int) list ->
-  unit ->
-  (Protocol.response, error) result
-(** Run a remote check and fetch its certificate bundle: [Ok
-    (Cert_bundle _)] when the check refines, [Ok (Checked _)] with the
-    ordinary verdict when it does not. The caller must re-verify the
-    bundle with {!Entangle_certexport.Verify} before trusting it — the
-    daemon is outside the trust boundary. *)
-
 val cert_push : t -> bundle:string -> (Protocol.cert_verdict, error) result
 (** Submit a serialized bundle for server-side minimal verification. *)
-
-val cache_stats : t -> (Protocol.response, error) result
-val cache_clear : t -> (Protocol.response, error) result
-val server_stats : t -> (Protocol.response, error) result
 
 val shutdown : t -> (unit, error) result
 (** Asks the daemon to exit; [Ok ()] once the [Bye] acknowledgement
@@ -131,7 +99,9 @@ type retry = {
 }
 
 val default_retry : retry
-(** 2 retries, no deadline, 50 ms base, 2 s cap. *)
+(** 2 retries, no deadline, 50 ms base, 2 s cap, and the jitter seeded
+    by the process id ([Unix.getpid ()]), so client processes that meet
+    one busy daemon back off on different schedules. *)
 
 val backoff_schedule : retry -> float list
 (** The exact delays {!call} will sleep between attempts, as a pure

@@ -1,5 +1,6 @@
 module Sexp = Entangle_ir.Sexp
 module Refine = Entangle.Refine
+module Store = Entangle_cache.Store
 
 let ( let* ) = Result.bind
 let err fmt = Fmt.kstr (fun s -> Error s) fmt
@@ -17,37 +18,7 @@ let max_frame_bytes = 64 * 1024 * 1024
 let encode_frame payload =
   string_of_int (String.length payload) ^ "\n" ^ payload
 
-let write_frame oc payload =
-  output_string oc (string_of_int (String.length payload));
-  output_char oc '\n';
-  output_string oc payload;
-  flush oc
-
-let read_frame ic =
-  (* The length prefix is short and all-digit; read it byte-wise so a
-     non-protocol peer cannot make us buffer garbage. *)
-  let rec len acc digits =
-    if digits > 10 then err "frame length prefix too long"
-    else
-      match input_char ic with
-      | exception End_of_file ->
-          if digits = 0 then err "connection closed"
-          else err "connection closed inside frame length"
-      | '\n' -> if digits = 0 then err "empty frame length" else Ok acc
-      | '0' .. '9' as c -> len ((acc * 10) + (Char.code c - 48)) (digits + 1)
-      | c -> err "invalid byte %C in frame length" c
-  in
-  let* n = len 0 0 in
-  if n > max_frame_bytes then err "frame of %d bytes exceeds limit" n
-  else
-    match really_input_string ic n with
-    | payload -> Ok payload
-    | exception End_of_file -> err "connection closed inside frame payload"
-
-(* --- deadline-aware framed I/O ----------------------------------------- *)
-
-(* The channel framing above blocks for as long as the peer cares to
-   stall; [Io] is the same frame grammar over a non-blocking
+(* [Io] is the only framing: the frame grammar over a non-blocking
    descriptor, every wait bounded by an absolute deadline and
    (optionally) interruptible through a cancel descriptor — the
    server's drain pipe. A slow-loris peer costs one timeout, never a
@@ -368,55 +339,90 @@ let options_of_sexp sexp =
       in
       Ok { family; namespace; keep_going }
 
-let request_body_to_sexp = function
-  | Ping -> Sexp.list [ Sexp.atom "ping" ]
-  | Describe -> Sexp.list [ Sexp.atom "describe" ]
-  | Cache_stats -> Sexp.list [ Sexp.atom "cache-stats" ]
-  | Cache_clear -> Sexp.list [ Sexp.atom "cache-clear" ]
-  | Server_stats -> Sexp.list [ Sexp.atom "server-stats" ]
-  | Shutdown -> Sexp.list [ Sexp.atom "shutdown" ]
-  | Check { options; gs; gd; relation } ->
-      Sexp.list
+(* The one table of request names: the wire's head atoms, the server's
+   spans and serve.dispatch.<name> failpoints, and [describe] all read
+   it. *)
+let request_name = function
+  | Ping -> "ping"
+  | Describe -> "describe"
+  | Check _ -> "check"
+  | Check_batch _ -> "check-batch"
+  | Cert_fetch _ -> "cert-fetch"
+  | Cert_push _ -> "cert-push"
+  | Cache_stats -> "cache-stats"
+  | Cache_clear -> "cache-clear"
+  | Server_stats -> "server-stats"
+  | Shutdown -> "shutdown"
+
+(* One request of each kind, in the order [describe] lists them: the
+   decoder finds a head atom's kind here. *)
+let request_kinds =
+  let nil = Sexp.list [] in
+  let options = default_options in
+  [
+    Ping;
+    Describe;
+    Check { options; gs = nil; gd = nil; relation = nil };
+    Check_batch { options; instances = [] };
+    Cert_fetch { options; gs = nil; gd = nil; relation = nil; env = [] };
+    Cert_push { bundle = "" };
+    Cache_stats;
+    Cache_clear;
+    Server_stats;
+    Shutdown;
+  ]
+
+let request_names = List.map request_name request_kinds
+
+let graph_fields ~gs ~gd ~relation =
+  [ field "gs" [ gs ]; field "gd" [ gd ]; field "relation" [ relation ] ]
+
+let graphs_of_sexp sexp =
+  let* gs = get_one "gs" sexp in
+  let* gd = get_one "gd" sexp in
+  let* relation = get_one "relation" sexp in
+  Ok (gs, gd, relation)
+
+(* The items of a list field, each decoded by [f], in order. *)
+let items_of_sexp name f sexp =
+  match assoc name sexp with
+  | None -> err "missing field %s" name
+  | Some body ->
+      List.fold_left
+        (fun acc item ->
+          let* acc = acc in
+          let* x = f item in
+          Ok (x :: acc))
+        (Ok []) body
+      |> Result.map List.rev
+
+let request_body_to_sexp req =
+  field (request_name req)
+    (match req with
+    | Ping | Describe | Cache_stats | Cache_clear | Server_stats | Shutdown ->
+        []
+    | Check { options; gs; gd; relation } ->
+        options_to_sexp options :: graph_fields ~gs ~gd ~relation
+    | Check_batch { options; instances } ->
         [
-          Sexp.atom "check";
-          options_to_sexp options;
-          field "gs" [ gs ];
-          field "gd" [ gd ];
-          field "relation" [ relation ];
-        ]
-  | Check_batch { options; instances } ->
-      Sexp.list
-        [
-          Sexp.atom "check-batch";
           options_to_sexp options;
           field "instances"
             (List.map
                (fun i ->
-                 Sexp.list
-                   [
-                     Sexp.atom "instance";
-                     field "gs" [ i.gs ];
-                     field "gd" [ i.gd ];
-                     field "relation" [ i.relation ];
-                   ])
+                 field "instance"
+                   (graph_fields ~gs:i.gs ~gd:i.gd ~relation:i.relation))
                instances);
         ]
-  | Cert_fetch { options; gs; gd; relation; env } ->
-      Sexp.list
-        [
-          Sexp.atom "cert-fetch";
-          options_to_sexp options;
-          field "gs" [ gs ];
-          field "gd" [ gd ];
-          field "relation" [ relation ];
-          field "env"
-            (List.map
-               (fun (s, v) ->
-                 Sexp.list [ Sexp.atom s; Sexp.atom (string_of_int v) ])
-               env);
-        ]
-  | Cert_push { bundle } ->
-      Sexp.list [ Sexp.atom "cert-push"; str_field "bundle" bundle ]
+    | Cert_fetch { options; gs; gd; relation; env } ->
+        (options_to_sexp options :: graph_fields ~gs ~gd ~relation)
+        @ [
+            field "env"
+              (List.map
+                 (fun (s, v) ->
+                   Sexp.list [ Sexp.atom s; Sexp.atom (string_of_int v) ])
+                 env);
+          ]
+    | Cert_push { bundle } -> [ str_field "bundle" bundle ])
 
 let request_to_string ~id req =
   Sexp.to_string
@@ -424,68 +430,58 @@ let request_to_string ~id req =
        [ Sexp.atom "request"; int_field "id" id; request_body_to_sexp req ])
 
 let request_body_of_sexp sexp =
-  match sexp with
-  | Sexp.List (Sexp.Atom "ping" :: _) -> Ok Ping
-  | Sexp.List (Sexp.Atom "describe" :: _) -> Ok Describe
-  | Sexp.List (Sexp.Atom "cache-stats" :: _) -> Ok Cache_stats
-  | Sexp.List (Sexp.Atom "cache-clear" :: _) -> Ok Cache_clear
-  | Sexp.List (Sexp.Atom "server-stats" :: _) -> Ok Server_stats
-  | Sexp.List (Sexp.Atom "shutdown" :: _) -> Ok Shutdown
-  | Sexp.List (Sexp.Atom "check" :: _) ->
-      let* options = options_of_sexp sexp in
-      let* gs = get_one "gs" sexp in
-      let* gd = get_one "gd" sexp in
-      let* relation = get_one "relation" sexp in
-      Ok (Check { options; gs; gd; relation })
-  | Sexp.List (Sexp.Atom "check-batch" :: _) ->
-      let* options = options_of_sexp sexp in
-      let* instances =
-        match assoc "instances" sexp with
-        | None -> Error "missing field instances"
-        | Some body ->
-            List.fold_left
-              (fun acc item ->
-                let* acc = acc in
-                match item with
-                | Sexp.List (Sexp.Atom "instance" :: _) ->
-                    let* gs = get_one "gs" item in
-                    let* gd = get_one "gd" item in
-                    let* relation = get_one "relation" item in
-                    Ok ({ gs; gd; relation } :: acc)
-                | s -> err "instances: malformed %s" (Sexp.excerpt s))
-              (Ok []) body
-            |> Result.map List.rev
-      in
-      Ok (Check_batch { options; instances })
-  | Sexp.List (Sexp.Atom "cert-fetch" :: _) ->
-      let* options = options_of_sexp sexp in
-      let* gs = get_one "gs" sexp in
-      let* gd = get_one "gd" sexp in
-      let* relation = get_one "relation" sexp in
-      let* env =
-        match assoc "env" sexp with
-        | None -> Error "missing field env"
-        | Some body ->
-            List.fold_left
-              (fun acc item ->
-                let* acc = acc in
-                match item with
-                | Sexp.List [ Sexp.Atom s; Sexp.Atom v ] -> (
-                    match int_of_string_opt v with
-                    | Some n -> Ok ((s, n) :: acc)
-                    | None ->
-                        err "env: bad value %s for %s"
-                          (Sexp.excerpt (Sexp.Atom v))
-                          (Sexp.excerpt (Sexp.Atom s)))
-                | s -> err "env: malformed %s" (Sexp.excerpt s))
-              (Ok []) body
-            |> Result.map List.rev
-      in
-      Ok (Cert_fetch { options; gs; gd; relation; env })
-  | Sexp.List (Sexp.Atom "cert-push" :: _) ->
-      let* bundle = get_str "bundle" sexp in
-      Ok (Cert_push { bundle })
-  | s -> err "unknown request %s" (Sexp.excerpt s)
+  let decode kind =
+    match kind with
+    | Ping | Describe | Cache_stats | Cache_clear | Server_stats | Shutdown ->
+        Ok kind
+    | Check _ ->
+        let* options = options_of_sexp sexp in
+        let* gs, gd, relation = graphs_of_sexp sexp in
+        Ok (Check { options; gs; gd; relation })
+    | Check_batch _ ->
+        let* options = options_of_sexp sexp in
+        let* instances =
+          items_of_sexp "instances"
+            (function
+              | Sexp.List (Sexp.Atom "instance" :: _) as item ->
+                  let* gs, gd, relation = graphs_of_sexp item in
+                  Ok { gs; gd; relation }
+              | s -> err "instances: malformed %s" (Sexp.excerpt s))
+            sexp
+        in
+        Ok (Check_batch { options; instances })
+    | Cert_fetch _ ->
+        let* options = options_of_sexp sexp in
+        let* gs, gd, relation = graphs_of_sexp sexp in
+        let* env =
+          items_of_sexp "env"
+            (function
+              | Sexp.List [ Sexp.Atom s; Sexp.Atom v ] -> (
+                  match int_of_string_opt v with
+                  | Some n -> Ok (s, n)
+                  | None ->
+                      err "env: bad value %s for %s"
+                        (Sexp.excerpt (Sexp.Atom v))
+                        (Sexp.excerpt (Sexp.Atom s)))
+              | s -> err "env: malformed %s" (Sexp.excerpt s))
+            sexp
+        in
+        Ok (Cert_fetch { options; gs; gd; relation; env })
+    | Cert_push _ ->
+        let* bundle = get_str "bundle" sexp in
+        Ok (Cert_push { bundle })
+  in
+  let kind =
+    match sexp with
+    | Sexp.List (Sexp.Atom head :: _) ->
+        List.find_opt
+          (fun r -> String.equal (request_name r) head)
+          request_kinds
+    | _ -> None
+  in
+  match kind with
+  | Some r -> decode r
+  | None -> err "unknown request %s" (Sexp.excerpt sexp)
 
 let request_of_string s =
   let* sexp = Sexp.of_string s in
@@ -519,19 +515,6 @@ type check_reply = {
   stats : Refine.stats;
 }
 
-type cache_stats_reply = {
-  dir : string;
-  entries : int;
-  bytes : int;
-  shards : int;
-  quarantined : int;
-  max_bytes : int option;
-  max_age_s : float option;
-  evicted_entries : int;
-  evicted_bytes : int;
-  expired_entries : int;
-}
-
 type server_stats = {
   accepted : int;
   active : int;
@@ -554,7 +537,7 @@ type response =
   | Pong
   | Described of string
   | Checked of check_reply
-  | Cache_stats_reply of cache_stats_reply
+  | Cache_stats_reply of { dir : string; stats : Store.stats }
   | Cache_cleared of int
   | Server_stats_reply of server_stats
   | Batch_item of { index : int; body : response }
@@ -611,22 +594,16 @@ let stats_of_sexp sexp =
             err "field wall: not a float (%s)" (Sexp.excerpt (Sexp.Atom wall))
       in
       let* rule_hits =
-        match assoc "rule-hits" sexp with
-        | None -> Error "missing field rule-hits"
-        | Some body ->
-            List.fold_left
-              (fun acc item ->
-                let* acc = acc in
-                match item with
-                | Sexp.List [ Sexp.Atom rule; Sexp.Atom hits ] -> (
-                    match int_of_string_opt hits with
-                    | Some h -> Ok ((rule, h) :: acc)
-                    | None ->
-                        err "rule-hits: bad count %s"
-                          (Sexp.excerpt (Sexp.Atom hits)))
-                | s -> err "rule-hits: malformed %s" (Sexp.excerpt s))
-              (Ok []) body
-            |> Result.map List.rev
+        items_of_sexp "rule-hits"
+          (function
+            | Sexp.List [ Sexp.Atom rule; Sexp.Atom hits ] -> (
+                match int_of_string_opt hits with
+                | Some h -> Ok (rule, h)
+                | None ->
+                    err "rule-hits: bad count %s"
+                      (Sexp.excerpt (Sexp.Atom hits)))
+            | s -> err "rule-hits: malformed %s" (Sexp.excerpt s))
+          sexp
       in
       Ok
         {
@@ -660,6 +637,8 @@ let get_int_opt name sexp =
           err "field %s: not an integer (%s)" name (Sexp.excerpt (Sexp.Atom v)))
   | Some _ -> err "field %s: malformed" name
 
+(* A cache-stats or server-stats reply is headed by its request's
+   name. *)
 let rec response_body_to_sexp = function
   | Pong -> Sexp.list [ Sexp.atom "pong" ]
   | Bye -> Sexp.list [ Sexp.atom "bye" ]
@@ -673,26 +652,25 @@ let rec response_body_to_sexp = function
           str_field "code" (error_code_to_string code);
           str_field "message" message;
         ]
-  | Cache_stats_reply r ->
-      Sexp.list
+  | Cache_stats_reply { dir; stats = s } ->
+      field (request_name Cache_stats)
         (List.concat
            [
              [
-               Sexp.atom "cache-stats";
-               str_field "dir" r.dir;
-               int_field "entries" r.entries;
-               int_field "bytes" r.bytes;
-               int_field "shards" r.shards;
-               int_field "quarantined" r.quarantined;
+               str_field "dir" dir;
+               int_field "entries" s.Store.entries;
+               int_field "bytes" s.Store.bytes;
+               int_field "shards" s.Store.shards;
+               int_field "quarantined" s.Store.quarantined;
              ];
-             opt_int_field "max-bytes" r.max_bytes;
-             (match r.max_age_s with
+             opt_int_field "max-bytes" s.Store.max_bytes;
+             (match s.Store.max_age_s with
              | Some a -> [ str_field "max-age-s" (Printf.sprintf "%h" a) ]
              | None -> []);
              [
-               int_field "evicted-entries" r.evicted_entries;
-               int_field "evicted-bytes" r.evicted_bytes;
-               int_field "expired-entries" r.expired_entries;
+               int_field "evicted-entries" s.Store.evicted_entries;
+               int_field "evicted-bytes" s.Store.evicted_bytes;
+               int_field "expired-entries" s.Store.expired_entries;
              ];
            ])
   | Checked r ->
@@ -711,9 +689,8 @@ let rec response_body_to_sexp = function
              | None -> []);
            ])
   | Server_stats_reply s ->
-      Sexp.list
+      field (request_name Server_stats)
         [
-          Sexp.atom "server-stats";
           int_field "accepted" s.accepted;
           int_field "active" s.active;
           int_field "served" s.served;
@@ -768,7 +745,8 @@ let rec response_body_of_sexp sexp =
       let* code = error_code_of_string code in
       let* message = get_str "message" sexp in
       Ok (Error_reply { code; message })
-  | Sexp.List (Sexp.Atom "cache-stats" :: _) ->
+  | Sexp.List (Sexp.Atom head :: _)
+    when String.equal head (request_name Cache_stats) ->
       let* dir = get_str "dir" sexp in
       let* entries = get_int "entries" sexp in
       let* bytes = get_int "bytes" sexp in
@@ -793,15 +771,18 @@ let rec response_body_of_sexp sexp =
         (Cache_stats_reply
            {
              dir;
-             entries;
-             bytes;
-             shards;
-             quarantined;
-             max_bytes;
-             max_age_s;
-             evicted_entries;
-             evicted_bytes;
-             expired_entries;
+             stats =
+               {
+                 Store.entries;
+                 bytes;
+                 shards;
+                 quarantined;
+                 max_bytes;
+                 max_age_s;
+                 evicted_entries;
+                 evicted_bytes;
+                 expired_entries;
+               };
            })
   | Sexp.List (Sexp.Atom "result" :: _) ->
       let* exit_code = get_int "exit" sexp in
@@ -821,7 +802,8 @@ let rec response_body_of_sexp sexp =
         | Some _ -> Error "field output-relation: malformed"
       in
       Ok (Checked { exit_code; verdict; report; output_relation; stats })
-  | Sexp.List (Sexp.Atom "server-stats" :: _) ->
+  | Sexp.List (Sexp.Atom head :: _)
+    when String.equal head (request_name Server_stats) ->
       let* accepted = get_int "accepted" sexp in
       let* active = get_int "active" sexp in
       let* served = get_int "served" sexp in
@@ -884,22 +866,7 @@ let describe_json ~server =
     [
       ("protocol", J.Int protocol_version);
       ("server", J.Str server);
-      ( "requests",
-        J.Arr
-          (List.map
-             (fun s -> J.Str s)
-             [
-               "ping";
-               "describe";
-               "check";
-               "check-batch";
-               "cert-fetch";
-               "cert-push";
-               "cache-stats";
-               "cache-clear";
-               "server-stats";
-               "shutdown";
-             ]) );
+      ("requests", J.Arr (List.map (fun s -> J.Str s) request_names));
       ( "check_options",
         J.Arr
           (List.map

@@ -98,21 +98,13 @@ val max_frame_bytes : int
 val encode_frame : string -> string
 (** The wire bytes of one frame: length prefix, newline, payload. *)
 
-val write_frame : out_channel -> string -> unit
-(** Write one frame and flush. *)
-
-val read_frame : in_channel -> (string, string) result
-(** Read one frame; [Error] on malformed or oversized length prefixes
-    and on EOF mid-frame. Blocking — tests and tools only; the server
-    and client speak through {!Io}. *)
-
-(** Deadline-aware framed I/O over a non-blocking descriptor: the same
-    frame grammar as {!read_frame}/{!write_frame}, but every wait is
-    bounded by an absolute deadline ([Unix.gettimeofday] seconds) and
-    reads additionally abort when the optional [cancel] descriptor
-    becomes readable (the server's drain pipe). A stalled peer costs
-    one [Timeout], never a wedged thread; writes ignore [cancel] so an
-    in-flight reply can finish during a drain. *)
+(** The framing both ends speak: frames over a non-blocking
+    descriptor, every wait bounded by an optional absolute deadline
+    ([Unix.gettimeofday] seconds). Reads additionally abort when the
+    optional [cancel] descriptor becomes readable (the server's drain
+    pipe). A stalled peer costs one [Timeout], never a wedged thread;
+    writes ignore [cancel] so an in-flight reply can finish during a
+    drain. *)
 module Io : sig
   type error = Timeout | Closed | Cancelled | Failed of string
 
@@ -132,7 +124,9 @@ module Io : sig
 
   val read_frame : ?deadline:float -> t -> (string, error) result
   (** [Closed] only at a clean frame boundary; a connection dropped
-      mid-frame is a [Failed _] torn frame. *)
+      mid-frame is a [Failed _] torn frame, and so is a length prefix
+      that is empty, longer than 10 digits, not decimal, or above
+      {!max_frame_bytes} — refused before any payload is read. *)
 
   val write_frame : ?deadline:float -> t -> string -> (unit, error) result
 
@@ -211,6 +205,16 @@ type request =
   | Server_stats
   | Shutdown
 
+val request_name : request -> string
+(** The request's head atom on the wire ([check-batch] for
+    [Check_batch _]), which also names its server span and its
+    [serve.dispatch.<name>] failpoint. The [cache-stats] and
+    [server-stats] replies are headed by their request's name. *)
+
+val request_names : string list
+(** The ten request names, one per constructor, in the order
+    [describe] lists them. *)
+
 val request_to_string : id:int -> request -> string
 val request_of_string : string -> (int * request, string) result
 
@@ -232,19 +236,6 @@ type check_reply = {
   output_relation : Entangle_ir.Sexp.t option;
       (** on success: the certificate, for local concrete replay *)
   stats : Entangle.Refine.stats;
-}
-
-type cache_stats_reply = {
-  dir : string;
-  entries : int;
-  bytes : int;
-  shards : int;
-  quarantined : int;
-  max_bytes : int option;
-  max_age_s : float option;
-  evicted_entries : int;
-  evicted_bytes : int;
-  expired_entries : int;
 }
 
 type server_stats = {
@@ -274,7 +265,8 @@ type response =
   | Pong
   | Described of string  (** the JSON envelope document *)
   | Checked of check_reply
-  | Cache_stats_reply of cache_stats_reply
+  | Cache_stats_reply of { dir : string; stats : Entangle_cache.Store.stats }
+      (** the daemon's store directory and statistics *)
   | Cache_cleared of int
   | Server_stats_reply of server_stats
   | Batch_item of { index : int; body : response }
@@ -300,4 +292,4 @@ val stats_of_sexp : Entangle_ir.Sexp.t -> (Entangle.Refine.stats, string) result
 
 val describe_json : server:string -> string
 (** The [Describe] reply body: the shared [entangle/serve/1] JSON
-    envelope listing the protocol version and request vocabulary. *)
+    envelope listing the protocol version and {!request_names}. *)

@@ -6,21 +6,11 @@ module P = Protocol
 
 (* --- failpoints --------------------------------------------------------- *)
 
-(* Every stage of the socket/frame/dispatch path has a named failpoint,
-   so the chaos gate can prove the daemon survives accept-time EMFILE,
-   torn frames in both directions, and handler crashes — not just
-   assert it. *)
+(* The chaos gate arms these to prove the daemon survives accept-time
+   EMFILE, torn replies and handler crashes — not just assert it. *)
 let fp_accept =
   F.declare ~doc:"accept(2): fires as an accept failure the loop survives"
     "serve.accept"
-
-let fp_handshake =
-  F.declare ~doc:"before the handshake reply: fires by dropping the connection"
-    "serve.handshake"
-
-let fp_frame_read =
-  F.declare ~doc:"before reading a request frame: fires as a dropped read"
-    "serve.frame.read"
 
 let fp_frame_write =
   F.declare
@@ -28,22 +18,6 @@ let fp_frame_write =
       "before writing a response frame: fires by writing half the frame then \
        failing the connection (a torn write the client must retry through)"
     "serve.frame.write"
-
-let fp_dispatch =
-  F.declare ~doc:"before dispatching any request: fires as a handler crash"
-    "serve.dispatch"
-
-let request_name = function
-  | P.Ping -> "ping"
-  | P.Describe -> "describe"
-  | P.Check _ -> "check"
-  | P.Check_batch _ -> "check-batch"
-  | P.Cert_fetch _ -> "cert-fetch"
-  | P.Cert_push _ -> "cert-push"
-  | P.Cache_stats -> "cache-stats"
-  | P.Cache_clear -> "cache-clear"
-  | P.Server_stats -> "server-stats"
-  | P.Shutdown -> "shutdown"
 
 (* Per-request-kind dispatch failpoints (serve.dispatch.check, ...):
    chaos scenarios arm exactly the request kind their byzantine client
@@ -56,19 +30,8 @@ let fp_dispatch_of =
         (F.declare
            ~doc:("dispatch of a " ^ name ^ " request: fires as a handler crash")
            ("serve.dispatch." ^ name)))
-    [
-      "ping";
-      "describe";
-      "check";
-      "check-batch";
-      "cert-fetch";
-      "cert-push";
-      "cache-stats";
-      "cache-clear";
-      "server-stats";
-      "shutdown";
-    ];
-  fun req -> Hashtbl.find tbl (request_name req)
+    P.request_names;
+  fun req -> Hashtbl.find tbl (P.request_name req)
 
 (* --- the server --------------------------------------------------------- *)
 
@@ -85,7 +48,6 @@ type t = {
   name : string;
   config : Config.t;
   cache : Entangle_cache.Cache.t option;
-  max_connections : int option;
   max_clients : int;
   io_timeout_s : float;
   idle_timeout_s : float option;
@@ -190,7 +152,7 @@ let socket_in_use path =
           false)
 
 let create ?(name = "entangle-serve") ?(config = Config.default) ?cache
-    ?max_connections ?(max_clients = 64) ?(io_timeout_s = 30.) ?idle_timeout_s
+    ?(max_clients = 64) ?(io_timeout_s = 30.) ?idle_timeout_s
     ?request_deadline_s ?(drain_timeout_s = 5.) ~socket:path () =
   let config =
     match cache with None -> config | Some c -> Config.with_cache (Some c) config
@@ -227,7 +189,6 @@ let create ?(name = "entangle-serve") ?(config = Config.default) ?cache
                     name;
                     config;
                     cache;
-                    max_connections;
                     max_clients;
                     io_timeout_s;
                     idle_timeout_s;
@@ -415,19 +376,10 @@ let handle_request t = function
       handle_cache t (fun c -> P.Cache_cleared (Entangle_cache.Cache.clear c))
   | P.Cache_stats ->
       handle_cache t (fun c ->
-          let s = Entangle_cache.Cache.stats c in
           P.Cache_stats_reply
             {
-              P.dir = Entangle_cache.Cache.dir c;
-              entries = s.Entangle_cache.Store.entries;
-              bytes = s.Entangle_cache.Store.bytes;
-              shards = s.Entangle_cache.Store.shards;
-              quarantined = s.Entangle_cache.Store.quarantined;
-              max_bytes = s.Entangle_cache.Store.max_bytes;
-              max_age_s = s.Entangle_cache.Store.max_age_s;
-              evicted_entries = s.Entangle_cache.Store.evicted_entries;
-              evicted_bytes = s.Entangle_cache.Store.evicted_bytes;
-              expired_entries = s.Entangle_cache.Store.expired_entries;
+              dir = Entangle_cache.Cache.dir c;
+              stats = Entangle_cache.Cache.stats c;
             })
   | P.Check { options; gs; gd; relation } -> handle_check t options gs gd relation
   | P.Cert_fetch { options; gs; gd; relation; env } ->
@@ -475,52 +427,46 @@ let handshake t io =
       Error "handshake timed out"
   | Error e -> Error (P.Io.error_message e)
   | Ok payload -> (
-      match F.hit fp_handshake with
-      | exception F.Injected _ -> Error "injected handshake failure"
-      | () -> (
-          match P.hello_of_string payload with
-          | Error e ->
-              (* Not even a hello: answer with a rejection so the peer
-                 learns why, then drop the connection. *)
-              reject
-                (P.Rejected
-                   {
-                     expected = P.protocol_version;
-                     got = -1;
-                     message = "malformed hello: " ^ e;
-                   });
-              Error ("malformed hello: " ^ e)
-          | Ok h when h.P.protocol <> P.protocol_version ->
-              reject
-                (P.Rejected
-                   {
-                     expected = P.protocol_version;
-                     got = h.P.protocol;
-                     message =
-                       Fmt.str
-                         "protocol version mismatch: server speaks %d, client \
-                          sent %d; upgrade the older side"
-                         P.protocol_version h.P.protocol;
-                   });
-              Error "protocol version mismatch"
-          | Ok _ ->
-              ignore
-                (P.Io.write_frame ?deadline io
-                   (P.welcome_to_string
-                      (P.Welcome
-                         { protocol = P.protocol_version; server = t.name })));
-              Ok ()))
+      match P.hello_of_string payload with
+      | Error e ->
+          (* Not even a hello: answer with a rejection so the peer
+             learns why, then drop the connection. *)
+          reject
+            (P.Rejected
+               {
+                 expected = P.protocol_version;
+                 got = -1;
+                 message = "malformed hello: " ^ e;
+               });
+          Error ("malformed hello: " ^ e)
+      | Ok h when h.P.protocol <> P.protocol_version ->
+          reject
+            (P.Rejected
+               {
+                 expected = P.protocol_version;
+                 got = h.P.protocol;
+                 message =
+                   Fmt.str
+                     "protocol version mismatch: server speaks %d, client \
+                      sent %d; upgrade the older side"
+                     P.protocol_version h.P.protocol;
+               });
+          Error "protocol version mismatch"
+      | Ok _ ->
+          ignore
+            (P.Io.write_frame ?deadline io
+               (P.welcome_to_string
+                  (P.Welcome { protocol = P.protocol_version; server = t.name })));
+          Ok ())
 
 let dispatch t io ~id req =
   let sink = t.config.Config.trace in
   let args = [ ("id", Entangle_trace.Event.Int id) ] in
-  let name = request_name req in
+  let name = P.request_name req in
   Entangle_trace.Sink.span_begin sink ~args ~cat:"serve" name;
   let finally () = Entangle_trace.Sink.span_end sink ~args ~cat:"serve" name in
   Fun.protect ~finally (fun () ->
-      match
-        F.guard fp_dispatch (fun () -> F.guard (fp_dispatch_of req) (fun () -> req))
-      with
+      match F.guard (fp_dispatch_of req) (fun () -> req) with
       | exception exn ->
           write_response t io ~id
             (P.Error_reply
@@ -582,11 +528,7 @@ let serve_connection t fd =
           match P.Io.wait_input ?deadline:idle io with
           | Error _ -> () (* drain, idle timeout, or peer gone *)
           | Ok () -> (
-              match
-                F.guard fp_frame_read (fun () ->
-                    P.Io.read_frame ~deadline:(io_deadline t) io)
-              with
-              | exception F.Injected _ -> ()
+              match P.Io.read_frame ~deadline:(io_deadline t) io with
               | Error P.Io.Timeout ->
                   Atomic.incr t.counters.timed_out
               | Error _ -> () (* hung up, torn frame, or garbage framing *)
@@ -669,12 +611,11 @@ let run ?(signals = false) t =
         threads := th :: !threads;
         Mutex.unlock threads_mutex
       in
-      let rec accept_loop remaining =
-        if Atomic.get t.draining || remaining = Some 0 then ()
+      let rec accept_loop () =
+        if Atomic.get t.draining then ()
         else
           match Unix.select [ t.listener; t.wake_r ] [] [] (-1.) with
-          | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-              accept_loop remaining
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
           | rds, _, _ ->
               if Atomic.get t.draining then ()
               else if List.mem t.listener rds then (
@@ -683,23 +624,22 @@ let run ?(signals = false) t =
                     (* an injected EMFILE-style accept failure: count
                        it and keep serving *)
                     Atomic.incr t.counters.accept_failures;
-                    accept_loop remaining
+                    accept_loop ()
                 | exception
                     Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
                     (* out of descriptors: shed load briefly instead
                        of spinning or dying *)
                     Atomic.incr t.counters.accept_failures;
                     Thread.delay 0.05;
-                    accept_loop remaining
-                | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-                    accept_loop remaining
+                    accept_loop ()
+                | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
                 | fd, _ ->
                     Atomic.incr t.counters.accepted;
                     spawn fd;
-                    accept_loop (Option.map (fun n -> n - 1) remaining))
-              else accept_loop remaining
+                    accept_loop ())
+              else accept_loop ()
       in
-      accept_loop t.max_connections;
+      accept_loop ();
       (* Drain: stop accepting (done — the loop exited), wake idle
          readers, and give in-flight requests until the drain timeout
          to finish. Requests bounded by a request deadline cancel into

@@ -60,7 +60,6 @@ val create :
   ?name:string ->
   ?config:Entangle.Config.t ->
   ?cache:Entangle_cache.Cache.t ->
-  ?max_connections:int ->
   ?max_clients:int ->
   ?io_timeout_s:float ->
   ?idle_timeout_s:float ->
@@ -77,8 +76,6 @@ val create :
     {!Entangle.Config.default}); its [trace] sink receives the
     [cat:"serve"] spans. [cache], when given, is installed into that
     configuration and additionally answers [Cache_stats]/[Cache_clear].
-    [max_connections] bounds how many connections the accept loop
-    takes before draining (for tests; default unbounded).
     [max_clients] is the concurrent-connection admission limit
     (default 64). [io_timeout_s] (default 30) bounds reading one frame
     once its first byte arrived, and writing one reply.
@@ -92,12 +89,12 @@ val create :
 
 val run : ?signals:bool -> t -> unit
 (** The accept loop. Returns after a graceful drain, triggered by a
-    [Shutdown] request, [max_connections] accepted connections, or —
-    with [signals:true] — SIGTERM/SIGINT (handlers are installed for
-    the duration and restored on return; default [false], for
-    embedders that manage their own signals). On return the listening
-    socket is closed, the socket file removed, the lock released and
-    all handler threads joined. SIGPIPE is ignored for the duration. *)
+    [Shutdown] request or — with [signals:true] — SIGTERM/SIGINT
+    (handlers are installed for the duration and restored on return;
+    default [false], for embedders that manage their own signals). On
+    return the listening socket is closed, the socket file removed, the
+    lock released and all handler threads joined. SIGPIPE is ignored
+    for the duration. *)
 
 val socket : t -> string
 

@@ -18,64 +18,81 @@ let check = Alcotest.check
 
 (* --- framing ------------------------------------------------------------ *)
 
-let with_temp_file f =
-  let path = Filename.temp_file "entangle-test-serve" ".frame" in
-  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () -> f path)
+let io_deadline () = Some (Unix.gettimeofday () +. 10.)
 
-let read_frames_of_raw raw k =
-  with_temp_file (fun path ->
-      let oc = open_out_bin path in
-      output_string oc raw;
-      close_out oc;
-      let ic = open_in_bin path in
-      Fun.protect ~finally:(fun () -> close_in ic) (fun () -> k ic))
+(* [read] reads through [Io] what [write] sent through [Io] on the
+   other end of a socket pair before hanging up. *)
+let over_socketpair write read =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let close fd = try Unix.close fd with Unix.Unix_error _ -> () in
+  Fun.protect
+    ~finally:(fun () ->
+      close a;
+      close b)
+    (fun () ->
+      write (P.Io.of_fd a);
+      Unix.shutdown a Unix.SHUTDOWN_SEND;
+      read (P.Io.of_fd b))
+
+(* What the frame reader makes of [raw] followed by EOF. *)
+let first_frame raw =
+  over_socketpair
+    (fun io -> ignore (P.Io.write_raw ?deadline:(io_deadline ()) io raw))
+    (fun io -> P.Io.read_frame ?deadline:(io_deadline ()) io)
+
+let torn raw =
+  match first_frame raw with Error (P.Io.Failed _) -> true | _ -> false
 
 let framing_tests =
   [
     Alcotest.test_case "frames round-trip, including empty payloads" `Quick
       (fun () ->
-        with_temp_file (fun path ->
-            let payloads = [ "(ping)"; ""; String.make 4096 'x'; "a\nb\nc" ] in
-            let oc = open_out_bin path in
-            List.iter (P.write_frame oc) payloads;
-            close_out oc;
-            let ic = open_in_bin path in
-            Fun.protect
-              ~finally:(fun () -> close_in ic)
-              (fun () ->
-                List.iter
-                  (fun expected ->
-                    match P.read_frame ic with
-                    | Ok got -> check Alcotest.string "payload" expected got
-                    | Error e -> Alcotest.failf "read_frame: %s" e)
-                  payloads;
-                (* Clean EOF after the last frame is an error, not a
-                   hang or an empty frame. *)
-                check Alcotest.bool "EOF is an error" true
-                  (Result.is_error (P.read_frame ic)))));
+        let payloads = [ "(ping)"; ""; String.make 4096 'x'; "a\nb\nc" ] in
+        over_socketpair
+          (fun io ->
+            List.iter
+              (fun p ->
+                match P.Io.write_frame ?deadline:(io_deadline ()) io p with
+                | Ok () -> ()
+                | Error e ->
+                    Alcotest.failf "write_frame: %s" (P.Io.error_message e))
+              payloads)
+          (fun io ->
+            List.iter
+              (fun expected ->
+                match P.Io.read_frame ?deadline:(io_deadline ()) io with
+                | Ok got -> check Alcotest.string "payload" expected got
+                | Error e ->
+                    Alcotest.failf "read_frame: %s" (P.Io.error_message e))
+              payloads;
+            (* EOF on a frame boundary is a clean close, not a hang or
+               an empty frame. *)
+            check Alcotest.bool "EOF after the last frame is Closed" true
+              (P.Io.read_frame ?deadline:(io_deadline ()) io
+              = Error P.Io.Closed)));
     Alcotest.test_case "garbage length prefixes are rejected" `Quick (fun () ->
-        let rejected raw =
-          read_frames_of_raw raw (fun ic -> Result.is_error (P.read_frame ic))
-        in
-        check Alcotest.bool "non-digit prefix" true (rejected "abc\n(ping)");
-        check Alcotest.bool "negative length" true (rejected "-5\nhello");
-        check Alcotest.bool "missing newline" true (rejected "12");
-        check Alcotest.bool "empty stream" true (rejected ""));
+        check Alcotest.bool "non-digit prefix" true (torn "abc\n(ping)");
+        check Alcotest.bool "negative length" true (torn "-5\nhello");
+        check Alcotest.bool "missing newline" true (torn "12");
+        check Alcotest.bool "empty length line" true (torn "\n(ping)");
+        check Alcotest.bool "empty stream is a clean close" true
+          (first_frame "" = Error P.Io.Closed));
     Alcotest.test_case "oversized lengths are refused without reading" `Quick
       (fun () ->
         (* Both an 11-digit prefix and a valid number above the cap
-           must be refused before any payload is consumed. *)
-        let refused raw =
-          read_frames_of_raw raw (fun ic -> Result.is_error (P.read_frame ic))
-        in
-        check Alcotest.bool "too many digits" true (refused "99999999999\nx");
+           must be refused by the prefix check, before the reader
+           looks for a payload. *)
+        check Alcotest.bool "too many digits" true
+          (first_frame "99999999999\nx"
+          = Error (P.Io.Failed "frame length prefix too long"));
+        let over = P.max_frame_bytes + 1 in
         check Alcotest.bool "above max_frame_bytes" true
-          (refused (string_of_int (P.max_frame_bytes + 1) ^ "\nx")));
+          (first_frame (string_of_int over ^ "\nx")
+          = Error
+              (P.Io.Failed (Fmt.str "frame of %d bytes exceeds limit" over))));
     Alcotest.test_case "EOF mid-payload is an error" `Quick (fun () ->
-        read_frames_of_raw "10\nabc" (fun ic ->
-            check Alcotest.bool "truncated payload" true
-              (Result.is_error (P.read_frame ic))));
+        check Alcotest.bool "a torn frame, not a clean close" true
+          (torn "10\nabc"));
   ]
 
 (* --- handshake ---------------------------------------------------------- *)
@@ -241,28 +258,34 @@ let grammar_tests =
             P.Cache_stats_reply
               {
                 dir = "/tmp/cache";
-                entries = 3;
-                bytes = 1234;
-                shards = 2;
-                quarantined = 1;
-                max_bytes = Some 4096;
-                max_age_s = Some 60.;
-                evicted_entries = 5;
-                evicted_bytes = 678;
-                expired_entries = 2;
+                stats =
+                  {
+                    entries = 3;
+                    bytes = 1234;
+                    shards = 2;
+                    quarantined = 1;
+                    max_bytes = Some 4096;
+                    max_age_s = Some 60.;
+                    evicted_entries = 5;
+                    evicted_bytes = 678;
+                    expired_entries = 2;
+                  };
               };
             P.Cache_stats_reply
               {
                 dir = "/tmp/cache";
-                entries = 0;
-                bytes = 0;
-                shards = 0;
-                quarantined = 0;
-                max_bytes = None;
-                max_age_s = None;
-                evicted_entries = 0;
-                evicted_bytes = 0;
-                expired_entries = 0;
+                stats =
+                  {
+                    entries = 0;
+                    bytes = 0;
+                    shards = 0;
+                    quarantined = 0;
+                    max_bytes = None;
+                    max_age_s = None;
+                    evicted_entries = 0;
+                    evicted_bytes = 0;
+                    expired_entries = 0;
+                  };
               };
             P.Checked
               {
@@ -337,6 +360,44 @@ let grammar_tests =
           (contains json "\"schema\": \"entangle/serve/1\"");
         check Alcotest.bool "no retired jobs option" false
           (contains json "\"jobs\""));
+    Alcotest.test_case "one table names every request kind" `Quick (fun () ->
+        let nil = Sexp.list [] and options = P.default_options in
+        List.iter
+          (fun r ->
+            match Sexp.of_string (P.request_to_string ~id:1 r) with
+            | Ok (Sexp.List [ _; _; Sexp.List (Sexp.Atom head :: _) ]) ->
+                check Alcotest.string "head atom" (P.request_name r) head
+            | _ -> Alcotest.fail "not a request frame")
+          [
+            P.Ping;
+            P.Describe;
+            P.Check { options; gs = nil; gd = nil; relation = nil };
+            P.Check_batch { options; instances = [] };
+            P.Cert_fetch
+              { options; gs = nil; gd = nil; relation = nil; env = [] };
+            P.Cert_push { bundle = "b" };
+            P.Cache_stats;
+            P.Cache_clear;
+            P.Server_stats;
+            P.Shutdown;
+          ];
+        check Alcotest.int "ten distinct names" 10
+          (List.length (List.sort_uniq String.compare P.request_names));
+        check Alcotest.int "one entry each" 10 (List.length P.request_names);
+        let listed =
+          match Trace.Json.parse (P.describe_json ~server:"unit") with
+          | Ok json -> (
+              match Trace.Json.member "requests" json with
+              | Some (Trace.Json.Arr items) ->
+                  List.map
+                    (function Trace.Json.Str s -> s | _ -> "<not a string>")
+                    items
+              | _ -> Alcotest.fail "describe: no requests array")
+          | Error e -> Alcotest.failf "describe: %s" e
+        in
+        check
+          Alcotest.(list string)
+          "describe lists exactly the table" P.request_names listed);
   ]
 
 (* --- the retry ladder --------------------------------------------------- *)
@@ -411,6 +472,16 @@ let retry_tests =
           (Cl.backoff_schedule (policy 7) <> Cl.backoff_schedule (policy 8));
         check Alcotest.int "one delay per retry" 6
           (List.length (Cl.backoff_schedule (policy 7))));
+    Alcotest.test_case "the default jitter seed is the process id" `Quick
+      (fun () ->
+        (* Two --remote processes that meet one busy daemon must not
+           sleep the same delays. *)
+        let pid = Unix.getpid () in
+        check Alcotest.int "seed" pid Cl.default_retry.Cl.jitter_seed;
+        check Alcotest.bool "another pid, another schedule" true
+          (Cl.backoff_schedule Cl.default_retry
+          <> Cl.backoff_schedule
+               { Cl.default_retry with Cl.jitter_seed = pid + 1 }));
     Alcotest.test_case "backoff is capped and jitter stays in band" `Quick
       (fun () ->
         let r =
@@ -565,6 +636,16 @@ let with_raw_client ~client socket f =
       | Error e ->
           Alcotest.failf "%s handshake: %s" client (P.Io.error_message e))
 
+(* A check the server cannot even start: garbage graphs. *)
+let garbage_check =
+  P.Check
+    {
+      options = P.default_options;
+      gs = Sexp.atom "garbage";
+      gd = Sexp.atom "garbage";
+      relation = Sexp.atom "garbage";
+    }
+
 let end_to_end_tests =
   [
     Alcotest.test_case "session: reject, ping, bad request, shutdown" `Slow
@@ -591,11 +672,7 @@ let end_to_end_tests =
                 (* A check the server cannot even start — garbage
                    graphs — must come back as a structured
                    bad-request, not a dropped connection. *)
-                (match
-                   Cl.check c ~gs:(Sexp.atom "garbage")
-                     ~gd:(Sexp.atom "garbage")
-                     ~relation:(Sexp.atom "garbage") ()
-                 with
+                (match Cl.request c garbage_check with
                 | Ok (P.Error_reply { code = P.Bad_request; _ }) -> ()
                 | Ok _ -> Alcotest.fail "garbage graphs were accepted"
                 | Error e ->
@@ -638,74 +715,50 @@ let end_to_end_tests =
     Alcotest.test_case "pipeline: responses arrive in request order" `Slow
       (fun () ->
         with_server ~tag:"pipeline" (fun _server socket ->
-            with_client socket (fun c ->
+            with_raw_client ~client:"pipeline" socket (fun io ->
                 (* Five requests written back-to-back before any reply is
-                   read; the heavy/faulty one in the middle must not
-                   reorder the stream. *)
-                let garbage_check =
-                  P.Check
-                    {
-                      options = P.default_options;
-                      gs = Sexp.atom "garbage";
-                      gd = Sexp.atom "garbage";
-                      relation = Sexp.atom "garbage";
-                    }
+                   read; the faulty one in the middle must not reorder
+                   the stream. *)
+                let requests =
+                  [ P.Ping; P.Describe; garbage_check; P.Server_stats; P.Ping ]
                 in
-                (match
-                   Cl.pipeline c
-                     [
-                       P.Ping;
-                       P.Describe;
-                       garbage_check;
-                       P.Server_stats;
-                       P.Ping;
-                     ]
-                 with
-                | Error e -> Alcotest.failf "pipeline: %s" (Cl.error_message e)
-                | Ok
-                    [
-                      P.Pong;
-                      P.Described _;
-                      P.Error_reply { code = P.Bad_request; _ };
-                      P.Server_stats_reply _;
-                      P.Pong;
-                    ] ->
+                let deadline = Some (Unix.gettimeofday () +. 60.) in
+                List.iteri
+                  (fun i req ->
+                    match
+                      P.Io.write_frame ?deadline io
+                        (P.request_to_string ~id:(i + 1) req)
+                    with
+                    | Ok () -> ()
+                    | Error e ->
+                        Alcotest.failf "write: %s" (P.Io.error_message e))
+                  requests;
+                let replies =
+                  List.map
+                    (fun _ ->
+                      match P.Io.read_frame ?deadline io with
+                      | Error e ->
+                          Alcotest.failf "read: %s" (P.Io.error_message e)
+                      | Ok raw -> (
+                          match P.response_of_string raw with
+                          | Ok reply -> reply
+                          | Error e -> Alcotest.failf "response: %s" e))
+                    requests
+                in
+                check
+                  Alcotest.(list int)
+                  "ids in request order" [ 1; 2; 3; 4; 5 ]
+                  (List.map fst replies);
+                match List.map snd replies with
+                | [
+                 P.Pong;
+                 P.Described _;
+                 P.Error_reply { code = P.Bad_request; _ };
+                 P.Server_stats_reply _;
+                 P.Pong;
+                ] ->
                     ()
-                | Ok other ->
-                    Alcotest.failf "responses out of order or wrong arity (%d)"
-                      (List.length other));
-                (* A multi-frame streamer cannot ride a pipeline: its
-                   reply accounting would desynchronize. *)
-                (match
-                   Cl.pipeline c
-                     [
-                       P.Ping;
-                       P.Check_batch
-                         { options = P.default_options; instances = [] };
-                     ]
-                 with
-                | Ok _ -> Alcotest.fail "check-batch pipelined"
-                | Error _ -> ());
-                (* A batch far past the in-flight bound (16 frames): the
-                   client must interleave drains with sends and still
-                   hand back every response in order. *)
-                (match Cl.pipeline c (List.init 50 (fun _ -> P.Ping)) with
-                | Error e ->
-                    Alcotest.failf "long pipeline: %s" (Cl.error_message e)
-                | Ok responses ->
-                    check Alcotest.int "every ping answered" 50
-                      (List.length responses);
-                    List.iter
-                      (function
-                        | P.Pong -> ()
-                        | _ -> Alcotest.fail "non-pong in ping pipeline")
-                      responses);
-                (* The connection is still usable afterwards. *)
-                match Cl.ping c with
-                | Ok () -> ()
-                | Error e ->
-                    Alcotest.failf "ping after pipeline: %s"
-                      (Cl.error_message e))));
+                | _ -> Alcotest.fail "reply kinds out of request order")));
     Alcotest.test_case "server-stats: counters served over the wire" `Slow
       (fun () ->
         with_server ~tag:"stats" (fun server socket ->
@@ -713,7 +766,7 @@ let end_to_end_tests =
                 (match Cl.ping c with
                 | Ok () -> ()
                 | Error e -> Alcotest.failf "ping: %s" (Cl.error_message e));
-                match Cl.server_stats c with
+                match Cl.request c P.Server_stats with
                 | Ok (P.Server_stats_reply s) ->
                     check Alcotest.bool "accepted at least this client" true
                       (s.P.accepted >= 1);
@@ -965,7 +1018,7 @@ let daemon_tests =
                   @ List.map
                       (fun id -> (Bugs.case id).Bugs.instance)
                       [ 1; 6; 7 ]);
-                match Cl.cache_stats client with
+                match Cl.request client P.Cache_stats with
                 | Ok (P.Error_reply { code = P.Bad_request; _ }) -> ()
                 | _ ->
                     Alcotest.fail
@@ -1030,13 +1083,13 @@ let daemon_tests =
                     in
                     check Alcotest.int "its re-check: every operator a hit" ops
                       again.P.stats.Entangle.Refine.cache_hits;
-                    (match Cl.cache_stats client with
-                    | Ok (P.Cache_stats_reply r) ->
+                    (match Cl.request client P.Cache_stats with
+                    | Ok (P.Cache_stats_reply { stats; _ }) ->
                         check Alcotest.int
                           "cache-stats counts both namespaces' entries"
-                          (2 * ops) r.P.entries
+                          (2 * ops) stats.Entangle_cache.Store.entries
                     | _ -> Alcotest.fail "cache-stats: no stats reply");
-                    match Cl.cache_clear client with
+                    match Cl.request client P.Cache_clear with
                     | Ok (P.Cache_cleared n) ->
                         check Alcotest.int "cache-clear removes every entry"
                           (2 * ops) n
@@ -1052,14 +1105,14 @@ let daemon_tests =
                     let r = remote_check client (Regression.build ()) in
                     check Alcotest.int "the check still refines" 0
                       r.P.exit_code;
-                    match Cl.cache_stats client with
-                    | Ok (P.Cache_stats_reply s) ->
+                    match Cl.request client P.Cache_stats with
+                    | Ok (P.Cache_stats_reply { stats = s; _ }) ->
                         check Alcotest.(option int) "the budget in force"
-                          (Some 200) s.P.max_bytes;
+                          (Some 200) s.Entangle_cache.Store.max_bytes;
                         check Alcotest.bool "bytes within the budget" true
-                          (s.P.bytes <= 200);
+                          (s.Entangle_cache.Store.bytes <= 200);
                         check Alcotest.bool "the sweep evicted entries" true
-                          (s.P.evicted_entries > 0)
+                          (s.Entangle_cache.Store.evicted_entries > 0)
                     | _ -> Alcotest.fail "cache-stats: no stats reply"))));
   ]
 
