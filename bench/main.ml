@@ -274,24 +274,12 @@ let json_record ?name ?alloc_words inst config_name secs result =
     | None -> [])
 
 (* A default-configuration check, timed, with the words [Refine.check]
-   allocates: the rule list is built before the count starts. A minor
-   collection on each side makes the count exact; without them a native
-   program's count drifts by up to ~10^5 words from one check to the
-   next. The perf gate (test/test_perf_gate.ml) counts a re-check the
-   same way. *)
+   allocates, counted as the perf gate (test/test_perf_gate.ml) counts a
+   re-check. *)
 let counted_check inst =
   let t0 = Unix.gettimeofday () in
-  let rules = Entangle_lemmas.Registry.rules_for_model inst.Instance.family in
-  Gc.minor ();
-  let bytes0 = Gc.allocated_bytes () in
-  let result =
-    Entangle.Refine.check ~rules ~gs:inst.Instance.gs ~gd:inst.Instance.gd
-      ~input_relation:inst.Instance.input_relation ()
-  in
-  let secs = Unix.gettimeofday () -. t0 in
-  Gc.minor ();
-  let bytes = Gc.allocated_bytes () -. bytes0 in
-  (secs, int_of_float (bytes /. float_of_int (Sys.word_size / 8)), result)
+  let words, result = Bench_counts.check inst in
+  (Unix.gettimeofday () -. t0, words, result)
 
 let bench_egraph_json = "BENCH_egraph.json"
 let bench_trace_json = "BENCH_trace.json"
@@ -454,7 +442,7 @@ let ablation () =
         let t0 = Unix.gettimeofday () in
         match
           Entangle.Cert_export.bundle ~producer:"entangle-bench"
-            ~gs:inst.Instance.gs ~gd:inst.Instance.gd ~env:inst.Instance.env
+            ~env:inst.Instance.env
             ~input_relation:inst.Instance.input_relation success
         with
         | Error e ->
@@ -483,6 +471,14 @@ let ablation () =
   Fmt.pr "%-22s %10.3f %12d %9.0fx@." "cert_verify" cert_verify_s cert_bytes
     cert_speedup;
   Fmt.pr "SHA-256 over export and verification: %d bytes@." cert_hashed;
+  let replay_words =
+    match Bench_counts.replay_words () with
+    | Ok w -> w
+    | Error e ->
+        Fmt.epr "%s@." e;
+        exit 1
+  in
+  Fmt.pr "certificate replay of gpt-d8l4: %d words@." replay_words;
 
   let records = List.rev !json_records in
   let oc = open_out bench_egraph_json in
@@ -490,13 +486,14 @@ let ablation () =
     (J.to_string
        (J.Obj
           [
-            ("schema", J.Str "entangle-bench-egraph/7");
+            ("schema", J.Str "entangle-bench-egraph/8");
             ("cert_recheck_s", fixed 6 cert_recheck_s);
             ("cert_export_s", fixed 6 cert_export_s);
             ("cert_verify_s", fixed 6 cert_verify_s);
             ("cert_bundle_bytes", J.Int cert_bytes);
             ("cert_verify_speedup", fixed 2 cert_speedup);
             ("cert_sha256_bytes", J.Int cert_hashed);
+            ("replay_words", J.Int replay_words);
             ("runs", J.Arr records);
           ]));
   output_char oc '\n';

@@ -386,9 +386,10 @@ let retry_of_opts (opts : Output_opts.t) =
 
 (* Send one request to the daemon on the retry ladder and map its
    reply to an exit code: every remote command answers through here.
-   An unreachable daemon is the usage exit 124 with the attempt count,
-   a daemon error its mapped exit, and a reply [on_reply] does not
-   expect (it answers [None]) the internal exit 3. *)
+   An unreachable daemon is the usage exit 124 with the attempt count.
+   [on_reply] maps the replies it expects, a daemon error among them
+   if it expects one; any other daemon error is its mapped exit, and
+   any other reply the internal exit 3. *)
 let remote_call opts ~socket req on_reply =
   match Serve.Client.call ~retry:(retry_of_opts opts) ~socket req with
   | Error e ->
@@ -396,13 +397,13 @@ let remote_call opts ~socket req on_reply =
         (Serve.Client.error_message e) e.Serve.Client.attempts
         (if e.Serve.Client.attempts = 1 then "" else "s");
       124
-  | Ok (P.Error_reply { code; message }) ->
-      Fmt.epr "daemon error: %s@." message;
-      P.error_exit_code code
   | Ok reply -> (
-      match on_reply reply with
-      | Some code -> code
-      | None ->
+      match (on_reply reply, reply) with
+      | Some code, _ -> code
+      | None, P.Error_reply { code; message } ->
+          Fmt.epr "daemon error: %s@." message;
+          P.error_exit_code code
+      | None, _ ->
           Fmt.epr "unexpected daemon reply@.";
           3)
 
@@ -1099,7 +1100,6 @@ let cert_export_cmd =
                 | Ok success -> (
                     match
                       Entangle.Cert_export.bundle ~producer:"entangle-cli"
-                        ~gs:inst.Instance.gs ~gd:inst.Instance.gd
                         ~env:inst.Instance.env
                         ~input_relation:inst.Instance.input_relation success
                     with
@@ -1413,35 +1413,38 @@ let remote_cmd =
                   Some 0
               | _ -> None)
         | `Stats ->
+            (* Only the daemon's own "running without a cache" reply
+               means uncached: a cache-stats that fails any other way
+               fails the command. *)
+            let print s cache =
+              if opts.Output_opts.json then
+                print_endline (remote_stats_json ~server:s ~cache)
+              else begin
+                Fmt.pr
+                  "server: %d connections accepted (%d active), %d requests \
+                   served@."
+                  s.P.accepted s.P.active s.P.served;
+                Fmt.pr
+                  "  %d rejected busy (limit %d), %d timed out, %d drained, \
+                   %d accept failures@."
+                  s.P.rejected_busy s.P.max_clients s.P.timed_out s.P.drained
+                  s.P.accept_failures;
+                match cache with
+                | Some (dir, stats) -> print_cache_stats ~json:false ~dir stats
+                | None -> Fmt.pr "cache: none (daemon runs uncached)@."
+              end;
+              Some 0
+            in
             call P.Server_stats (function
               | P.Server_stats_reply s ->
-                  let cache =
-                    match
-                      Serve.Client.call ~retry:(retry_of_opts opts) ~socket
-                        P.Cache_stats
-                    with
-                    | Ok (P.Cache_stats_reply { dir; stats }) ->
-                        Some (dir, stats)
-                    | Ok _ | Error _ -> None
-                  in
-                  if opts.Output_opts.json then
-                    print_endline (remote_stats_json ~server:s ~cache)
-                  else begin
-                    Fmt.pr
-                      "server: %d connections accepted (%d active), %d \
-                       requests served@."
-                      s.P.accepted s.P.active s.P.served;
-                    Fmt.pr
-                      "  %d rejected busy (limit %d), %d timed out, %d \
-                       drained, %d accept failures@."
-                      s.P.rejected_busy s.P.max_clients s.P.timed_out
-                      s.P.drained s.P.accept_failures;
-                    match cache with
-                    | Some (dir, stats) ->
-                        print_cache_stats ~json:false ~dir stats
-                    | None -> Fmt.pr "cache: none (daemon runs uncached)@."
-                  end;
-                  Some 0
+                  Some
+                    (call P.Cache_stats (function
+                      | P.Cache_stats_reply { dir; stats } ->
+                          print s (Some (dir, stats))
+                      | P.Error_reply { code = P.Bad_request; message }
+                        when String.equal message P.uncached_message ->
+                          print s None
+                      | _ -> None))
               | _ -> None))
   in
   let action =

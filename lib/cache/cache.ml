@@ -157,6 +157,8 @@ let context (t : t) ~config_fp ~whole_graph ~rules:rs ~gs ~gd =
         batch = Hashtbl.create 64;
       }
 
+let envs ctx = (ctx.gs_env, ctx.gd_env)
+
 (* Does [seeds] hold exactly the graph-input entries [memo], in order,
    each with physically the same mapping list? A relation shares the
    entries no operator rebinds, so within one check this holds for every

@@ -91,6 +91,12 @@ val context :
     frontier optimization (the cone is then the whole distributed
     graph). *)
 
+val envs :
+  ctx ->
+  Entangle_fingerprint.Fingerprint.env * Entangle_fingerprint.Fingerprint.env
+(** The fingerprint environments of the sequential and distributed
+    graphs, which a certificate export of the same check reuses. *)
+
 val key :
   ctx -> seeds:(Tensor.t * Expr.t list) list -> Node.t -> string
 (** The content key for checking operator [v] with the given candidate

@@ -60,8 +60,7 @@ let relation_fp gs_env gd_env bindings =
 
 (* One Merkle pass per graph: its env serves the graph fingerprint and
    every relation and operator entry. *)
-let statement_of ~gs ~gd ~env ~inputs ~outputs ~operators =
-  let gs_env = Fp.graph_env gs and gd_env = Fp.graph_env gd in
+let statement_of ~gs_env ~gd_env ~env ~inputs ~outputs ~operators =
   let fp_env =
     Fp.to_hex
       (Fp.strings
@@ -143,8 +142,11 @@ let id_of ~producer ~stmt ~section_digests =
        :: (List.map snd (statement_fields stmt)
           @ List.map (fun (n, d) -> n ^ "=" ^ d) section_digests)))
 
-let make ~producer ~gs ~gd ~env ~inputs ~outputs ~operators () =
-  let statement = statement_of ~gs ~gd ~env ~inputs ~outputs ~operators in
+let make ~producer ~gs_env ~gd_env ~env ~inputs ~outputs ~operators () =
+  let gs = Fp.env_graph gs_env and gd = Fp.env_graph gd_env in
+  let statement =
+    statement_of ~gs_env ~gd_env ~env ~inputs ~outputs ~operators
+  in
   let section_digests =
     List.map
       (fun (n, sx) -> (n, section_digest sx))
@@ -412,7 +414,10 @@ let of_sexp top =
   in
   (* Statement binding: the manifest's fingerprints must match what the
      carried content actually hashes to, else the bundle was rebound. *)
-  let statement = statement_of ~gs ~gd ~env ~inputs ~outputs ~operators in
+  let statement =
+    statement_of ~gs_env:(Fp.graph_env gs) ~gd_env:(Fp.graph_env gd) ~env
+      ~inputs ~outputs ~operators
+  in
   let* () =
     List.fold_left
       (fun acc (name, fp) ->

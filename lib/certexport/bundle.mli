@@ -82,16 +82,18 @@ type t = private {
 
 val make :
   producer:string ->
-  gs:Graph.t ->
-  gd:Graph.t ->
+  gs_env:Entangle_fingerprint.Fingerprint.env ->
+  gd_env:Entangle_fingerprint.Fingerprint.env ->
   env:(string * int) list ->
   inputs:(Tensor.t * Expr.t list) list ->
   outputs:(Tensor.t * Expr.t list) list ->
   operators:operator_entry list ->
   unit ->
   t
-(** The bundle of this content: renders and digests each section, and
-    fingerprints the statement. *)
+(** The bundle of this content over the graphs [gs_env] and [gd_env]
+    were built from: renders and digests each section, and
+    fingerprints the statement with those envs, so an export reuses the
+    ones its check built ({!Entangle.Refine.success} carries them). *)
 
 val statement : t -> statement
 (** The [statement] field. *)

@@ -13,14 +13,17 @@ open Entangle_ir
 val env_bindings : Interp.env -> (string * int) list
 
 val bundle :
+  ?gs:Graph.t ->
+  ?gd:Graph.t ->
   producer:string ->
-  gs:Graph.t ->
-  gd:Graph.t ->
   env:Interp.env ->
   input_relation:Relation.t ->
   Refine.success ->
   (Entangle_certexport.Bundle.t, string) result
-(** Build a bundle from a successful check. [env] must assign every
-    shape symbol (the zoo instances carry one). [Error] when the
-    success's relation does not cover some sequential operator — a
-    bundle certifies a complete refinement, nothing less. *)
+(** Build a bundle from a successful check, over the graphs it ran on
+    and with its fingerprint envs ([success.envs]), so an export after
+    a cached check builds none. [env] must assign every shape symbol
+    (the zoo instances carry one). [Error] when [gs] or [gd] is given
+    and is not the graph the check ran on, or when the success's
+    relation does not cover some sequential operator — a bundle
+    certifies a complete refinement, nothing less. *)

@@ -5,6 +5,7 @@ module Event = Trace.Event
 module Runner = Entangle_egraph.Runner
 module Failpoint = Entangle_failpoint.Failpoint
 module Cache = Entangle_cache.Cache
+module Fingerprint = Entangle_fingerprint.Fingerprint
 
 type stats = {
   operators_processed : int;
@@ -51,6 +52,7 @@ type success = {
   output_relation : Relation.t;
   full_relation : Relation.t;
   cache_provenance : (Node.t * Cache.provenance) list;
+  envs : (Fingerprint.env * Fingerprint.env) Lazy.t;
   stats : stats;
 }
 
@@ -490,6 +492,11 @@ let check ?(config = Config.default) ?rules ~gs ~gd ~input_relation () =
                 output_relation;
                 full_relation = relation;
                 cache_provenance = List.rev !cache_log;
+                envs =
+                  (match cache_ctx with
+                  | Some ctx -> Lazy.from_val (Cache.envs ctx)
+                  | None ->
+                      lazy (Fingerprint.graph_env gs, Fingerprint.graph_env gd));
                 stats = final_stats ();
               }
         | _ -> finalize relation faults skipped)

@@ -105,6 +105,14 @@ type success = {
       (** how each operator's relation was obtained (cache hit / miss /
           replay failure), in processing order; empty when caching is
           disabled *)
+  envs :
+    (Entangle_fingerprint.Fingerprint.env
+    * Entangle_fingerprint.Fingerprint.env)
+    Lazy.t;
+      (** the fingerprint environments of [gs] and [gd], which a
+          certificate export ({!Cert_export.bundle}) hashes its
+          statement with: the certificate cache's own when the check
+          ran cached, else built when first forced *)
   stats : stats;
 }
 

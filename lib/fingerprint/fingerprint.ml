@@ -55,6 +55,8 @@ let node env n =
            Dtype.to_string (Tensor.dtype out);
          ]))
 
+let env_graph env = env.g
+
 let graph_env g =
   let env = { g; fps = Hashtbl.create 64 } in
   List.iter

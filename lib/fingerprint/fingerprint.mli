@@ -48,6 +48,9 @@ val graph_env : Graph.t -> env
     which {!Graph.Builder} guarantees is topological. The env keeps
     the graph, for {!graph}. *)
 
+val env_graph : env -> Graph.t
+(** The graph the environment was built from. *)
+
 val tensor : env -> Tensor.t -> t
 (** The memoized fingerprint; a tensor outside the environment's graph
     (e.g. an opaque placeholder) gets a leaf-style fingerprint from its

@@ -51,11 +51,20 @@ let eval_op env (op : Op.t) (args : Ndarray.t list) =
         (Ndarray.pad ~dim ~before:(dim_value env before)
            ~after:(dim_value env after))
   | Sum_n | All_reduce -> Ndarray.sum_list args
-  | Reduce_scatter { dim; index; count } ->
-      let s = Ndarray.sum_list args in
-      let size = List.nth (Ndarray.dims s) dim in
-      let chunk = size / count in
-      Ndarray.slice ~dim ~start:(index * chunk) ~stop:((index + 1) * chunk) s
+  | Reduce_scatter { dim; index; count } -> (
+      (* Chunk [index] of the sum is the sum of every input's chunk:
+         slice first, so only the kept chunk is added. The axis
+         resolves against the rank as shape inference resolves it. *)
+      match args with
+      | [] -> Ndarray.sum_list []
+      | first :: _ ->
+          let dim = Shape.normalize_axis ~rank:(Ndarray.rank first) dim in
+          let chunk = List.nth (Ndarray.dims first) dim / count in
+          Ndarray.sum_list
+            (List.map
+               (Ndarray.slice ~dim ~start:(index * chunk)
+                  ~stop:((index + 1) * chunk))
+               args))
   | All_gather { dim } -> Ndarray.concat ~dim args
   | Reduce_sum { dim; keepdim } -> one (Ndarray.reduce_sum ~dim ~keepdim)
   | Reduce_mean { dim; keepdim } -> one (Ndarray.reduce_mean ~dim ~keepdim)

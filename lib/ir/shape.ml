@@ -54,7 +54,7 @@ let broadcast store a b =
 
 let concrete env s = List.map (Symdim.eval env) s
 
-let pp ppf s =
-  Fmt.pf ppf "[%a]" (Fmt.list ~sep:(Fmt.any ", ") Symdim.pp) s
-
-let to_string s = Fmt.str "%a" pp s
+(* [[n, 4]]: byte for byte what the [Format] printer it replaced wrote
+   (kept in test/test_ir.ml). *)
+let to_string s = "[" ^ String.concat ", " (List.map Symdim.to_string s) ^ "]"
+let pp ppf s = Fmt.string ppf (to_string s)

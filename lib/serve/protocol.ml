@@ -497,6 +497,7 @@ let request_of_string s =
 type error_code = Bad_request | Server_internal
 
 let error_exit_code = function Bad_request -> 124 | Server_internal -> 3
+let uncached_message = "server is running without a cache"
 
 let error_code_to_string = function
   | Bad_request -> "bad-request"

@@ -226,6 +226,10 @@ val error_exit_code : error_code -> int
 (** The CLI exit the error maps to: [Bad_request] → 124 (usage),
     [Server_internal] → 3 (the [Internal] verdict's exit). *)
 
+val uncached_message : string
+(** The message of the [Bad_request] a daemon running without a cache
+    answers a cache verb with; only that reply means "uncached". *)
+
 type check_reply = {
   exit_code : int;  (** the {!Entangle.Refine.exit_code} convention *)
   verdict : string;

@@ -280,7 +280,7 @@ let run_check t (o : P.check_options) gs_sexp gd_sexp rel_sexp ~on_success =
   | Ok (rules, gs, gd, input_relation) -> (
       let config = check_config t o in
       match Refine.check ~config ?rules ~gs ~gd ~input_relation () with
-      | Ok success -> on_success ~gs ~gd ~input_relation success
+      | Ok success -> on_success ~gs ~input_relation success
       | Error failure ->
           P.Checked
             {
@@ -295,7 +295,7 @@ let run_check t (o : P.check_options) gs_sexp gd_sexp rel_sexp ~on_success =
 
 let handle_check t o gs_sexp gd_sexp rel_sexp =
   run_check t o gs_sexp gd_sexp rel_sexp
-    ~on_success:(fun ~gs ~gd:_ ~input_relation:_ success ->
+    ~on_success:(fun ~gs ~input_relation:_ success ->
       P.Checked
         {
           P.exit_code = 0;
@@ -309,8 +309,7 @@ let handle_check t o gs_sexp gd_sexp rel_sexp =
 let handle_cache t f =
   match t.cache with
   | None ->
-      P.Error_reply
-        { code = P.Bad_request; message = "server is running without a cache" }
+      P.Error_reply { code = P.Bad_request; message = P.uncached_message }
   | Some cache -> f cache
 
 (* cert-fetch: run the check like [handle_check]; when it refines,
@@ -320,10 +319,9 @@ let handle_cache t f =
    way. *)
 let handle_cert_fetch t o gs_sexp gd_sexp rel_sexp env =
   run_check t o gs_sexp gd_sexp rel_sexp
-    ~on_success:(fun ~gs ~gd ~input_relation success ->
+    ~on_success:(fun ~gs:_ ~input_relation success ->
       match
-        Entangle.Cert_export.bundle ~producer:("entangle-serve/" ^ t.name) ~gs
-          ~gd
+        Entangle.Cert_export.bundle ~producer:("entangle-serve/" ^ t.name)
           ~env:(Entangle_ir.Interp.env_of_list env)
           ~input_relation success
       with

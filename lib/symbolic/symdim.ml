@@ -69,20 +69,36 @@ let subst f a =
       | None -> add acc (mul_int c (sym s)))
     a.terms (of_int a.const)
 
-let pp ppf a =
-  if is_const a then Fmt.int ppf a.const
+(* Terms in symbol order, each signed and with its coefficient unless
+   that is 1, then a nonzero constant: [2n - m + 3], [-n - 1]. Built in
+   a buffer, byte for byte what the [Format] printer it replaced wrote
+   (kept in test/test_symbolic.ml); every fingerprint env renders each
+   tensor's shape through it. *)
+let to_string a =
+  if is_const a then string_of_int a.const
   else begin
+    let b = Buffer.create 16 in
     let first = ref true in
-    let pp_term s c =
-      let sep = if !first then (if c < 0 then "-" else "") else if c < 0 then " - " else " + " in
-      first := false;
-      let c = abs c in
-      if c = 1 then Fmt.pf ppf "%s%s" sep s else Fmt.pf ppf "%s%d%s" sep c s
-    in
-    Smap.iter (fun s c -> pp_term s c) a.terms;
-    if a.const <> 0 then
-      if a.const > 0 then Fmt.pf ppf " + %d" a.const
-      else Fmt.pf ppf " - %d" (-a.const)
+    Smap.iter
+      (fun s c ->
+        Buffer.add_string b
+          (if !first then if c < 0 then "-" else ""
+           else if c < 0 then " - "
+           else " + ");
+        first := false;
+        let c = abs c in
+        if c <> 1 then Buffer.add_string b (string_of_int c);
+        Buffer.add_string b s)
+      a.terms;
+    if a.const > 0 then begin
+      Buffer.add_string b " + ";
+      Buffer.add_string b (string_of_int a.const)
+    end
+    else if a.const < 0 then begin
+      Buffer.add_string b " - ";
+      Buffer.add_string b (string_of_int (-a.const))
+    end;
+    Buffer.contents b
   end
 
-let to_string a = Fmt.str "%a" pp a
+let pp ppf a = Fmt.string ppf (to_string a)

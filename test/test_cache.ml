@@ -652,24 +652,37 @@ let pinned_keys =
       "caa5f9e1bf29f9184df9d18b840b3739c88c83ede06ccace74393f73441bbf39" );
   ]
 
-(* Run the CLI in a process of its own, as a user would, output
-   discarded; fail unless it exits 0. *)
-let run_cli args =
+(* Run the CLI in a process of its own, as a user would, standard
+   error discarded; its exit code (-1 if a signal ended it) and
+   standard output. *)
+let cli_output args =
   let cli = "../bin/entangle_cli.exe" in
-  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-  let pid =
-    Fun.protect
-      ~finally:(fun () -> Unix.close null)
-      (fun () ->
-        Unix.create_process cli (Array.of_list (cli :: args)) Unix.stdin null
-          null)
-  in
-  let rec wait () =
-    try snd (Unix.waitpid [] pid)
-    with Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
-  in
-  match wait () with
-  | Unix.WEXITED 0 -> ()
+  let out = Filename.temp_file "entangle-cli" ".out" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove out)
+    (fun () ->
+      let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+      let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+      let pid =
+        Fun.protect
+          ~finally:(fun () ->
+            Unix.close fd;
+            Unix.close null)
+          (fun () ->
+            Unix.create_process cli (Array.of_list (cli :: args)) Unix.stdin fd
+              null)
+      in
+      let rec wait () =
+        try snd (Unix.waitpid [] pid)
+        with Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
+      in
+      let code = match wait () with Unix.WEXITED c -> c | _ -> -1 in
+      (code, In_channel.with_open_bin out In_channel.input_all))
+
+(* Fail unless the CLI exits 0 on [args]. *)
+let run_cli args =
+  match cli_output args with
+  | 0, _ -> ()
   | _ -> Alcotest.failf "%s failed" (String.concat " " args)
 
 let recheck_tests =
@@ -1641,8 +1654,7 @@ let archive_tests =
                         | Ok success -> (
                             match
                               Entangle.Cert_export.bundle
-                                ~producer:"test-archive" ~gs:i.Instance.gs
-                                ~gd:i.Instance.gd ~env:i.Instance.env
+                                ~producer:"test-archive" ~env:i.Instance.env
                                 ~input_relation:i.Instance.input_relation
                                 success
                             with

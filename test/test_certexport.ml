@@ -25,7 +25,7 @@ let export (inst : Instance.t) =
   | Ok success -> (
       match
         Entangle.Cert_export.bundle ~producer:"test-certexport"
-          ~gs:inst.Instance.gs ~gd:inst.Instance.gd ~env:inst.Instance.env
+          ~env:inst.Instance.env
           ~input_relation:inst.Instance.input_relation success
       with
       | Error e -> Alcotest.failf "%s: export failed: %s" inst.Instance.name e
@@ -183,7 +183,8 @@ let tiny_bundle ?(env = []) ?outputs ?operators (t : tiny) =
     | None -> [ { Bundle.op_output = "y"; op_mappings = [ Expr.leaf t.t_yd ] } ]
     | Some ops -> ops
   in
-  Bundle.make ~producer:"test-tiny" ~gs:t.t_gs ~gd:t.t_gd ~env
+  Bundle.make ~producer:"test-tiny" ~gs_env:(Fp.graph_env t.t_gs)
+    ~gd_env:(Fp.graph_env t.t_gd) ~env
     ~inputs:[ (t.t_x, [ Expr.leaf t.t_xd ]) ]
     ~outputs ~operators ()
 
@@ -297,15 +298,77 @@ let relation_digest label =
    bundle can carry, not only on the zoo's. *)
 let reparses gs gd =
   let b =
-    Bundle.make ~producer:"test-canonical" ~gs ~gd ~env:[] ~inputs:[]
+    Bundle.make ~producer:"test-canonical" ~gs_env:(Fp.graph_env gs)
+      ~gd_env:(Fp.graph_env gd) ~env:[] ~inputs:[]
       ~outputs:[] ~operators:[] ()
   in
   match Bundle.of_string (Bundle.to_string b) with
   | Ok b' -> String.equal (Bundle.id b) (Bundle.id b')
   | Error _ -> false
 
+(* The SHA-256 bytes [f] hashes, and its result. *)
+let hashed f =
+  let h0 = Entangle_fingerprint.Sha256.bytes_hashed () in
+  let r = f () in
+  (Entangle_fingerprint.Sha256.bytes_hashed () - h0, r)
+
 let roundtrip_tests =
   [
+    Alcotest.test_case "an export after a cached check builds no env" `Quick
+      (fun () ->
+        (* The check's cache context fingerprinted both graphs; the
+           export hashes its statement with those envs. An uncached
+           check leaves the export to build them, so its export hashes
+           exactly the two env builds more, for the same bundle. *)
+        let inst = Gpt.build ~layers:1 ~degree:2 ~heads:4 () in
+        let export success =
+          hashed (fun () ->
+              match
+                Entangle.Cert_export.bundle ~producer:"test-certexport"
+                  ~env:inst.env
+                  ~input_relation:inst.input_relation success
+              with
+              | Ok b -> Bundle.id b
+              | Error e -> Alcotest.fail e)
+        in
+        let checked config =
+          match Instance.check ~config inst with
+          | Ok success -> success
+          | Error _ -> Alcotest.fail "gpt does not refine"
+        in
+        let env_bytes, _ =
+          hashed (fun () -> (Fp.graph_env inst.gs, Fp.graph_env inst.gd))
+        in
+        let cached_bytes, cached_id =
+          Test_cache.with_temp_cache (fun cache ->
+              export
+                (checked
+                   (Entangle.Config.default
+                   |> Entangle.Config.with_cache (Some cache))))
+        in
+        let uncached_bytes, uncached_id =
+          export (checked Entangle.Config.default)
+        in
+        check Alcotest.string "same bundle" uncached_id cached_id;
+        check Alcotest.bool "the envs hash something" true (env_bytes > 0);
+        check Alcotest.int "bytes hashed: cached export + both envs"
+          uncached_bytes (cached_bytes + env_bytes));
+    Alcotest.test_case "an export naming other graphs is refused" `Quick
+      (fun () ->
+        let inst = Option.get (Zoo.by_name "regression") in
+        let other = Option.get (Zoo.by_name "regression") in
+        match Instance.check inst with
+        | Error _ -> Alcotest.fail "regression must refine"
+        | Ok success ->
+            let export ~gs =
+              Result.is_ok
+                (Entangle.Cert_export.bundle ~gs ~gd:inst.gd
+                   ~producer:"test-certexport" ~env:inst.env
+                   ~input_relation:inst.input_relation success)
+            in
+            check Alcotest.bool "the checked graphs" true (export ~gs:inst.gs);
+            check Alcotest.bool "an equal rebuilt graph" false
+              (export ~gs:other.gs));
     Alcotest.test_case "export -> parse preserves id and statement" `Quick
       (fun () ->
         let b = Lazy.force reference in
@@ -611,7 +674,8 @@ let verifier_tests =
       (fun () ->
         let t = tiny () in
         let bundle ?(env = []) gs =
-          Bundle.make ~producer:"test-wide" ~gs ~gd:t.t_gd ~env ~inputs:[]
+          Bundle.make ~producer:"test-wide" ~gs_env:(Fp.graph_env gs)
+            ~gd_env:(Fp.graph_env t.t_gd) ~env ~inputs:[]
             ~outputs:[]
             ~operators:
               [ { Bundle.op_output = "y"; op_mappings = [ Expr.leaf t.t_yd ] } ]
@@ -716,7 +780,8 @@ let verifier_tests =
         let gd = Graph.Builder.finish d in
         ignore zd;
         let bundle =
-          Bundle.make ~producer:"test-replication" ~gs ~gd ~env:[]
+          Bundle.make ~producer:"test-replication"
+            ~gs_env:(Fp.graph_env gs) ~gd_env:(Fp.graph_env gd) ~env:[]
             ~inputs:[ (x, [ Expr.leaf xd; Expr.leaf zd ]) ]
             ~outputs:[ (y, [ Expr.leaf yd ]) ]
             ~operators:
@@ -742,6 +807,44 @@ let verifier_tests =
         | Error e ->
             check Alcotest.bool "detail names the failing output" true
               (contains e.Cert_error.detail "output y"));
+    Alcotest.test_case "a reduce-scatter on axis -1 replays" `Quick (fun () ->
+        (* y = a + b, distributed as the two chunks of a reduce-scatter
+           along the last axis, written -1. Shape inference accepts it;
+           replay once raised on the negative axis (CERT010). *)
+        let shape = Shape.of_ints [ 2; 4 ] in
+        let s = Graph.Builder.create "rs-seq" in
+        let d = Graph.Builder.create "rs-dist" in
+        let a = Graph.Builder.input s "a" shape in
+        let b = Graph.Builder.input s "b" shape in
+        let y = Graph.Builder.add s ~name:"y" Op.Add [ a; b ] in
+        let ad = Graph.Builder.input d "ad" shape in
+        let bd = Graph.Builder.input d "bd" shape in
+        let chunk index =
+          Graph.Builder.add d
+            ~name:(Fmt.str "r%d" index)
+            (Op.Reduce_scatter { dim = -1; index; count = 2 })
+            [ ad; bd ]
+        in
+        let r0 = chunk 0 and r1 = chunk 1 in
+        Graph.Builder.output s y;
+        Graph.Builder.output d r0;
+        Graph.Builder.output d r1;
+        let gs = Graph.Builder.finish s and gd = Graph.Builder.finish d in
+        match
+          Verify.replay ~env:(Interp.env_of_list []) ~gs ~gd
+            ~inputs:[ (a, [ Expr.leaf ad ]); (b, [ Expr.leaf bd ]) ]
+            ~outputs:
+              [
+                ( y,
+                  [
+                    Expr.app (Op.Concat { dim = 1 })
+                      [ Expr.leaf r0; Expr.leaf r1 ];
+                  ] );
+              ]
+        with
+        | Ok 1 -> ()
+        | Ok n -> Alcotest.failf "%d expressions replayed" n
+        | Error e -> Alcotest.failf "%a" Cert_error.pp e);
     Alcotest.test_case "replay time is linear in a bundle's inputs" `Quick
       (fun () ->
         (* [k] sequential inputs, each bound to a distributed input of

@@ -27,6 +27,19 @@ let op_tests =
         check nd_eq "reduce_scatter second chunk"
           (Ndarray.slice ~dim:0 ~start:1 ~stop:2 (Ndarray.add a b))
           (eval (Op.Reduce_scatter { dim = 0; index = 1; count = 2 }) [ a; b ]));
+    Alcotest.test_case "reduce_scatter resolves a negative axis" `Quick
+      (fun () ->
+        (* Shape inference resolves dim -1 against the rank; so does the
+           interpreter, which once raised Invalid_argument "List.nth". *)
+        List.iter
+          (fun index ->
+            let rs dim = eval (Op.Reduce_scatter { dim; index; count = 2 }) in
+            let x = Ndarray.init [ 2; 4 ] (fun i -> float_of_int (List.hd i)) in
+            let y = Ndarray.init [ 2; 4 ] (fun i -> float_of_int (List.nth i 1)) in
+            check nd_eq "dim -1 is dim 1" (rs 1 [ x; y ]) (rs (-1) [ x; y ]);
+            check (Alcotest.list Alcotest.int) "dims" [ 2; 2 ]
+              (Ndarray.dims (rs (-1) [ x; y ])))
+          [ 0; 1 ]);
     Alcotest.test_case "fused and hlo kernels" `Quick (fun () ->
         check nd_eq "swiglu"
           (Ndarray.mul (Ndarray.silu a) b)

@@ -43,8 +43,41 @@ let dtype_tests =
 
 (* --- shape -------------------------------------------------------------- *)
 
+(* The [Format] printer [Shape.to_string] replaced. *)
+let format_shape ppf s =
+  Fmt.pf ppf "[%a]" (Fmt.list ~sep:(Fmt.any ", ") Test_symbolic.format_pp) s
+
+let renders_as_format sh =
+  let want = Fmt.str "%a" format_shape sh in
+  String.equal (Shape.to_string sh) want
+  && String.equal (Fmt.str "%a" Shape.pp sh) want
+
 let shape_tests =
   [
+    qtest
+      (QCheck.Test.make ~name:"to_string writes what Format wrote" ~count:500
+         (QCheck.make
+            ~print:(Fmt.str "%a" format_shape)
+            QCheck.Gen.(list_size (int_range 0 4) Test_symbolic.gen_symdim))
+         renders_as_format);
+    Alcotest.test_case "every zoo and bug tensor shape renders as Format did"
+      `Quick (fun () ->
+        let graphs (inst : Entangle_models.Instance.t) = [ inst.gs; inst.gd ] in
+        List.iter
+          (fun g ->
+            List.iter
+              (fun t ->
+                if not (renders_as_format (Tensor.shape t)) then
+                  Alcotest.failf "%s renders as %s" (Tensor.name t)
+                    (Shape.to_string (Tensor.shape t)))
+              (Graph.inputs g
+              @ List.map Node.output (Graph.nodes g)))
+          (List.concat_map
+             (fun (z : Perfbench.Plan.zoo) -> graphs (z.build ()))
+             Perfbench.Plan.zoo
+          @ List.concat_map
+              (fun (c : Entangle_models.Bugs.case) -> graphs c.instance)
+              (Entangle_models.Bugs.all ())));
     Alcotest.test_case "dim with negative axis" `Quick (fun () ->
         let sh = [ s; sd 4; sd 8 ] in
         check Alcotest.bool "dim -1" true (Symdim.equal (Shape.dim sh (-1)) (sd 8));

@@ -9,10 +9,11 @@
    matches the zoo entry of the same instance name, and "gpt-d<D>l<L>"
    rebuilds that cell of the Figure-4 sweep. Checks run with the default
    configuration, as `bench/main.exe ablation` runs them, and count
-   allocation the same way (see [counted_check] there). It also
+   allocation with the same code (bench/bench_counts.ml). It also
    re-derives the file's [cert_sha256_bytes], the SHA-256 work of the
-   ablation's certificate row, which may be at most 5% above its pin.
-   Wall time is not checked. *)
+   ablation's certificate row, which may be at most 5% above its pin,
+   and its [replay_words], the words certificate replay of gpt-d8l4
+   allocates, under the same band. Wall time is not checked. *)
 
 open Entangle_models
 module Json = Entangle_trace.Json
@@ -26,20 +27,6 @@ let instance_of zoo model =
 
 (* Allocation and hashing may each exceed their pin by this fraction. *)
 let alloc_band = 0.05
-
-(* The words [Refine.check] allocates, the rule list built before,
-   counted between two minor collections, which make the count exact. *)
-let counted_check (inst : Instance.t) =
-  let rules = Entangle_lemmas.Registry.rules_for_model inst.family in
-  Gc.minor ();
-  let bytes0 = Gc.allocated_bytes () in
-  let result =
-    Entangle.Refine.check ~rules ~gs:inst.gs ~gd:inst.gd
-      ~input_relation:inst.input_relation ()
-  in
-  Gc.minor ();
-  let bytes = Gc.allocated_bytes () -. bytes0 in
-  (int_of_float (bytes /. float_of_int (Sys.word_size / 8)), result)
 
 let counters result =
   let verdict, (s : Entangle.Refine.stats) =
@@ -90,14 +77,24 @@ let cert_sha256_bytes () =
   | Ok success -> (
       let hashed0 = Sha256.bytes_hashed () in
       match
-        Entangle.Cert_export.bundle ~producer:"entangle-bench" ~gs:inst.gs
-          ~gd:inst.gd ~env:inst.env ~input_relation:inst.input_relation success
+        Entangle.Cert_export.bundle ~producer:"entangle-bench" ~env:inst.env
+          ~input_relation:inst.input_relation success
       with
       | Error e -> Alcotest.failf "certificate export failed: %s" e
       | Ok bundle -> (
           match CE.Verify.check_string (CE.Bundle.to_string bundle) with
           | Error e -> Alcotest.failf "%a" CE.Cert_error.pp e
           | Ok _ -> Sha256.bytes_hashed () - hashed0))
+
+(* [measured] against the document's [field]: at most [alloc_band]
+   above it. *)
+let within_pin field measured =
+  match Json.member field (document ()) with
+  | Some (Json.Num pin) ->
+      if float_of_int measured > pin *. (1. +. alloc_band) then
+        Alcotest.failf "%s is %d, pinned %.0f (over %.0f%% above)" field
+          measured pin (alloc_band *. 100.)
+  | pinned -> Alcotest.failf "%s: %s pinned %s" bench_file field (show pinned)
 
 (* One line per counter of [record] that a re-check does not give, and
    one if it allocates more than [alloc_band] above its pin. *)
@@ -106,7 +103,7 @@ let mismatches zoo record =
   match instance_of zoo model with
   | None -> [ Fmt.str "%s: no such instance" model ]
   | Some inst ->
-      let words, result = counted_check inst in
+      let words, result = Bench_counts.check inst in
       let alloc =
         match Json.member "alloc_words" record with
         | Some (Json.Num pin) ->
@@ -148,15 +145,11 @@ let suite =
                   (String.concat "\n" found));
         Alcotest.test_case "the certificate row hashes no more than its pin"
           `Quick (fun () ->
-            match Json.member "cert_sha256_bytes" (document ()) with
-            | Some (Json.Num pin) ->
-                let hashed = cert_sha256_bytes () in
-                if float_of_int hashed > pin *. (1. +. alloc_band) then
-                  Alcotest.failf
-                    "cert_sha256_bytes is %d, pinned %.0f (over %.0f%% above)"
-                    hashed pin (alloc_band *. 100.)
-            | pinned ->
-                Alcotest.failf "%s: cert_sha256_bytes pinned %s" bench_file
-                  (show pinned));
+            within_pin "cert_sha256_bytes" (cert_sha256_bytes ()));
+        Alcotest.test_case "certificate replay allocates no more than its pin"
+          `Quick (fun () ->
+            match Bench_counts.replay_words () with
+            | Error e -> Alcotest.fail e
+            | Ok words -> within_pin "replay_words" words);
       ] );
   ]

@@ -347,7 +347,7 @@ let printer_tests =
                     }));
             match
               Entangle.Cert_export.bundle ~producer:"test-serial"
-                ~gs:inst.Instance.gs ~gd:inst.Instance.gd ~env:inst.Instance.env
+                ~env:inst.Instance.env
                 ~input_relation:inst.Instance.input_relation success
             with
             | Error e -> Alcotest.fail e

@@ -1023,6 +1023,53 @@ let daemon_tests =
                 | _ ->
                     Alcotest.fail
                       "uncached daemon: cache-stats is not a bad-request")));
+    Alcotest.test_case "remote stats fails when the daemon's cache-stats does"
+      `Slow (fun () ->
+        (* A cached daemon process whose first cache-stats dispatch
+           crashes, armed through ENTANGLE_FAILPOINTS in that process:
+           remote stats reports the failure with the internal exit,
+           not an uncached daemon, and reports the cache once the
+           handler answers. *)
+        Test_cache.with_temp_dir (fun dir ->
+            let socket = temp_socket "stats-failpoint" in
+            (try Sys.remove socket with Sys_error _ -> ());
+            let env =
+              Array.append
+                [| "ENTANGLE_FAILPOINTS=serve.dispatch.cache-stats=nth:1" |]
+                (Array.of_list
+                   (List.filter
+                      (fun v -> not (String.starts_with ~prefix:"ENTANGLE_FAILPOINTS=" v))
+                      (Array.to_list (Unix.environment ()))))
+            in
+            let cli = "../bin/entangle_cli.exe" in
+            let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+            let daemon =
+              Fun.protect
+                ~finally:(fun () -> Unix.close null)
+                (fun () ->
+                  Unix.create_process_env cli
+                    [| cli; "serve"; "--socket"; socket; "--cache-dir"; dir |]
+                    env Unix.stdin null null)
+            in
+            let remote action =
+              Test_cache.cli_output
+                [ "remote"; "--socket"; socket; "--remote-retries"; "8"; action ]
+            in
+            Fun.protect
+              ~finally:(fun () ->
+                ignore (remote "shutdown");
+                (try Unix.kill daemon Sys.sigterm with Unix.Unix_error _ -> ());
+                ignore (Unix.waitpid [] daemon);
+                try Sys.remove (socket ^ ".lock") with Sys_error _ -> ())
+              (fun () ->
+                let code, out = remote "stats" in
+                check Alcotest.int "a failed cache-stats: the internal exit" 3 code;
+                check Alcotest.bool "not reported as uncached" false
+                  (Test_certexport.contains out "uncached");
+                let code, out = remote "stats" in
+                check Alcotest.int "then the stats: exit 0" 0 code;
+                check Alcotest.bool "with the cache" true
+                  (Test_certexport.contains out ("cache " ^ dir)))));
     Alcotest.test_case "a warm re-check: zero saturation on the daemon's trace"
       `Slow (fun () ->
         Test_cache.with_temp_cache (fun cache ->

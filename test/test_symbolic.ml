@@ -59,6 +59,43 @@ let sym_gen =
 
 let eval_ab a b e = Symdim.eval (function "a" -> a | "b" -> b | _ -> 0) e
 
+(* The [Format] printer [Symdim.to_string] replaced: the reference it
+   is held to byte for byte. *)
+let format_pp ppf a =
+  match Symdim.to_int a with
+  | Some c -> Fmt.int ppf c
+  | None ->
+      let first = ref true in
+      let pp_term s c =
+        let sep =
+          if !first then if c < 0 then "-" else ""
+          else if c < 0 then " - "
+          else " + "
+        in
+        first := false;
+        let c = abs c in
+        if c = 1 then Fmt.pf ppf "%s%s" sep s else Fmt.pf ppf "%s%d%s" sep c s
+      in
+      List.iter (fun s -> pp_term s (Symdim.coeff a s)) (Symdim.symbols a);
+      let const = Symdim.const_part a in
+      if const <> 0 then
+        if const > 0 then Fmt.pf ppf " + %d" const
+        else Fmt.pf ppf " - %d" (-const)
+
+(* Affine dims over up to four symbols, one named like an integer, with
+   negative coefficients and zero or negative constants. *)
+let gen_symdim =
+  QCheck.Gen.(
+    let term =
+      pair (oneofl [ "n"; "s"; "sc"; "12"; "b_2" ]) (int_range (-4) 4)
+      >|= fun (name, c) -> Symdim.mul_int c (Symdim.sym name)
+    in
+    pair (int_range (-9) 9) (list_size (int_range 0 4) term)
+    >|= fun (const, terms) ->
+    List.fold_left Symdim.add (Symdim.of_int const) terms)
+
+let arb_symdim = QCheck.make ~print:(Fmt.str "%a" format_pp) gen_symdim
+
 let symdim_tests =
   [
     Alcotest.test_case "construction and inspection" `Quick (fun () ->
@@ -339,6 +376,15 @@ let suite =
   [
     ("symbolic.rat", rat_tests);
     ("symbolic.symdim", symdim_tests);
+    ( "symbolic.symdim-render",
+      [
+        qtest
+          (QCheck.Test.make ~name:"to_string writes what Format wrote"
+             ~count:2000 arb_symdim (fun d ->
+               let want = Fmt.str "%a" format_pp d in
+               String.equal (Symdim.to_string d) want
+               && String.equal (Fmt.str "%a" Symdim.pp d) want));
+      ] );
     ("symbolic.decide", decide_tests);
     ("symbolic.decide-properties", decide_property_tests);
     ("symbolic.model-arithmetic", model_arithmetic_tests);
